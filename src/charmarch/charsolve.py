@@ -6,6 +6,14 @@ equations outward from x = 0 (Heun), then the normal variables are advanced
 to the next slice with Lax-Friedrichs in x and centered periodic transverse
 differences.  One x-cell is trimmed per step, so no outer-x boundary
 condition is needed when the CFL condition holds.
+
+The hypersurface right-hand side is linear in v = (q, w) and q is known on
+the slice, so d_x w = f + A w with the q-driven forcing f evaluated over
+the whole slice at once.  Heun then needs A only on the m null components;
+when the system has no w -> w coupling (A = 0) the pass is a cumulative sum
+of trapezoid increments of f.  The operators (Nu^-1 Nx, Nu^-1 N^i,
+Nu^-1 N0 and the hypersurface blocks) are built once per march, after one
+CFL check, and periodic differences are taken from slices of the plane.
 """
 from __future__ import annotations
 
@@ -152,29 +160,63 @@ class SolutionTrace:
     def n_slices(self) -> int:
         return len(self.slices)
 
-    def u_levels(self):
-        return [s.u_level for s in self.slices]
-
 
 def _apply(M: np.ndarray, plane: np.ndarray) -> np.ndarray:
     """Matrix acting on the component axis of a field plane."""
-    return np.einsum("ab,b...->a...", M, plane)
+    flat = plane.reshape(plane.shape[0], -1)
+    return (M @ flat).reshape((M.shape[0],) + plane.shape[1:])
 
 
-def _transverse_derivatives(plane: np.ndarray, grid: GridSpec):
-    """Centered second-order periodic differences along each transverse axis.
+def _periodic_difference(plane: np.ndarray, axis: int) -> np.ndarray:
+    """f[j+1] - f[j-1] along one periodic axis, built from slices of the
+    plane."""
+    axis %= plane.ndim
+    n = plane.shape[axis]
+    if n < 3:   # the periodic neighbours coincide: the difference vanishes
+        return np.zeros(plane.shape)
+    out = np.empty(plane.shape)   # C order, so that its flat view is a view
+    # neighbours along the axis lie `stride` apart in the flat array: one
+    # contiguous pass is right for 0 < j < n-1 ...
+    stride = math.prod(plane.shape[axis + 1:])
+    flat = plane.reshape(-1)
+    np.subtract(flat[2 * stride:], flat[:-2 * stride],
+                out=out.reshape(-1)[stride:-stride])
 
-    plane axes: (component, *cells) or (component, x, *cells); the transverse
-    axes are always the trailing ones.
-    """
-    derivs = []
-    nt = len(grid.transverse)
-    for j, t in enumerate(grid.transverse):
-        axis = plane.ndim - nt + j
-        h = t.period / t.cells
-        derivs.append((np.roll(plane, -1, axis=axis)
-                       - np.roll(plane, 1, axis=axis)) / (2.0 * h))
-    return derivs
+    # ... and the wrap-around at j = 0 and j = n-1 is written over it
+    def at(lo, hi):
+        return (slice(None),) * axis + (slice(lo, hi),)
+
+    np.subtract(plane[at(1, 2)], plane[at(-1, None)], out=out[at(None, 1)])
+    np.subtract(plane[at(None, 1)], plane[at(-2, -1)], out=out[at(-1, None)])
+    return out
+
+
+class _FieldOperator:
+    """v -> M0 v + sum_j M_j d_j v on a field plane whose trailing axes are
+    the transverse ones; d_j is the centred periodic difference along
+    transverse axis j.  Zero matrices are dropped."""
+
+    def __init__(self, M0, Mt, grid: GridSpec):
+        self.rows = M0.shape[0]
+        self.M0 = M0 if np.any(M0) else None
+        nt = len(grid.transverse)
+        self.terms = [(M / (2.0 * t.period / t.cells), j - nt)
+                      for j, (M, t) in enumerate(zip(Mt, grid.transverse))
+                      if np.any(M)]
+
+    @property
+    def is_zero(self) -> bool:
+        return self.M0 is None and not self.terms
+
+    def __call__(self, plane: np.ndarray) -> np.ndarray:
+        out = None if self.M0 is None else _apply(self.M0, plane)
+        for M, axis in self.terms:
+            d = _periodic_difference(_apply(M, plane), axis)
+            if out is None:
+                out = d
+            else:
+                out += d
+        return np.zeros((self.rows,) + plane.shape[1:]) if out is None else out
 
 
 def _check_finite(arr, u_level, what):
@@ -183,46 +225,110 @@ def _check_finite(arr, u_level, what):
             f"non-finite value in {what} at u = {u_level:.6g}")
 
 
+def _spectral_radius(canon: CanonicalSystem) -> float:
+    if canon.nq == 0:
+        return 0.0
+    A = np.linalg.solve(canon.Nu, canon.Nx)
+    return float(np.abs(np.linalg.eigvals(A)).max())
+
+
+class _Stepper:
+    """The operators of the march for one system and grid, built once.
+
+    Hypersurface pass: d_x w = f + A w, with the q-driven forcing
+    f = -(L0_q q + L^i_q d_i q) and the null coupling
+    A w = -(L0_w w + L^i_w d_i w).  Evolution (built when du is given,
+    after the CFL check): lam Nu^-1 Nx with lam = du/dx, and the source
+    operator du Nu^-1 (N0 v + N^i d_i v).
+    """
+
+    def __init__(self, canon: CanonicalSystem, grid: GridSpec, du=None):
+        nq = canon.nq
+        names = canon.transverse_names
+        self.nq, self.n, self.dx = nq, canon.n_unknowns, grid.dx
+        self.forcing = _FieldOperator(
+            -canon.L0[:, :nq], [-canon.Li[k][:, :nq] for k in names], grid)
+        self.coupling = _FieldOperator(
+            -canon.L0[:, nq:], [-canon.Li[k][:, nq:] for k in names], grid)
+        self.du = du
+        if du is None:
+            return
+        if _spectral_radius(canon) * (du / grid.dx) > 1.0 + 1e-12:
+            raise CFLError("cfl * spectral_radius(Nu^-1 Nx) exceeds 1")
+        Nui = np.linalg.inv(canon.Nu) if nq else np.zeros((0, 0))
+        self.lam_A = (du / grid.dx) * (Nui @ canon.Nx)
+        self.source = _FieldOperator(
+            du * Nui @ canon.N0, [du * Nui @ canon.Ni[k] for k in names],
+            grid)
+
+    def fill_null(self, slice_: SliceState, w_boundary) -> None:
+        """Integrate d_x w outward from x = 0 in place on the slice (Heun).
+
+        Heun's stages reduce to k1 = f_i + A w_i and
+        k2 = f_{i+1} + A (w_i + dx k1), with f evaluated on the whole slice
+        at once; without null coupling (A = 0) the pass is a cumulative
+        sum of trapezoid increments.
+        """
+        nq, dx = self.nq, self.dx
+        vals = slice_.values
+        w = vals[nq:]
+        wb = np.asarray(w_boundary, dtype=float)
+        if wb.ndim == 1:  # constant in the transverse directions
+            wb = wb.reshape(wb.shape + (1,) * (vals.ndim - 2))
+        if not np.all(np.isfinite(wb)):
+            raise MarchAbortError(
+                "non-finite boundary data for the null variables")
+        f = self.forcing(vals[:nq])
+        if self.coupling.is_zero:
+            inc = np.empty_like(w)
+            inc[:, 0] = wb
+            np.add(f[:, :-1], f[:, 1:], out=inc[:, 1:])
+            inc[:, 1:] *= 0.5 * dx
+            np.cumsum(inc, axis=1, out=w)
+        else:
+            w[:, 0] = wb
+            A = self.coupling
+            for i in range(slice_.x_extent - 1):
+                wi = w[:, i]
+                k1 = f[:, i] + A(wi)
+                k2 = f[:, i + 1] + A(wi + dx * k1)
+                w[:, i + 1] = wi + 0.5 * dx * (k1 + k2)
+        _check_finite(w, slice_.u_level, "hypersurface integration")
+
+    def evolve(self, slice_: SliceState) -> SliceState:
+        """Lax-Friedrichs step of q onto a one-cell-narrower slice."""
+        nq = self.nq
+        vals = slice_.values
+        npts = slice_.x_extent
+        if npts < 2:
+            raise ValueError("slice too narrow to advance")
+        src = self.source(vals)
+        q = vals[:nq]
+        new = np.zeros((self.n, npts - 1) + vals.shape[2:])
+        if npts > 2:
+            inner = new[:nq, 1:]
+            np.add(q[:, :-2], q[:, 2:], out=inner)
+            inner *= 0.5
+            inner -= _apply(0.5 * self.lam_A, q[:, 2:] - q[:, :-2])
+            inner -= src[:, 1:-1]
+        new[:nq, 0] = (q[:, 0] - _apply(self.lam_A, q[:, 1] - q[:, 0])
+                       - src[:, 0])
+        out = SliceState(u_level=slice_.u_level + self.du, values=new)
+        _check_finite(new[:nq], out.u_level, "evolution step")
+        return out
+
+
 def hypersurface_integrate(canon: CanonicalSystem, slice_: SliceState,
                            w_boundary: np.ndarray,
                            grid: GridSpec) -> SliceState:
     """Fill the null variables on a slice by integrating d_x w outward.
 
     q must already be set on the slice; w_boundary are the x=0 values,
-    shape (m, *cells).  Heun (second order) steps in x.
+    shape (m, *cells) or (m,).  Heun (second order) steps in x.
     """
-    nq, m = canon.nq, canon.m
-    vals = slice_.values.copy()
-    wb = np.asarray(w_boundary, dtype=float)
-    if wb.ndim == 1:  # constant in the transverse directions
-        wb = wb.reshape((m,) + (1,) * len(grid.transverse))
-    vals[nq:, 0] = wb
-    if not np.all(np.isfinite(wb)):
-        raise MarchAbortError("non-finite boundary data for the null variables")
-    dx = grid.dx
-
-    def rhs(plane):
-        out = _apply(canon.L0, plane)
-        for name, d in zip(canon.transverse_names,
-                           _transverse_derivatives(plane, grid)):
-            out = out + _apply(canon.Li[name], d)
-        return -out
-
-    for i in range(slice_.x_extent - 1):
-        k1 = rhs(vals[:, i])
-        pred = vals[:, i + 1].copy()
-        pred[nq:] = vals[nq:, i] + dx * k1
-        k2 = rhs(pred)
-        vals[nq:, i + 1] = vals[nq:, i] + 0.5 * dx * (k1 + k2)
-    _check_finite(vals[nq:], slice_.u_level, "hypersurface integration")
-    return SliceState(u_level=slice_.u_level, values=vals)
-
-
-def _spectral_radius(canon: CanonicalSystem) -> float:
-    if canon.nq == 0:
-        return 0.0
-    A = np.linalg.solve(canon.Nu, canon.Nx)
-    return float(np.abs(np.linalg.eigvals(A)).max())
+    out = SliceState(u_level=slice_.u_level, values=slice_.values.copy())
+    _Stepper(canon, grid).fill_null(out, w_boundary)
+    return out
 
 
 def evolution_step(canon: CanonicalSystem, slice_: SliceState,
@@ -233,35 +339,7 @@ def evolution_step(canon: CanonicalSystem, slice_: SliceState,
     difference at x = 0 (pure outflow when Nx <= 0).  Null variables of the
     returned slice are left at zero for the next hypersurface pass.
     """
-    if _spectral_radius(canon) * (du / grid.dx) > 1.0 + 1e-12:
-        raise CFLError("cfl * spectral_radius(Nu^-1 Nx) exceeds 1")
-    nq = canon.nq
-    vals = slice_.values
-    npts = slice_.x_extent
-    if npts < 2:
-        raise ValueError("slice too narrow to advance")
-    dx = grid.dx
-    lam = du / dx
-    Nui = np.linalg.inv(canon.Nu) if nq else np.zeros((0, 0))
-    A = Nui @ canon.Nx if nq else np.zeros((0, 0))
-
-    # source: Nu^-1 (Ni d_i v + N0 v), evaluated on the whole slice
-    src = _apply(canon.N0, vals)
-    for name, d in zip(canon.transverse_names,
-                       _transverse_derivatives(vals, grid)):
-        src = src + _apply(canon.Ni[name], d)
-    src = _apply(Nui, src)
-
-    q = vals[:nq]
-    new = np.zeros((canon.n_unknowns, npts - 1) + vals.shape[2:])
-    if npts > 2:
-        new[:nq, 1:] = (0.5 * (q[:, :-2] + q[:, 2:])
-                        - 0.5 * lam * _apply(A, q[:, 2:] - q[:, :-2])
-                        - du * src[:, 1:-1])
-    new[:nq, 0] = q[:, 0] - lam * _apply(A, q[:, 1] - q[:, 0]) - du * src[:, 0]
-    out = SliceState(u_level=slice_.u_level + du, values=new)
-    _check_finite(new[:nq], out.u_level, "evolution step")
-    return out
+    return _Stepper(canon, grid, du).evolve(slice_)
 
 
 def _validate(canon: CanonicalSystem, grid: GridSpec, data: DataSpec):
@@ -292,8 +370,7 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
     if report.verdict is not Verdict.WELL_POSED and not force:
         raise NotWellPosedError(
             f"verdict is {report.verdict.value}; pass force=True to march anyway")
-    if _spectral_radius(canon) * grid.cfl > 1.0 + 1e-12:
-        raise CFLError("cfl * spectral_radius(Nu^-1 Nx) exceeds 1")
+    stepper = _Stepper(canon, grid, grid.du)
 
     tmeshes = grid.transverse_meshes()
     cells = tuple(t.cells for t in grid.transverse)
@@ -316,11 +393,11 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
     trace = SolutionTrace(grid=grid)
     cur = SliceState(u_level=0.0, values=q_initial())
     while True:
-        cur = hypersurface_integrate(canon, cur, w_at(cur.u_level), grid)
+        stepper.fill_null(cur, w_at(cur.u_level))
         trace.slices.append(cur)
         trace.diagnostics.append(float(np.abs(cur.values).max())
                                  if cur.values.size else 0.0)
         if cur.x_extent < 2:
             break
-        cur = evolution_step(canon, cur, grid.du, grid)
+        cur = stepper.evolve(cur)
     return trace

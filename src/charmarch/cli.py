@@ -40,8 +40,8 @@ def _load(args):
 
 
 def _tolerances(spec: str):
-    tols = {"rank": matkit.TOL_RANK, "orth": matkit.TOL_ORTH,
-            "sym": matkit.TOL_SYM, "eig": matkit.TOL_EIG,
+    tols = {"rank": matkit.TOL_RANK, "sym": matkit.TOL_SYM,
+            "eig": matkit.TOL_EIG,
             "ctol": energymon.DEFAULT_C_TOL}
     if spec:
         for item in spec.split(","):
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="path to a system-definition file")
         p.add_argument("--tol", default="",
                        help="tolerance overrides key=val,... "
-                            "(rank, orth, sym, eig, ctol)")
+                            "(rank, sym, eig, ctol)")
         p.add_argument("--out", help="write the report to this path")
         if grid:
             p.add_argument("--nx", type=int, default=64)

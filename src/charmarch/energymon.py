@@ -147,9 +147,13 @@ def balance_residual(trace: SolutionTrace, cf: CompactSystem,
 
         | int_Sigma v(Cu+Cx)v - int_N vCuv - int_T vCxv + int_V vRv |
     """
+    return _balance_residual(trace, cf, T, sigma_norm(trace, cf, T))
+
+
+def _balance_residual(trace: SolutionTrace, cf: CompactSystem, T: float,
+                      sigma: float) -> float:
+    """balance_residual with int_Sigma already computed."""
     dx, du = trace.grid.dx, trace.grid.du
-    sigma = sigma_norm(trace, cf, T)
-    nq = cf.nq
 
     first = trace.slices[0]
     Kx = _steps_for(T, dx, first.x_extent - 1, "balance N-side")
@@ -164,18 +168,17 @@ def balance_residual(trace: SolutionTrace, cf: CompactSystem,
 
     intV = 0.0
     if np.any(cf.R):
-        for j in range(trace.n_slices - 1):
-            lo, hi = trace.slices[j], trace.slices[j + 1]
+        gh = _cell_sum(_quad_form(cf.R, trace.slices[0].values), trace)
+        for hi in trace.slices[1:]:
             if hi.u_level > T + 1e-9 * du:
                 break
-            gl = _cell_sum(_quad_form(cf.R, lo.values), trace)
-            gh = _cell_sum(_quad_form(cf.R, hi.values), trace)
+            gl, gh = gh, _cell_sum(_quad_form(cf.R, hi.values), trace)
             # cells whose far corner stays inside u + x <= T
-            ncell = min(lo.x_extent - 1, hi.x_extent - 1,
-                        int(round((T - hi.u_level) / dx)))
-            for i in range(ncell):
-                corner = 0.25 * (gl[i] + gl[i + 1] + gh[i] + gh[i + 1])
-                intV += corner * dx * du
+            ncell = max(0, min(len(gl) - 1, len(gh) - 1,
+                               int(round((T - hi.u_level) / dx))))
+            corner = 0.25 * (gl[:ncell] + gl[1:ncell + 1]
+                             + gh[:ncell] + gh[1:ncell + 1])
+            intV += float(corner.sum()) * dx * du
     return abs(sigma - intN - intT + intV)
 
 
@@ -199,7 +202,7 @@ def verify_estimate(trace: SolutionTrace, cf: CompactSystem,
     bound = factor(T) * (nq_sq + nw_sq)
     margin = bound - sig
     tol_h = c_tol * trace.grid.dx * (nq_sq + nw_sq)
-    residual = balance_residual(trace, cf, T)
+    residual = _balance_residual(trace, cf, T, sig)
     return EnergyReport(
         T=T, norm_q0_sq=nq_sq, norm_w0_sq=nw_sq, sigma_norm_sq=sig,
         bound=bound, margin=margin, balance_residual=residual,

@@ -63,6 +63,13 @@ class TestCheck:
     def test_missing_source_exit_one(self, capsys):
         assert cli.main(["check"]) == cli.EXIT_ERROR
 
+    def test_orth_override_rejected(self, capsys):
+        # no call site takes an orthogonality tolerance, so the key is
+        # refused rather than silently ignored
+        argv = ["check", "--example", "wave3d", "--tol", "orth=1e-3"]
+        assert cli.main(argv) == cli.EXIT_ERROR
+        assert "unknown tolerance key 'orth'" in capsys.readouterr().err
+
 
 class TestSolve:
     def test_plane_wave_trace_csv(self):

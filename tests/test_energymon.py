@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import charmarch as cm
+from charmarch import energymon
 from charmarch.charsolve import SliceState, SolutionTrace
 from charmarch.energymon import EstimateHorizonError, RangeError
 from charmarch.wellposed import Verdict
@@ -142,6 +143,50 @@ class TestBalanceResidual:
             cf, R=np.zeros((4, 4))), 1.0)
         # dropping the volume term must leave a visibly larger imbalance
         assert with_R < no_R
+
+    def test_volume_sum_matches_per_cell_loop(self, damped_wave_pipeline):
+        canon, cf, rep = damped_wave_pipeline
+        grid = wave_grid(24, X=0.45)
+        data = cm.DataSpec(
+            q0=((cm.ProfileTerm(kind="sine", amp=0.8, k=2.0,
+                                trans=((1.0, 0.0), (0.0, 0.0))),), (), ()),
+            w0=((cm.ProfileTerm(kind="sine", amp=1.2, k=1.0),),))
+        tr = cm.march(canon, grid, data, report=rep)
+        for k in (1, 5, 13, 18):
+            T = k * grid.dx
+            got = cm.balance_residual(tr, cf, T)
+            assert abs(got - _loop_balance_residual(tr, cf, T)) \
+                <= 1e-12 * cm.sigma_norm(tr, cf, T)
+            assert cm.verify_estimate(tr, cf, rep, T).balance_residual == got
+
+
+def _loop_balance_residual(trace, cf, T):
+    """balance_residual with a Python loop over the volume cells: the
+    reference for the vectorized volume term."""
+    dx, du = trace.grid.dx, trace.grid.du
+    quad, cell_sum = energymon._quad_form, energymon._cell_sum
+    sigma = cm.sigma_norm(trace, cf, T)
+    first = trace.slices[0]
+    Kx = energymon._steps_for(T, dx, first.x_extent - 1, "N-side")
+    intN = energymon._line_integral(
+        cell_sum(quad(cf.C["u"], first.values), trace), dx, Kx)
+    Ku = energymon._steps_for(T, du, trace.n_slices - 1, "T-side")
+    gT = np.array([cell_sum(quad(cf.C["x"], s.values[:, 0]), trace)
+                   for s in trace.slices[:Ku + 1]])
+    intT = energymon._line_integral(gT, du, Ku)
+    intV = 0.0
+    for j in range(trace.n_slices - 1):
+        lo, hi = trace.slices[j], trace.slices[j + 1]
+        if hi.u_level > T + 1e-9 * du:
+            break
+        gl = cell_sum(quad(cf.R, lo.values), trace)
+        gh = cell_sum(quad(cf.R, hi.values), trace)
+        ncell = min(lo.x_extent - 1, hi.x_extent - 1,
+                    int(round((T - hi.u_level) / dx)))
+        for i in range(ncell):
+            corner = 0.25 * (gl[i] + gl[i + 1] + gh[i] + gh[i + 1])
+            intV += corner * dx * du
+    return abs(sigma - intN - intT + intV)
 
 
 class TestVerifyEstimate:
