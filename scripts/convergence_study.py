@@ -39,11 +39,7 @@ def main():
     ap.add_argument("--Xtotal", type=float, default=2.0)
     args = ap.parse_args()
 
-    sys_, chart = cm.load_system(builtin.example_text("wave3d"))
-    B = cm.side_matrices(sys_, chart)
-    cs = cm.null_structure(B, sys_.D)
-    canon = cm.split_and_reduce(cs, B, sys_.D)
-    report = cm.check_criteria(cm.compact_form(canon))
+    a = cm.analyze(*cm.load_system(builtin.example_text("wave3d")))
     data = cm.DataSpec(
         q0=(sin_minus_y_terms(-R2), sin_minus_y_terms(1.0), ()),
         w0=(sin_minus_y_terms(-R2),))
@@ -55,7 +51,7 @@ def main():
         grid = cm.GridSpec(X_total=args.Xtotal, nx=nx,
                            transverse=(cm.TransverseAxis(cells=cy),
                                        cm.TransverseAxis(cells=4)))
-        trace = cm.march(canon, grid, data, report=report)
+        trace = cm.march(a.canon, grid, data, report=a.report)
         err = max(float(np.abs(s.values - exact(s, grid, cy)).max())
                   for s in trace.slices)
         order = "" if prev is None else "%.3f" % math.log2(prev / err)

@@ -8,13 +8,14 @@ D = -I, which turns on the exponential branch (R = -2I) and restricts the
 ladder to T < c/r.
 """
 import argparse
-import math
+import contextlib
 import sys
 
 import numpy as np
 
 import charmarch as cm
 from charmarch import builtin
+from charmarch.energymon import EstimateHorizonError
 
 
 def main():
@@ -29,15 +30,10 @@ def main():
     if args.damping:
         import dataclasses
         sys_ = dataclasses.replace(sys_, D=-np.eye(4))
-    B = cm.side_matrices(sys_, chart)
-    cs = cm.null_structure(B, sys_.D)
-    canon = cm.split_and_reduce(cs, B, sys_.D)
-    cf = cm.compact_form(canon)
-    report = cm.check_criteria(cf)
-    if report.verdict is not cm.Verdict.WELL_POSED:
-        sys.stderr.write(f"verdict is {report.verdict.value}; aborting\n")
+    a = cm.analyze(sys_, chart)
+    if a.report.verdict is not cm.Verdict.WELL_POSED:
+        sys.stderr.write(f"verdict is {a.report.verdict.value}; aborting\n")
         return 2
-    _, _, T_max, _ = cm.growth_parameters(cf)
 
     data = cm.DataSpec(
         q0=((cm.ProfileTerm(kind="sine", amp=0.8, k=2.0,
@@ -49,13 +45,11 @@ def main():
         grid = cm.GridSpec(X_total=args.Xtotal, nx=nx,
                            transverse=(cm.TransverseAxis(cells=8),
                                        cm.TransverseAxis(cells=4)))
-        trace = cm.march(canon, grid, data, report=report)
-        for k in range(1, 9):
-            T = round(k * grid.X_total / 9.0 / grid.dx) * grid.dx
-            if T <= 0 or T >= T_max:
-                continue
-            rep = cm.verify_estimate(trace, cf, report, T)
-            print(f"{nx}," + rep.csv_row())
+        trace = cm.march(a.canon, grid, data, report=a.report)
+        for T in cm.estimate_ladder(grid):
+            with contextlib.suppress(EstimateHorizonError):
+                rep = cm.verify_estimate(trace, a.compact, a.report, T)
+                print(f"{nx}," + rep.csv_row())
     return 0
 
 

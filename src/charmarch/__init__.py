@@ -9,25 +9,27 @@ from .charsolve import (DataSpec, GridSpec, ProfileTerm, SliceState,
                         SolutionTrace, TransverseAxis, evolution_step,
                         hypersurface_integrate, march)
 from .energymon import (EnergyReport, balance_residual, data_norms,
-                        sigma_norm, verify_estimate)
-from .matkit import (Definiteness, DefinitenessClass, classify_definiteness,
-                     orthonormal_complete, rank_and_nullspaces)
+                        estimate_ladder, sigma_norm, verify_estimate)
+from .matkit import (Definiteness, DefinitenessClass, Tolerances,
+                     classify_definiteness, orthonormal_complete,
+                     rank_and_nullspaces)
 from .sysmodel import (Chart, FirstOrderSystem, SideMatrices, load_system,
                        serialize_system, side_matrices, verify_characteristic)
-from .wellposed import (Verdict, WellPosednessReport, check_criteria,
-                        growth_parameters)
+from .wellposed import (Analysis, Verdict, WellPosednessReport, analyze,
+                        check_criteria, growth_parameters)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CanonicalSystem", "CharacteristicStructure", "CompactSystem",
+    "Analysis", "CanonicalSystem", "CharacteristicStructure", "CompactSystem",
     "Chart", "DataSpec", "Definiteness", "DefinitenessClass", "EnergyReport",
     "FirstOrderSystem", "GridSpec", "ProfileTerm", "SideMatrices",
-    "SliceState", "SolutionTrace", "TransverseAxis", "Verdict",
-    "WellPosednessReport", "balance_residual", "check_criteria",
-    "classify_definiteness", "compact_form", "data_norms", "evolution_step",
-    "growth_parameters", "hypersurface_integrate", "load_system", "march",
-    "null_structure", "orthonormal_complete", "rank_and_nullspaces",
-    "serialize_system", "side_matrices", "sigma_norm", "split_and_reduce",
-    "transversality_check", "verify_characteristic", "verify_estimate",
+    "SliceState", "SolutionTrace", "Tolerances", "TransverseAxis", "Verdict",
+    "WellPosednessReport", "analyze", "balance_residual", "check_criteria",
+    "classify_definiteness", "compact_form", "data_norms", "estimate_ladder",
+    "evolution_step", "growth_parameters", "hypersurface_integrate",
+    "load_system", "march", "null_structure", "orthonormal_complete",
+    "rank_and_nullspaces", "serialize_system", "side_matrices", "sigma_norm",
+    "split_and_reduce", "transversality_check", "verify_characteristic",
+    "verify_estimate",
 ]

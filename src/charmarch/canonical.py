@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from . import matkit
-from .sysmodel import SideMatrices
+from .sysmodel import NotCharacteristicError, SideMatrices
 
 
 class TransversalityError(ValueError):
@@ -46,7 +46,7 @@ class CharacteristicStructure:
 
 @dataclass(frozen=True)
 class CanonicalSystem:
-    """Almost-canonical (strict=False) or canonical (strict=True) system.
+    """Almost-canonical system.
 
     Evolution block:   Nu d_u q + Nx d_x q + Ni[i] d_i v + N0 v = 0
     Hypersurface:           d_x w + Li[i] d_i v + L0 v = 0
@@ -62,45 +62,16 @@ class CanonicalSystem:
     N0: np.ndarray = field(repr=False)
     Li: dict = field(repr=False)
     L0: np.ndarray = field(repr=False)
-    strict: bool = False
+    # transversality matrix M[nu, mu] = z~_nu . B^x . z_mu of the reduction
+    M: np.ndarray = field(repr=False)
     # v_hat = to_hat @ v_original; row_transform maps the original N
     # equations to the final (evolution, hypersurface) rows.
-    to_hat: np.ndarray = field(default=None, repr=False)
-    row_transform: np.ndarray = field(default=None, repr=False)
+    to_hat: np.ndarray = field(repr=False)
+    row_transform: np.ndarray = field(repr=False)
 
     @property
     def nq(self) -> int:
         return self.n_unknowns - self.m
-
-    def to_strict(self) -> "CanonicalSystem":
-        """Companion strict form: divide the evolution rows by Nu and absorb
-        Nu into the normal variables."""
-        if self.strict:
-            return self
-        n, m, nq = self.n_unknowns, self.m, self.nq
-        Nui = np.linalg.inv(self.Nu)
-        # column rescale: v = T vhat with T = blockdiag(Nu^-1, I)
-        T = np.eye(n)
-        T[:nq, :nq] = Nui
-        Ni = {k: Nui @ M @ T for k, M in self.Ni.items()}
-        Li = {k: M @ T for k, M in self.Li.items()}
-        to_hat = self.to_hat
-        if to_hat is not None:
-            Tinv = np.eye(n)
-            Tinv[:nq, :nq] = self.Nu
-            to_hat = Tinv @ to_hat
-        row = self.row_transform
-        if row is not None:
-            R = np.eye(n)
-            R[:nq, :nq] = Nui
-            row = R @ row
-        return CanonicalSystem(
-            m=m, n_unknowns=n, transverse_names=self.transverse_names,
-            variable_names=self.variable_names,
-            Nu=np.eye(nq), Nx=self.Nx @ Nui,
-            Ni=Ni, N0=Nui @ self.N0 @ T,
-            Li=Li, L0=self.L0 @ T,
-            strict=True, to_hat=to_hat, row_transform=row)
 
 
 @dataclass(frozen=True)
@@ -128,13 +99,15 @@ class CompactSystem:
 
 def null_structure(B: SideMatrices, D: np.ndarray,
                    tol: float = matkit.TOL_RANK) -> CharacteristicStructure:
-    """Null vectors of B^u, completing rotation S, and the rotated system."""
+    """Null vectors of B^u, completing rotation S, and the rotated system.
+
+    Raises NotCharacteristicError when B^u is regular (m = 0)."""
     Bu = B.B["u"]
     n = Bu.shape[0]
     _, right, left = matkit.rank_and_nullspaces(Bu, tol)
     m = len(right)
     if m == 0:
-        raise ValueError("system is not characteristic (m = 0)")
+        raise NotCharacteristicError("surface u=const is not characteristic")
     left = [v / np.linalg.norm(v) for v in left]
     S = matkit.orthonormal_complete(right, n)
     Bprime = {name: S @ M @ S.T for name, M in B.B.items()}
@@ -246,7 +219,7 @@ def split_and_reduce(cs: CharacteristicStructure, B: SideMatrices,
     return CanonicalSystem(
         m=m, n_unknowns=n, transverse_names=B.transverse_names,
         variable_names=names, Nu=Nu, Nx=Nx, Ni=Ni, N0=N0, Li=Li, L0=L0,
-        strict=False, to_hat=to_hat, row_transform=row_transform)
+        M=M, to_hat=to_hat, row_transform=row_transform)
 
 
 def compact_form(canon: CanonicalSystem) -> CompactSystem:

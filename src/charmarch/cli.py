@@ -2,14 +2,16 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import re
 import sys
 
 import numpy as np
 
-from . import builtin, canonical, charsolve, energymon, matkit, sysmodel, wellposed
+from . import builtin, charsolve, energymon, sysmodel, wellposed
 from .charsolve import DataSpec, GridSpec, ProfileTerm, TransverseAxis
+from .matkit import Tolerances
 from .wellposed import Verdict
 
 EXIT_OK = 0
@@ -28,7 +30,7 @@ def _print_matrix(out, label: str, M: np.ndarray):
         out.write("  " + " ".join(_fmt(x) for x in row) + "\n")
 
 
-def _load(args):
+def _analyze(args, tols: Tolerances) -> wellposed.Analysis:
     if args.example:
         text = builtin.example_text(args.example)
     elif args.input:
@@ -36,22 +38,20 @@ def _load(args):
             text = fh.read()
     else:
         raise ValueError("one of --example or --input is required")
-    return sysmodel.load_system(text)
+    return wellposed.analyze(*sysmodel.load_system(text), tols)
 
 
-def _tolerances(spec: str):
-    tols = {"rank": matkit.TOL_RANK, "sym": matkit.TOL_SYM,
-            "eig": matkit.TOL_EIG,
-            "ctol": energymon.DEFAULT_C_TOL}
-    if spec:
-        for item in spec.split(","):
-            if "=" not in item:
-                raise ValueError(f"bad tolerance override '{item}'")
-            key, val = item.split("=", 1)
-            if key not in tols:
-                raise ValueError(f"unknown tolerance key '{key}'")
-            tols[key] = float(val)
-    return tols
+def _tolerances(spec: str) -> Tolerances:
+    keys = {f.name for f in dataclasses.fields(Tolerances)}
+    overrides = {}
+    for item in spec.split(",") if spec else ():
+        if "=" not in item:
+            raise ValueError(f"bad tolerance override '{item}'")
+        key, val = item.split("=", 1)
+        if key not in keys:
+            raise ValueError(f"unknown tolerance key '{key}'")
+        overrides[key] = float(val)
+    return Tolerances(**overrides)
 
 
 _PRESET_SPLIT = re.compile(r",(?=(?:zero|sine:|gauss:))")
@@ -107,17 +107,6 @@ def parse_presets(spec: str, count: int, n_transverse: int):
     return tuple(profiles)
 
 
-def _pipeline(args, tols):
-    sys_, chart = _load(args)
-    B = sysmodel.side_matrices(sys_, chart)
-    m = sysmodel.verify_characteristic(B, tols["rank"])
-    cs = canonical.null_structure(B, sys_.D, tols["rank"])
-    M = canonical.transversality_check(cs, B, tols["rank"])
-    canon = canonical.split_and_reduce(cs, B, sys_.D, tols["rank"])
-    cf = canonical.compact_form(canon)
-    return sys_, chart, B, m, cs, M, canon, cf
-
-
 def _grid_from_args(args, canon):
     cells = [int(c) for c in args.cells.split(",")] if args.cells else []
     d = len(canon.transverse_names)
@@ -138,17 +127,17 @@ def _data_from_args(args, canon):
 
 
 def cmd_analyze(args, out):
-    tols = _tolerances(args.tol)
-    _, _, B, m, cs, M, canon, cf = _pipeline(args, tols)
+    a = _analyze(args, _tolerances(args.tol))
+    B, cs, canon, cf = a.B, a.structure, a.canon, a.compact
     for name in B.names:
         _print_matrix(out, f"B^{name}", B.B[name])
-    out.write(f"multiplicity m = {m}\n")
+    out.write(f"multiplicity m = {cs.m}\n")
     for k, z in enumerate(cs.right_null, start=1):
         out.write(f"z_{k} = " + " ".join(_fmt(x) for x in z) + "\n")
     for k, zt in enumerate(cs.left_null, start=1):
         out.write(f"ztilde_{k} = " + " ".join(_fmt(x) for x in zt) + "\n")
     _print_matrix(out, "S", cs.S)
-    _print_matrix(out, "transversality M", M)
+    _print_matrix(out, "transversality M", canon.M)
     out.write("variable order: " + " ".join(canon.variable_names) + "\n")
     _print_matrix(out, "Nu", canon.Nu)
     _print_matrix(out, "Nx", canon.Nx)
@@ -164,9 +153,7 @@ def cmd_analyze(args, out):
 
 
 def cmd_check(args, out):
-    tols = _tolerances(args.tol)
-    _, _, _, _, _, _, _, cf = _pipeline(args, tols)
-    rep = wellposed.check_criteria(cf, tols["eig"], tols["sym"])
+    rep = _analyze(args, _tolerances(args.tol)).report
     out.write(f"verdict: {rep.verdict.value}\n")
     for name, ok in rep.symmetric_Ca.items():
         out.write(f"symmetric C^{name}: {'yes' if ok else 'no'}\n")
@@ -184,18 +171,17 @@ def cmd_check(args, out):
         else EXIT_NOT_WELL_POSED
 
 
-def _run_march(args, tols):
-    _, _, _, _, _, _, canon, cf = _pipeline(args, tols)
-    rep = wellposed.check_criteria(cf, tols["eig"], tols["sym"])
-    grid = _grid_from_args(args, canon)
-    data = _data_from_args(args, canon)
-    trace = charsolve.march(canon, grid, data, report=rep, force=args.force)
-    return canon, cf, rep, grid, trace
+def _run_march(args, tols: Tolerances):
+    a = _analyze(args, tols)
+    grid = _grid_from_args(args, a.canon)
+    data = _data_from_args(args, a.canon)
+    trace = charsolve.march(a.canon, grid, data, report=a.report,
+                            force=args.force)
+    return a, grid, trace
 
 
 def cmd_solve(args, out):
-    tols = _tolerances(args.tol)
-    _, _, _, grid, trace = _run_march(args, tols)
+    _, _, trace = _run_march(args, _tolerances(args.tol))
     out.write("u,x_extent,max_abs_v\n")
     for s, diag in zip(trace.slices, trace.diagnostics):
         out.write("%.17g,%d,%.17g\n" % (s.u_level, s.x_extent, diag))
@@ -204,25 +190,20 @@ def cmd_solve(args, out):
 
 def cmd_verify_estimate(args, out):
     tols = _tolerances(args.tol)
-    canon, cf, rep, grid, trace = _run_march(args, tols)
-    if rep.verdict is not Verdict.WELL_POSED:
+    a, grid, trace = _run_march(args, tols)
+    if a.report.verdict is not Verdict.WELL_POSED:
         sys.stderr.write("cannot verify estimate: verdict is "
-                         f"{rep.verdict.value}\n")
+                         f"{a.report.verdict.value}\n")
         return EXIT_NOT_WELL_POSED
-    _, _, T_max, _ = wellposed.growth_parameters(cf, tols["eig"])
     out.write(energymon.EnergyReport.CSV_HEADER + "\n")
-    ladder = []
-    for k in range(1, 9):
-        T = round(k * grid.X_total / 9.0 / grid.dx) * grid.dx
-        if T > 0 and T not in ladder:
-            ladder.append(T)
-    for T in ladder:
-        if T >= T_max:
+    for T in energymon.estimate_ladder(grid):
+        try:
+            report = energymon.verify_estimate(trace, a.compact, a.report,
+                                               T, c_tol=tols.ctol)
+        except energymon.EstimateHorizonError:
             sys.stderr.write(f"skipping T={T:.6g}: estimate not guaranteed "
-                             f"for T >= c/r = {T_max:.6g}\n")
+                             f"for T >= c/r = {a.report.T_max:.6g}\n")
             continue
-        report = energymon.verify_estimate(trace, cf, rep, T,
-                                           c_tol=tols["ctol"])
         out.write(report.csv_row() + "\n")
     return EXIT_OK
 

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import CanonicalSystem, CompactSystem
-from .charsolve import SolutionTrace
-from .wellposed import Verdict, WellPosednessReport, growth_parameters
-
-DEFAULT_C_TOL = 10.0
+from .charsolve import GridSpec, SolutionTrace
+from .matkit import Tolerances
+from .wellposed import Verdict, WellPosednessReport
 
 
 class RangeError(ValueError):
@@ -182,24 +181,32 @@ def _balance_residual(trace: SolutionTrace, cf: CompactSystem, T: float,
     return abs(sigma - intN - intT + intV)
 
 
+def estimate_ladder(grid: GridSpec) -> list:
+    """The diagonal surfaces T_k = k X/9 (k = 1..8) snapped to the x grid;
+    positive, without repeats, in increasing order."""
+    snapped = (round(k * grid.X_total / 9.0 / grid.dx) * grid.dx
+               for k in range(1, 9))
+    return list(dict.fromkeys(T for T in snapped if T > 0))
+
+
 def verify_estimate(trace: SolutionTrace, cf: CompactSystem,
                     report: WellPosednessReport, T: float,
-                    c_tol: float = DEFAULT_C_TOL) -> EnergyReport:
+                    c_tol: float = Tolerances.ctol) -> EnergyReport:
     """Check the a priori bound sigma <= factor(T) (||q0||^2 + ||w0||^2).
 
-    The discrete tolerance is tol_h = c_tol * dx scaled by the data norms
-    (first-order scheme).  Raises when T is at or beyond the validity
-    horizon c/r of the exponential branch.
+    The growth factor and the horizon c/r are those of `report`.  The
+    discrete tolerance is tol_h = c_tol * dx scaled by the data norms
+    (first-order scheme).  Raises EstimateHorizonError when T is at or
+    beyond the validity horizon c/r of the exponential branch.
     """
     if report.verdict is not Verdict.WELL_POSED:
         raise ValueError("verify_estimate requires a WELL_POSED verdict")
-    r, c, T_max, factor = growth_parameters(cf)
-    if T >= T_max:
+    if T >= report.T_max:
         raise EstimateHorizonError(
-            f"estimate not guaranteed for T >= c/r = {T_max!r}")
+            f"estimate not guaranteed for T >= c/r = {report.T_max!r}")
     nq_sq, nw_sq = _data_norms(trace, cf.Nu, cf.nq, T)
     sig = sigma_norm(trace, cf, T)
-    bound = factor(T) * (nq_sq + nw_sq)
+    bound = report.bound_factor(T) * (nq_sq + nw_sq)
     margin = bound - sig
     tol_h = c_tol * trace.grid.dx * (nq_sq + nw_sq)
     residual = _balance_residual(trace, cf, T, sig)

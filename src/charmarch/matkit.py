@@ -19,6 +19,17 @@ TOL_SYM = 1e-10
 TOL_EIG = 1e-10
 
 
+@dataclass(frozen=True)
+class Tolerances:
+    """The tolerances of one analysis: rank decisions (null spaces,
+    transversality, row selection), symmetry of the C^a, eigenvalue signs,
+    and ctol, which scales the discrete slack c_tol * dx of the estimate."""
+    rank: float = TOL_RANK
+    sym: float = TOL_SYM
+    eig: float = TOL_EIG
+    ctol: float = 10.0
+
+
 class MatrixShapeError(ValueError):
     """Input matrix has the wrong shape (e.g. not square)."""
 

@@ -10,14 +10,15 @@ is non-negative.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import matkit
+from . import canonical, matkit, sysmodel
 from .canonical import CompactSystem
-from .matkit import Definiteness, DefinitenessClass
+from .matkit import Definiteness, DefinitenessClass, Tolerances
 
 
 class Verdict(enum.Enum):
@@ -29,11 +30,6 @@ class Verdict(enum.Enum):
 class NormUndefinedError(ValueError):
     """C^u + C^x is not positive definite; no norm exists on Sigma_T."""
 
-
-_NONPOSITIVE = (Definiteness.NEGATIVE_SEMI, Definiteness.NEGATIVE_DEFINITE,
-                Definiteness.ZERO)
-_NONNEGATIVE = (Definiteness.ZERO, Definiteness.POSITIVE_SEMI,
-                Definiteness.POSITIVE_DEFINITE)
 
 # absolute eigenvalue band under which a failed Nx sign check is reported as
 # INCONCLUSIVE instead of NOT_WELL_POSED
@@ -54,6 +50,14 @@ class WellPosednessReport:
     T_max: float
     time_function_ok: bool
 
+    def bound_factor(self, T: float) -> float:
+        """e^{(r/c)T}; exactly 1 when R is non-negative (growth exponent 0)."""
+        return _bound_factor(self.growth_exponent, T)
+
+
+def _bound_factor(growth_exponent: float, T: float) -> float:
+    return 1.0 if growth_exponent == 0.0 else math.exp(growth_exponent * T)
+
 
 def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
@@ -61,6 +65,18 @@ def _sym(M: np.ndarray) -> np.ndarray:
 
 def _classify(M: np.ndarray, tol: float) -> DefinitenessClass:
     return matkit.classify_definiteness(_sym(M), tol)
+
+
+def _growth(cf: CompactSystem, cls_R: DefinitenessClass):
+    """(r, c, T_max, growth exponent) of the bound e^{(r/c)T}, T < c/r;
+    T_max = 0 and the exponent infinite when c <= 0 (no norm on Sigma_T)."""
+    r = float(np.abs(cf.R).max()) if cf.R.size else 0.0
+    c = float(np.linalg.eigvalsh(_sym(cf.C["u"] + cf.C["x"]))[0])
+    if cls_R.is_nonnegative() or r == 0.0:
+        return r, c, math.inf, 0.0
+    if c > 0.0:
+        return r, c, c / r, r / c
+    return r, c, 0.0, math.inf
 
 
 def check_criteria(cf: CompactSystem, tol: float = matkit.TOL_EIG,
@@ -76,7 +92,7 @@ def check_criteria(cf: CompactSystem, tol: float = matkit.TOL_EIG,
     cls_sum = _classify(cf.Nu + cf.Nx, tol)
     cls_R = _classify(cf.R, tol)
 
-    nx_ok = cls_Nx.tag in _NONPOSITIVE
+    nx_ok = cls_Nx.is_nonpositive()
     all_sym = all(symmetric.values())
     nu_pd = cls_Nu.tag is Definiteness.POSITIVE_DEFINITE
     sum_pd = cls_sum.tag is Definiteness.POSITIVE_DEFINITE
@@ -89,18 +105,7 @@ def check_criteria(cf: CompactSystem, tol: float = matkit.TOL_EIG,
     else:
         verdict = Verdict.NOT_WELL_POSED
 
-    r = float(np.abs(cf.R).max()) if cf.R.size else 0.0
-    eigs = np.linalg.eigvalsh(_sym(cf.C["u"] + cf.C["x"]))
-    c = float(eigs[0])
-    if cls_R.tag in _NONNEGATIVE or r == 0.0:
-        T_max = math.inf
-        growth = 0.0
-    elif c > 0.0:
-        T_max = c / r
-        growth = r / c
-    else:
-        T_max = 0.0
-        growth = math.inf
+    r, c, T_max, growth = _growth(cf, cls_R)
     return WellPosednessReport(
         symmetric_Ca=symmetric, class_Nu=cls_Nu, class_Nx=cls_Nx,
         class_NuPlusNx=cls_sum, class_R=cls_R, verdict=verdict,
@@ -113,15 +118,36 @@ def growth_parameters(cf: CompactSystem, tol: float = matkit.TOL_EIG):
 
     factor(T) = 1 identically when R is non-negative (so T_max = inf),
     otherwise e^{(r/c)T} with the bound guaranteed only for T < T_max = c/r.
+    Raises NormUndefinedError unless C^u + C^x is positive definite.
     """
-    W = _sym(cf.C["u"] + cf.C["x"])
-    cls = matkit.classify_definiteness(W, tol)
-    if cls.tag is not Definiteness.POSITIVE_DEFINITE:
+    if _classify(cf.C["u"] + cf.C["x"], tol).tag \
+            is not Definiteness.POSITIVE_DEFINITE:
         raise NormUndefinedError("no norm on Sigma_T: criterion ii violated")
-    c = float(min(cls.eigenvalues))
-    r = float(np.abs(cf.R).max()) if cf.R.size else 0.0
-    cls_R = _classify(cf.R, tol)
-    if cls_R.tag in _NONNEGATIVE or r == 0.0:
-        return r, c, math.inf, lambda T: 1.0
-    rate = r / c
-    return r, c, c / r, lambda T: math.exp(rate * T)
+    r, c, T_max, growth = _growth(cf, _classify(cf.R, tol))
+    return r, c, T_max, functools.partial(_bound_factor, growth)
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """Every stage of the reduction of one system in one chart."""
+    B: sysmodel.SideMatrices
+    structure: canonical.CharacteristicStructure
+    canon: canonical.CanonicalSystem
+    compact: CompactSystem
+    report: WellPosednessReport
+
+
+def analyze(system: sysmodel.FirstOrderSystem, chart: sysmodel.Chart,
+            tols: Tolerances = Tolerances()) -> Analysis:
+    """Side matrices -> null structure -> split (with the transversality
+    check) -> compact form -> criteria, each step run once.
+
+    Raises NotCharacteristicError, TransversalityError or ReductionError
+    when the chart does not admit the reduction.
+    """
+    B = sysmodel.side_matrices(system, chart)
+    cs = canonical.null_structure(B, system.D, tols.rank)
+    canon = canonical.split_and_reduce(cs, B, system.D, tols.rank)
+    cf = canonical.compact_form(canon)
+    return Analysis(B=B, structure=cs, canon=canon, compact=cf,
+                    report=check_criteria(cf, tols.eig, tols.sym))

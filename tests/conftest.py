@@ -16,43 +16,31 @@ def wave_system():
 
 
 @pytest.fixture(scope="session")
-def wave_side(wave_system):
-    sys_, chart = wave_system
-    return cm.side_matrices(sys_, chart)
+def wave_analysis(wave_system):
+    return cm.analyze(*wave_system)
 
 
 @pytest.fixture(scope="session")
-def wave_structure(wave_system, wave_side):
-    sys_, _ = wave_system
-    return cm.null_structure(wave_side, sys_.D)
+def wave_canon(wave_analysis):
+    return wave_analysis.canon
 
 
 @pytest.fixture(scope="session")
-def wave_canon(wave_system, wave_side, wave_structure):
-    sys_, _ = wave_system
-    return cm.split_and_reduce(wave_structure, wave_side, sys_.D)
+def wave_compact(wave_analysis):
+    return wave_analysis.compact
 
 
 @pytest.fixture(scope="session")
-def wave_compact(wave_canon):
-    return cm.compact_form(wave_canon)
-
-
-@pytest.fixture(scope="session")
-def wave_report(wave_compact):
-    return cm.check_criteria(wave_compact)
+def wave_report(wave_analysis):
+    return wave_analysis.report
 
 
 @pytest.fixture(scope="session")
 def damped_wave_pipeline(wave_system):
     """Wave system with D = -I, so the compact R is -2I (exponential branch)."""
     sys_, chart = wave_system
-    sys2 = dataclasses.replace(sys_, D=-np.eye(4))
-    B = cm.side_matrices(sys2, chart)
-    cs = cm.null_structure(B, sys2.D)
-    canon = cm.split_and_reduce(cs, B, sys2.D)
-    cf = cm.compact_form(canon)
-    return canon, cf, cm.check_criteria(cf)
+    a = cm.analyze(dataclasses.replace(sys_, D=-np.eye(4)), chart)
+    return a.canon, a.compact, a.report
 
 
 def sin_minus_y_terms(amp):

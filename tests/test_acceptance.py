@@ -3,6 +3,7 @@
 Run with `pytest -v -s tests/test_acceptance.py` to see the lines as they
 complete; each line also restates the pinned tolerance or budget.
 """
+import contextlib
 import dataclasses
 import math
 import time
@@ -39,14 +40,6 @@ def _verdict_line(num, ok, desc):
     assert ok, desc
 
 
-def _full_pipeline(text):
-    sys_, chart = cm.load_system(text)
-    B = cm.side_matrices(sys_, chart)
-    cs = cm.null_structure(B, sys_.D)
-    canon = cm.split_and_reduce(cs, B, sys_.D)
-    return sys_, chart, B, cs, canon, cm.compact_form(canon)
-
-
 def grid2(nx, cy, cz, X=2.0):
     return cm.GridSpec(X_total=X, nx=nx,
                        transverse=(cm.TransverseAxis(cells=cy),
@@ -60,15 +53,15 @@ PLANE_WAVE = cm.DataSpec(
 
 def test_acceptance_1_golden_canonicalization():
     t0 = time.perf_counter()
-    _, _, B, cs, canon, cf = _full_pipeline(builtin.example_text("wave3d"))
+    a = cm.analyze(*cm.load_system(builtin.example_text("wave3d")))
     elapsed = time.perf_counter() - t0
-    ok = (np.abs(B.B["u"] - BU_GOLD).max() <= 1e-12
-          and np.abs(B.B["x"] - BX_GOLD).max() <= 1e-12
-          and np.abs(cs.S - S_GOLD).max() <= 1e-12
-          and np.abs(canon.Nu - np.diag([2.0, 1, 1])).max() <= 1e-12
-          and np.abs(canon.Nx - np.diag([-1.0, 0, 0])).max() <= 1e-12
-          and np.abs(cf.C["y"] - CY_GOLD).max() <= 1e-12
-          and np.abs(cf.C["z"] - CZ_GOLD).max() <= 1e-12
+    ok = (np.abs(a.B.B["u"] - BU_GOLD).max() <= 1e-12
+          and np.abs(a.B.B["x"] - BX_GOLD).max() <= 1e-12
+          and np.abs(a.structure.S - S_GOLD).max() <= 1e-12
+          and np.abs(a.canon.Nu - np.diag([2.0, 1, 1])).max() <= 1e-12
+          and np.abs(a.canon.Nx - np.diag([-1.0, 0, 0])).max() <= 1e-12
+          and np.abs(a.compact.C["y"] - CY_GOLD).max() <= 1e-12
+          and np.abs(a.compact.C["z"] - CZ_GOLD).max() <= 1e-12
           and elapsed < 1.0)
     _verdict_line(1, ok, "golden canonical matrices to 1e-12, "
                   f"runtime {elapsed:.3f}s < 1s")
@@ -83,13 +76,12 @@ def test_acceptance_2_verdicts(tmp_path):
     code_ok = cli._COMMANDS["check"](args, out)
     well = "verdict: WELL_POSED" in out.getvalue()
 
-    _, _, _, _, _, cf = _full_pipeline(builtin.example_text("wave3d"))
-    rep = cm.check_criteria(cf)
-    _, _, _, factor = cm.growth_parameters(cf)
-    r_zero = not np.any(cf.R) and factor(5.0) == 1.0
+    a = cm.analyze(*cm.load_system(builtin.example_text("wave3d")))
+    rep = a.report
+    r_zero = not np.any(a.compact.R) and rep.bound_factor(5.0) == 1.0
 
-    _, _, _, _, _, cf_rev = _full_pipeline(conftest.reversed_x_chart_text())
-    rep_rev = cm.check_criteria(cf_rev)
+    rep_rev = cm.analyze(
+        *cm.load_system(conftest.reversed_x_chart_text())).report
     rev_bad = (rep_rev.verdict is Verdict.NOT_WELL_POSED
                and rep_rev.class_Nx.tag is matkit.Definiteness.POSITIVE_SEMI)
     elapsed = time.perf_counter() - t0
@@ -99,9 +91,8 @@ def test_acceptance_2_verdicts(tmp_path):
                   f"reversed x chart NOT_WELL_POSED, runtime {elapsed:.3f}s < 1s")
 
 
-def test_acceptance_3_transversality():
-    sys_, _, B, cs, _, _ = _full_pipeline(builtin.example_text("wave3d"))
-    M = cm.transversality_check(cs, B)
+def test_acceptance_3_transversality(wave_analysis):
+    M = cm.transversality_check(wave_analysis.structure, wave_analysis.B)
     det_ok = abs(abs(np.linalg.det(M)) - 1.0) <= 1e-12
 
     sys2, chart2 = cm.load_system(conftest.psi_equals_y_chart_text())
@@ -154,15 +145,10 @@ def test_acceptance_5_self_convergence(wave_canon, wave_report,
 
 def _estimate_ladder(canon, cf, rep, grid, data):
     tr = cm.march(canon, grid, data, report=rep)
-    _, _, T_max, _ = cm.growth_parameters(cf)
     reports = []
-    seen = set()
-    for k in range(1, 9):
-        T = round(k * grid.X_total / 9.0 / grid.dx) * grid.dx
-        if T <= 0 or T in seen or T >= T_max:
-            continue
-        seen.add(T)
-        reports.append(cm.verify_estimate(tr, cf, rep, T))
+    for T in cm.estimate_ladder(grid):
+        with contextlib.suppress(EstimateHorizonError):
+            reports.append(cm.verify_estimate(tr, cf, rep, T))
     return reports
 
 

@@ -26,21 +26,21 @@ CZ_GOLD = -R2 * np.array([[0.0, 0, 1, 0], [0, 0, 0, 0],
 
 
 class TestNullStructure:
-    def test_wave_null_vectors(self, wave_structure):
-        cs = wave_structure
+    def test_wave_null_vectors(self, wave_analysis):
+        cs = wave_analysis.structure
         assert cs.m == 1
         z = np.array([R2, -R2, 0.0, 0.0])
         np.testing.assert_allclose(cs.right_null[0], z, atol=1e-14)
         np.testing.assert_allclose(cs.left_null[0], z, atol=1e-14)
         np.testing.assert_allclose(cs.S, S_GOLD, atol=1e-14)
 
-    def test_first_columns_of_rotated_bu_vanish(self, wave_structure):
-        cs = wave_structure
+    def test_first_columns_of_rotated_bu_vanish(self, wave_analysis):
+        cs = wave_analysis.structure
         nrm = np.linalg.norm(cs.Bprime["u"], 2)
         assert np.abs(cs.Bprime["u"][:, :cs.m]).max() <= 1e-12 * nrm
 
-    def test_symmetric_bu_left_equals_right_span(self, wave_structure):
-        cs = wave_structure
+    def test_symmetric_bu_left_equals_right_span(self, wave_analysis):
+        cs = wave_analysis.structure
         for zt in cs.left_null:
             proj = sum((zt @ z) * z for z in cs.right_null)
             np.testing.assert_allclose(proj, zt, atol=1e-12)
@@ -56,8 +56,8 @@ class TestNullStructure:
 
 
 class TestTransversality:
-    def test_wave_normalized_value(self, wave_structure, wave_side):
-        M = cm.transversality_check(wave_structure, wave_side)
+    def test_wave_normalized_value(self, wave_analysis):
+        M = cm.transversality_check(wave_analysis.structure, wave_analysis.B)
         # with unit-normalized null vectors the entry is 1 (the unnormalized
         # convention gives 2)
         np.testing.assert_allclose(M, [[1.0]], atol=1e-12)
@@ -86,7 +86,6 @@ class TestSplitAndReduce:
 
     def test_variable_order(self, wave_canon):
         assert wave_canon.variable_names == ("q1", "q2", "q3", "w1")
-        assert not wave_canon.strict
 
     def test_row_transform_invertible(self, wave_canon):
         assert abs(np.linalg.det(wave_canon.row_transform)) > 1e-10
@@ -107,10 +106,7 @@ class TestSplitAndReduce:
         # with L^x = 0 and vanishing null-row coupling, the final rows are
         # (S rows 2..4, ztilde) and the final variables are (q, w) = perm(S v)
         sys_, chart = wave_system
-        sys_ = dataclasses.replace(sys_, D=np.eye(4))
-        B = cm.side_matrices(sys_, chart)
-        cs = cm.null_structure(B, sys_.D)
-        canon = cm.split_and_reduce(cs, B, sys_.D)
+        canon = cm.analyze(dataclasses.replace(sys_, D=np.eye(4)), chart).canon
         ztilde = S_GOLD[0]
         row_op = np.vstack([S_GOLD[1:], ztilde[None, :]])
         perm = np.zeros((4, 4))
@@ -120,13 +116,6 @@ class TestSplitAndReduce:
         expected = row_op @ np.eye(4) @ np.linalg.inv(var_map)
         np.testing.assert_allclose(np.vstack([canon.N0, canon.L0]),
                                    expected, atol=1e-12)
-
-    def test_strict_companion(self, wave_canon):
-        strict = wave_canon.to_strict()
-        assert strict.strict
-        np.testing.assert_allclose(strict.Nu, np.eye(3), atol=1e-14)
-        np.testing.assert_allclose(strict.Nx, NX_GOLD @ np.diag([0.5, 1, 1]),
-                                   atol=1e-14)
 
 
 class TestCompactForm:
@@ -156,14 +145,13 @@ class TestCompactForm:
         # the original one
         sys_, chart = wave_system
         sys_ = dataclasses.replace(sys_, D=np.eye(4))
-        B = cm.side_matrices(sys_, chart)
-        cs = cm.null_structure(B, sys_.D)
-        canon = cm.split_and_reduce(cs, B, sys_.D)
-        cf = cm.compact_form(canon)
+        a = cm.analyze(sys_, chart)
+        canon, cf = a.canon, a.compact
         Vinv = np.linalg.inv(canon.to_hat)
-        for name in B.names:
+        for name in a.B.names:
             np.testing.assert_allclose(
-                cf.C[name], canon.row_transform @ B.B[name] @ Vinv, atol=1e-12)
+                cf.C[name], canon.row_transform @ a.B.B[name] @ Vinv,
+                atol=1e-12)
         np.testing.assert_allclose(
             cf.Dc, canon.row_transform @ sys_.D @ Vinv, atol=1e-12)
 

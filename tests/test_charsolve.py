@@ -167,10 +167,8 @@ class TestMarch:
                 sc_.values, alpha * s1.values + beta * s2.values, atol=1e-12)
 
     def test_refuses_not_well_posed(self):
-        sys_, chart = cm.load_system(conftest.reversed_x_chart_text())
-        B = cm.side_matrices(sys_, chart)
-        cs = cm.null_structure(B, sys_.D)
-        canon = cm.split_and_reduce(cs, B, sys_.D)
+        canon = cm.analyze(
+            *cm.load_system(conftest.reversed_x_chart_text())).canon
         grid = wave_grid(nx=8, cy=4, cz=4)
         data = cm.DataSpec(q0=((), (), ()), w0=((),))
         with pytest.raises(NotWellPosedError):

@@ -60,6 +60,14 @@ class TestCheck:
         assert cli.main(["check", "--input", str(path)]) == cli.EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
+    def test_not_characteristic_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "u_equals_t.txt"
+        path.write_text(builtin.example_text("wave3d").replace(
+            "chart\n1 -1", "chart\n1 0"), encoding="utf-8")
+        assert cli.main(["check", "--input", str(path)]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == \
+            "error: surface u=const is not characteristic\n"
+
     def test_missing_source_exit_one(self, capsys):
         assert cli.main(["check"]) == cli.EXIT_ERROR
 
@@ -155,6 +163,7 @@ class TestParsePresets:
 
     def test_tolerance_overrides(self):
         tols = cli._tolerances("rank=1e-8,ctol=5")
-        assert tols["rank"] == 1e-8 and tols["ctol"] == 5.0
+        assert tols.rank == 1e-8 and tols.ctol == 5.0
+        assert tols.sym == 1e-10 and tols.eig == 1e-10
         with pytest.raises(ValueError):
             cli._tolerances("bogus=1")

@@ -230,6 +230,20 @@ class TestVerifyEstimate:
             with pytest.raises(EstimateHorizonError):
                 cm.verify_estimate(tr, cf, rep, T)
 
+    def test_bound_follows_report_tolerance(self, wave_canon, wave_compact,
+                                            wave_report, plane_wave_data):
+        # R = diag(1, 1, 1, -2e-6) is non-negative at eig tolerance 1e-3, so
+        # that report's factor is 1 with no horizon c/r
+        Dc = np.diag([0.5, 0.5, 0.5, -1e-6])
+        cf = dataclasses.replace(wave_compact, Dc=Dc, R=2.0 * Dc)
+        rep = cm.check_criteria(cf, tol=1e-3)
+        assert rep.growth_exponent == 0.0 and math.isinf(rep.T_max)
+        tr = cm.march(wave_canon, wave_grid(16), plane_wave_data,
+                      report=wave_report)
+        for T in (0.5, 1.5):
+            er = cm.verify_estimate(tr, cf, rep, T)
+            assert er.bound == er.norm_q0_sq + er.norm_w0_sq
+
     def test_requires_well_posed(self, wave_canon, wave_compact, wave_report,
                                  plane_wave_data):
         grid = wave_grid(16)

@@ -81,9 +81,9 @@ class TestLoadSystem:
 
 
 class TestSideMatrices:
-    def test_wave_bu_bx(self, wave_side):
-        np.testing.assert_allclose(wave_side.B["u"], WAVE_BU, atol=1e-15)
-        np.testing.assert_allclose(wave_side.B["x"], WAVE_BX, atol=1e-15)
+    def test_wave_bu_bx(self, wave_analysis):
+        np.testing.assert_allclose(wave_analysis.B.B["u"], WAVE_BU, atol=1e-15)
+        np.testing.assert_allclose(wave_analysis.B.B["x"], WAVE_BX, atol=1e-15)
 
     def test_identity_chart_returns_a(self, wave_system):
         sys_, _ = wave_system
@@ -115,8 +115,8 @@ class TestSideMatrices:
 
 
 class TestVerifyCharacteristic:
-    def test_wave_multiplicity(self, wave_side):
-        assert cm.verify_characteristic(wave_side) == 1
+    def test_wave_multiplicity(self, wave_analysis):
+        assert cm.verify_characteristic(wave_analysis.B) == 1
 
     def test_u_equals_t_not_characteristic(self, wave_system):
         sys_, _ = wave_system
@@ -124,6 +124,9 @@ class TestVerifyCharacteristic:
         B = cm.side_matrices(sys_, chart)
         with pytest.raises(NotCharacteristicError):
             cm.verify_characteristic(B)
+        with pytest.raises(NotCharacteristicError,
+                           match="surface u=const is not characteristic"):
+            cm.null_structure(B, sys_.D)
 
     def test_u_equals_t_minus_y(self, wave_system):
         # B^u = I - A^y has rank 3 (checked by the elimination oracle in
@@ -134,7 +137,7 @@ class TestVerifyCharacteristic:
         B = cm.side_matrices(sys_, Chart(J=J, offsets=np.zeros(4)))
         assert cm.verify_characteristic(B) == 1
 
-    def test_rank_identity(self, wave_side):
-        m = cm.verify_characteristic(wave_side)
-        rank, _, _ = matkit.rank_and_nullspaces(wave_side.B["u"])
+    def test_rank_identity(self, wave_analysis):
+        m = cm.verify_characteristic(wave_analysis.B)
+        rank, _, _ = matkit.rank_and_nullspaces(wave_analysis.B.B["u"])
         assert m + rank == 4

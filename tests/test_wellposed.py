@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import charmarch as cm
 from charmarch.canonical import CompactSystem
@@ -46,12 +48,8 @@ class TestCheckCriteria:
         assert rep.time_function_ok
 
     def test_reversed_x_chart_not_well_posed(self):
-        sys_, chart = cm.load_system(conftest.reversed_x_chart_text())
-        B = cm.side_matrices(sys_, chart)
-        cs = cm.null_structure(B, sys_.D)
-        canon = cm.split_and_reduce(cs, B, sys_.D)
-        cf = cm.compact_form(canon)
-        rep = cm.check_criteria(cf)
+        rep = cm.analyze(
+            *cm.load_system(conftest.reversed_x_chart_text())).report
         assert rep.verdict is Verdict.NOT_WELL_POSED
         assert rep.class_Nx.tag is Definiteness.POSITIVE_SEMI
 
@@ -128,3 +126,23 @@ class TestGrowthParameters:
         sampled = np.einsum("ka,ab,kb->k", vs, W, vs).min()
         assert sampled >= c - 1e-10
         assert abs(sampled - 1.0) < 1e-10  # C^u + C^x = I for the wave
+
+    @given(st.integers(0, 10**6), st.sampled_from([1e-10, 1e-6, 1e-3]))
+    @settings(max_examples=60, deadline=None)
+    def test_same_values_as_report(self, seed, tol):
+        # one derivation of r, c, T_max and the factor, at every tolerance
+        rng = np.random.default_rng(seed)
+        nq, m = (int(k) for k in rng.integers(1, 4, size=2))
+        A, X, D = (rng.normal(size=(k, k)) for k in (nq, nq, nq + m))
+        d = np.append(-rng.choice([0.0, 1e-6]), rng.uniform(0, 1, nq + m - 1))
+        cf = make_compact(A @ A.T + 0.1 * np.eye(nq),
+                          -rng.uniform(0.0, 0.5) * X @ X.T / nq, m,
+                          Dc=(np.diag(d), D, 0.0 * D)[seed % 3])
+        try:
+            r, c, T_max, factor = cm.growth_parameters(cf, tol)
+        except NormUndefinedError:
+            return
+        rep = cm.check_criteria(cf, tol)
+        assert (r, c, T_max) == (rep.r, rep.c, rep.T_max)
+        h = min(T_max, 2.0)
+        assert all(factor(T) == rep.bound_factor(T) for T in (0.0, 0.3 * h, h))
