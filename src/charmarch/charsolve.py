@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canonical import CanonicalSystem, CompactSystem, compact_form
-from .wellposed import Verdict, check_criteria
+from .canonical import CanonicalSystem
+from .wellposed import Verdict, WellPosednessReport
 
 
 class CFLError(ValueError):
@@ -155,6 +155,9 @@ class SolutionTrace:
     grid: GridSpec
     slices: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)   # per-slice max |v|
+    # energymon's per-slice form tables, bound to the slices they came from
+    _forms: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def n_slices(self) -> int:
@@ -357,16 +360,16 @@ def _validate(canon: CanonicalSystem, grid: GridSpec, data: DataSpec):
 
 
 def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
-          report=None, force: bool = False,
-          cf: CompactSystem = None) -> SolutionTrace:
+          report: WellPosednessReport,
+          force: bool = False) -> SolutionTrace:
     """Run the zig-zag march: hypersurface integration, then evolution.
 
-    Refuses systems whose well-posedness verdict is not WELL_POSED unless
-    force=True.  Marches until fewer than two x-points remain.
+    `report` is the well-posedness report of the reduction that gave
+    `canon`; systems whose verdict is not WELL_POSED are refused unless
+    force=True.  Marches until fewer than two x-points remain.  The slice
+    values of the returned trace are read-only.
     """
     _validate(canon, grid, data)
-    if report is None:
-        report = check_criteria(compact_form(canon) if cf is None else cf)
     if report.verdict is not Verdict.WELL_POSED and not force:
         raise NotWellPosedError(
             f"verdict is {report.verdict.value}; pass force=True to march anyway")
@@ -394,6 +397,7 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
     cur = SliceState(u_level=0.0, values=q_initial())
     while True:
         stepper.fill_null(cur, w_at(cur.u_level))
+        cur.values.flags.writeable = False
         trace.slices.append(cur)
         trace.diagnostics.append(float(np.abs(cur.values).max())
                                  if cur.values.size else 0.0)

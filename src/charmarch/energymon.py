@@ -4,9 +4,18 @@ Quadratures: cell-averaged (trapezoidal) rule along the data surfaces,
 rectangle rule (exact for periodic trigonometric data) in the transverse
 directions, per-point weight dx on the diagonal surface u + x = T, and
 corner-averaged midpoint cells for the volume term.
+
+The per-slice forms are computed once per trace and kept on it for every
+later call: the C^u, Nu and R forms cell-summed at each x point of a slice
+(the R form of a slice when the volume term first reaches it), and the C^x
+and |w|^2 forms on the x = 0 column of every slice.  The tables are keyed
+by the content of the matrix and belong to the trace's current slices;
+marched traces are read-only.  Each call evaluates only the form
+C^u + C^x on the diagonal points of its T.
 """
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -81,18 +90,71 @@ def _steps_for(T: float, h: float, limit: int, what: str) -> int:
     return K
 
 
+def _content(W: np.ndarray) -> tuple:
+    """Key part naming a matrix by its content, never by its identity."""
+    return (W.dtype.str, W.shape, W.tobytes())
+
+
+def _table(trace: SolutionTrace, key: tuple, build):
+    """The table stored on the trace under key, made by build() on first use.
+
+    The store belongs to the trace's current slices: when a slice has been
+    appended, removed or replaced since it was filled, it is emptied, so a
+    table never describes other slices than the trace holds.
+    """
+    store = trace._forms
+    built_from = store.get("slices")
+    if built_from is None or len(built_from) != trace.n_slices \
+            or not all(map(operator.is_, built_from, trace.slices)):
+        store.clear()
+        store["slices"] = tuple(trace.slices)
+    if key not in store:
+        store[key] = build()
+    return store[key]
+
+
+def _row(trace: SolutionTrace, W: np.ndarray, j: int) -> np.ndarray:
+    """Cell-summed form of W, on the leading len(W) components, at each x
+    point of slice j."""
+    rows = _table(trace, ("row",) + _content(W),
+                  lambda: [None] * trace.n_slices)
+    if rows[j] is None:
+        rows[j] = _cell_sum(
+            _quad_form(W, trace.slices[j].values[:len(W)]), trace)
+    return rows[j]
+
+
+def _column(trace: SolutionTrace, key: tuple, form) -> np.ndarray:
+    """Cell-summed form(v) at x = 0 of every slice, built in one pass."""
+    def build():
+        col = np.stack([s.values[:, 0] for s in trace.slices], axis=1)
+        return _cell_sum(form(col), trace)
+    return _table(trace, key, build)
+
+
+def _volume_cells(trace: SolutionTrace, R: np.ndarray, top: int) -> list:
+    """Corner-averaged R form on the cells between slices j-1 and j, for
+    j = 1..top (list index j-1).
+
+    Each slice's R form is computed when the volume term first reaches it,
+    once per trace.
+    """
+    cells = _table(trace, ("volume",) + _content(R), list)
+    while len(cells) < top:
+        j = len(cells) + 1
+        gl, gh = _row(trace, R, j - 1), _row(trace, R, j)
+        n = max(0, min(len(gl) - 1, len(gh) - 1))
+        cells.append(0.25 * (gl[:n] + gl[1:n + 1] + gh[:n] + gh[1:n + 1]))
+    return cells[:top]
+
+
 def _data_norms(trace: SolutionTrace, Nu: np.ndarray, nq: int, T: float):
     dx, du = trace.grid.dx, trace.grid.du
-    first = trace.slices[0]
-    Kx = _steps_for(T, dx, first.x_extent - 1, "norm_q0")
+    Kx = _steps_for(T, dx, trace.slices[0].x_extent - 1, "norm_q0")
     Ku = _steps_for(T, du, trace.n_slices - 1, "norm_w0")
-
-    gq = _cell_sum(_quad_form(Nu, first.values[:nq]), trace)
-    norm_q0 = _line_integral(gq, dx, Kx)
-
-    gw = np.array([
-        _cell_sum((s.values[nq:, 0] ** 2).sum(axis=0), trace)
-        for s in trace.slices[:Ku + 1]])
+    norm_q0 = _line_integral(_row(trace, Nu, 0), dx, Kx)
+    gw = _column(trace, ("|w|^2", nq),
+                 lambda col: (col[nq:] ** 2).sum(axis=0))
     norm_w0 = _line_integral(gw, du, Ku)
     return norm_q0, norm_w0
 
@@ -133,10 +195,11 @@ def sigma_norm(trace: SolutionTrace, cf: CompactSystem, T: float) -> float:
     """
     W = cf.C["u"] + cf.C["x"]
     dx = trace.grid.dx
+    plane = np.stack([trace.slices[j].values[:, i]
+                      for j, i in _diagonal_points(trace, T)], axis=1)
     total = 0.0
-    for j, i in _diagonal_points(trace, T):
-        g = _cell_sum(_quad_form(W, trace.slices[j].values[:, i]), trace)
-        total += dx * float(g)
+    for g in _cell_sum(_quad_form(W, plane), trace).tolist():
+        total += dx * g
     return total
 
 
@@ -154,30 +217,27 @@ def _balance_residual(trace: SolutionTrace, cf: CompactSystem, T: float,
     """balance_residual with int_Sigma already computed."""
     dx, du = trace.grid.dx, trace.grid.du
 
-    first = trace.slices[0]
-    Kx = _steps_for(T, dx, first.x_extent - 1, "balance N-side")
-    gN = _cell_sum(_quad_form(cf.C["u"], first.values), trace)
-    intN = _line_integral(gN, dx, Kx)
+    Kx = _steps_for(T, dx, trace.slices[0].x_extent - 1, "balance N-side")
+    intN = _line_integral(_row(trace, cf.C["u"], 0), dx, Kx)
 
     Ku = _steps_for(T, du, trace.n_slices - 1, "balance T-side")
-    gT = np.array([
-        _cell_sum(_quad_form(cf.C["x"], s.values[:, 0]), trace)
-        for s in trace.slices[:Ku + 1]])
+    gT = _column(trace, ("column",) + _content(cf.C["x"]),
+                 lambda col: _quad_form(cf.C["x"], col))
     intT = _line_integral(gT, du, Ku)
 
     intV = 0.0
     if np.any(cf.R):
-        gh = _cell_sum(_quad_form(cf.R, trace.slices[0].values), trace)
-        for hi in trace.slices[1:]:
-            if hi.u_level > T + 1e-9 * du:
-                break
-            gl, gh = gh, _cell_sum(_quad_form(cf.R, hi.values), trace)
+        # slices 1..top-1 lie at u <= T and close a layer of cells each
+        top = 1
+        while top < trace.n_slices \
+                and trace.slices[top].u_level <= T + 1e-9 * du:
+            top += 1
+        for hi, corner in zip(trace.slices[1:top],
+                              _volume_cells(trace, cf.R, top - 1)):
             # cells whose far corner stays inside u + x <= T
-            ncell = max(0, min(len(gl) - 1, len(gh) - 1,
+            ncell = max(0, min(len(corner),
                                int(round((T - hi.u_level) / dx))))
-            corner = 0.25 * (gl[:ncell] + gl[1:ncell + 1]
-                             + gh[:ncell] + gh[1:ncell + 1])
-            intV += float(corner.sum()) * dx * du
+            intV += float(corner[:ncell].sum()) * dx * du
     return abs(sigma - intN - intT + intV)
 
 

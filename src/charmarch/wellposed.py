@@ -51,12 +51,18 @@ class WellPosednessReport:
     time_function_ok: bool
 
     def bound_factor(self, T: float) -> float:
-        """e^{(r/c)T}; exactly 1 when R is non-negative (growth exponent 0)."""
+        """e^{(r/c)T}; exactly 1 when R is non-negative (growth exponent 0),
+        and math.inf where the exponential exceeds the largest float."""
         return _bound_factor(self.growth_exponent, T)
 
 
 def _bound_factor(growth_exponent: float, T: float) -> float:
-    return 1.0 if growth_exponent == 0.0 else math.exp(growth_exponent * T)
+    if growth_exponent == 0.0:
+        return 1.0
+    try:
+        return math.exp(growth_exponent * T)
+    except OverflowError:   # beyond the largest float: e^{(r/c)T} is inf
+        return math.inf
 
 
 def _sym(M: np.ndarray) -> np.ndarray:

@@ -167,14 +167,21 @@ class TestMarch:
                 sc_.values, alpha * s1.values + beta * s2.values, atol=1e-12)
 
     def test_refuses_not_well_posed(self):
-        canon = cm.analyze(
-            *cm.load_system(conftest.reversed_x_chart_text())).canon
+        a = cm.analyze(*cm.load_system(conftest.reversed_x_chart_text()))
         grid = wave_grid(nx=8, cy=4, cz=4)
         data = cm.DataSpec(q0=((), (), ()), w0=((),))
         with pytest.raises(NotWellPosedError):
-            cm.march(canon, grid, data)
-        tr = cm.march(canon, grid, data, force=True)  # zero data still runs
+            cm.march(a.canon, grid, data, report=a.report)
+        # zero data still runs
+        tr = cm.march(a.canon, grid, data, report=a.report, force=True)
         assert tr.n_slices == grid.nx + 1
+
+    def test_marched_slices_are_read_only(self, wave_canon, wave_report,
+                                          plane_wave_data):
+        grid = wave_grid(nx=8, cy=4, cz=4)
+        tr = cm.march(wave_canon, grid, plane_wave_data, report=wave_report)
+        with pytest.raises(ValueError):
+            tr.slices[0].values[3, 1] = 1.0
 
     def test_transverse_cells_validated(self, wave_canon, wave_report):
         grid = cm.GridSpec(X_total=2.0, nx=8,
@@ -291,13 +298,15 @@ class TestMarchMatchesOracle:
                             trans=((2.0, 0.5), (0.0, 0.0))),),))
 
     @pytest.mark.parametrize("system", ["undamped", "damped", "w_coupled"])
-    def test_slices_match_to_round_off(self, system, wave_canon,
+    def test_slices_match_to_round_off(self, system, wave_canon, wave_report,
                                        damped_wave_pipeline):
-        canon = {"undamped": wave_canon,
-                 "damped": damped_wave_pipeline[0],
-                 "w_coupled": _transverse_null_coupling(wave_canon)}[system]
+        canon, report = {
+            "undamped": (wave_canon, wave_report),
+            "damped": (damped_wave_pipeline[0], damped_wave_pipeline[2]),
+            "w_coupled": (_transverse_null_coupling(wave_canon), wave_report),
+        }[system]
         grid = wave_grid(nx=16, cy=8, cz=4, X=1.0)
-        trace = cm.march(canon, grid, self.DATA, force=True)
+        trace = cm.march(canon, grid, self.DATA, report=report, force=True)
         expected = _oracle_march(canon, grid, self.DATA)
         assert trace.n_slices == len(expected)
         scale = max(float(np.abs(v).max()) for v in expected)

@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -262,3 +264,193 @@ class TestVerifyEstimate:
         assert float(fields[0]) == rep.T
         assert float(fields[4]) == rep.bound
         assert fields[-1] in ("true", "false")
+
+
+# --- oracle: the per-T energy code, every form recomputed on every call ----
+
+def _oracle_data_norms(trace, Nu, nq, T):
+    dx, du = trace.grid.dx, trace.grid.du
+    quad, cell_sum = energymon._quad_form, energymon._cell_sum
+    first = trace.slices[0]
+    Kx = energymon._steps_for(T, dx, first.x_extent - 1, "norm_q0")
+    Ku = energymon._steps_for(T, du, trace.n_slices - 1, "norm_w0")
+    gq = cell_sum(quad(Nu, first.values[:nq]), trace)
+    gw = np.array([cell_sum((s.values[nq:, 0] ** 2).sum(axis=0), trace)
+                   for s in trace.slices[:Ku + 1]])
+    return (energymon._line_integral(gq, dx, Kx),
+            energymon._line_integral(gw, du, Ku))
+
+
+def _oracle_sigma_norm(trace, cf, T):
+    W = cf.C["u"] + cf.C["x"]
+    total = 0.0
+    for j, i in energymon._diagonal_points(trace, T):
+        g = energymon._cell_sum(
+            energymon._quad_form(W, trace.slices[j].values[:, i]), trace)
+        total += trace.grid.dx * float(g)
+    return total
+
+
+def _oracle_balance_residual(trace, cf, T, sigma):
+    dx, du = trace.grid.dx, trace.grid.du
+    quad, cell_sum = energymon._quad_form, energymon._cell_sum
+    first = trace.slices[0]
+    Kx = energymon._steps_for(T, dx, first.x_extent - 1, "balance N-side")
+    intN = energymon._line_integral(
+        cell_sum(quad(cf.C["u"], first.values), trace), dx, Kx)
+    Ku = energymon._steps_for(T, du, trace.n_slices - 1, "balance T-side")
+    gT = np.array([cell_sum(quad(cf.C["x"], s.values[:, 0]), trace)
+                   for s in trace.slices[:Ku + 1]])
+    intT = energymon._line_integral(gT, du, Ku)
+    intV = 0.0
+    if np.any(cf.R):
+        gh = cell_sum(quad(cf.R, first.values), trace)
+        for hi in trace.slices[1:]:
+            if hi.u_level > T + 1e-9 * du:
+                break
+            gl, gh = gh, cell_sum(quad(cf.R, hi.values), trace)
+            ncell = max(0, min(len(gl) - 1, len(gh) - 1,
+                               int(round((T - hi.u_level) / dx))))
+            corner = 0.25 * (gl[:ncell] + gl[1:ncell + 1]
+                             + gh[:ncell] + gh[1:ncell + 1])
+            intV += float(corner.sum()) * dx * du
+    return abs(sigma - intN - intT + intV)
+
+
+def _oracle_verify(trace, cf, report, T, c_tol=cm.Tolerances.ctol):
+    nq_sq, nw_sq = _oracle_data_norms(trace, cf.Nu, cf.nq, T)
+    sig = _oracle_sigma_norm(trace, cf, T)
+    bound = report.bound_factor(T) * (nq_sq + nw_sq)
+    tol_h = c_tol * trace.grid.dx * (nq_sq + nw_sq)
+    return cm.EnergyReport(
+        T=T, norm_q0_sq=nq_sq, norm_w0_sq=nw_sq, sigma_norm_sq=sig,
+        bound=bound, margin=bound - sig,
+        balance_residual=_oracle_balance_residual(trace, cf, T, sig),
+        holds=bool(bound - sig >= -tol_h))
+
+
+def _with_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in caught]
+
+
+def _assert_matches_oracle(trace, cf, report, T):
+    got, got_warned = _with_warnings(cm.verify_estimate, trace, cf, report, T)
+    want, want_warned = _with_warnings(_oracle_verify, trace, cf, report, T)
+    assert got_warned == want_warned
+    for f in dataclasses.fields(want):
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(w, bool):
+            assert g is w, f.name
+        else:
+            assert abs(g - w) <= 1e-13 * abs(w), (f.name, T, g, w)
+
+
+DAMPED_DATA = cm.DataSpec(
+    q0=((cm.ProfileTerm(kind="sine", amp=0.8, k=2.0, phase=0.4,
+                        trans=((1.0, 0.0), (0.0, 0.0))),), (), ()),
+    w0=((cm.ProfileTerm(kind="sine", amp=1.2, k=1.0, phase=0.4),),))
+
+
+def _random_trace(grid, n_slices, seed=0):
+    rng = np.random.default_rng(seed)
+    cells = tuple(t.cells for t in grid.transverse)
+    tr = SolutionTrace(grid=grid)
+    for j in range(n_slices):
+        tr.slices.append(SliceState(
+            u_level=j * grid.du,
+            values=rng.normal(size=(4, grid.nx + 1 - j) + cells)))
+    return tr
+
+
+class TestFormTables:
+    def test_damped_ladder_matches_oracle(self, damped_wave_pipeline):
+        canon, cf, rep = damped_wave_pipeline
+        grid = wave_grid(32, cy=8, X=0.5)
+        tr = cm.march(canon, grid, DAMPED_DATA, report=rep)
+        for k in range(1, grid.nx + 1):
+            if k * grid.dx < rep.T_max:
+                _assert_matches_oracle(tr, cf, rep, k * grid.dx)
+
+    def test_undamped_matches_oracle(self, wave_canon, wave_compact,
+                                     wave_report):
+        grid = wave_grid(32, cy=8)
+        tr = cm.march(wave_canon, grid, DAMPED_DATA, report=wave_report)
+        for T in cm.estimate_ladder(grid) + [grid.dx, grid.X_total]:
+            _assert_matches_oracle(tr, wave_compact, wave_report, T)
+
+    @pytest.mark.parametrize("damped", [False, True])
+    def test_off_node_diagonal_matches_oracle(self, damped, wave_analysis,
+                                              damped_wave_pipeline):
+        # du = dx/2: every other diagonal point and off-grid T are snapped
+        if damped:
+            canon, cf, rep = damped_wave_pipeline
+        else:
+            a = wave_analysis
+            canon, cf, rep = a.canon, a.compact, a.report
+        grid = cm.GridSpec(X_total=0.9, nx=24, cfl=0.5,
+                           transverse=(cm.TransverseAxis(cells=8),
+                                       cm.TransverseAxis(cells=4)))
+        tr = cm.march(canon, grid, DAMPED_DATA, report=rep)
+        for T in (grid.dx, 3 * grid.dx, 0.97 * 5 * grid.dx, 0.3, 0.44):
+            _assert_matches_oracle(tr, cf, rep, T)
+
+    def test_same_trace_with_and_without_r(self, damped_wave_pipeline):
+        canon, cf, rep = damped_wave_pipeline
+        grid = wave_grid(24, X=0.45)
+        tr = cm.march(canon, grid, DAMPED_DATA, report=rep)
+        no_R = dataclasses.replace(cf, R=np.zeros_like(cf.R))
+        for system in (cf, no_R, cf):
+            for k in (2, 9, 17):
+                _assert_matches_oracle(tr, system, rep, k * grid.dx)
+
+    def test_appended_or_replaced_slice_reads_fresh_tables(
+            self, damped_wave_pipeline):
+        _, cf, rep = damped_wave_pipeline
+        grid = wave_grid(8, X=0.4)
+        tr = _random_trace(grid, 5)
+        T1, T2 = 3 * grid.dx, 5 * grid.dx
+        cm.sigma_norm(tr, cf, T1)
+        _assert_matches_oracle(tr, cf, rep, T1)
+        with pytest.raises(RangeError):
+            cm.verify_estimate(tr, cf, rep, T2)
+        tr.slices.append(_random_trace(grid, 6, seed=1).slices[5])
+        for T in (T1, T2):
+            _assert_matches_oracle(tr, cf, rep, T)
+        tr.slices[2] = _random_trace(grid, 3, seed=2).slices[2]
+        for T in (T1, T2):
+            _assert_matches_oracle(tr, cf, rep, T)
+
+    def test_each_form_computed_once(self, damped_wave_pipeline,
+                                     monkeypatch):
+        canon, cf, rep = damped_wave_pipeline
+        grid = wave_grid(24, X=0.45)
+        tr = cm.march(canon, grid, DAMPED_DATA, report=rep)
+        calls = collections.Counter()
+        quad = energymon._quad_form
+
+        def counted(W, plane):
+            calls[W.shape, W.tobytes(), plane.ctypes.data] += 1
+            return quad(W, plane)
+
+        monkeypatch.setattr(energymon, "_quad_form", counted)
+        ladder = [k * grid.dx for k in range(1, grid.nx + 1)
+                  if k * grid.dx < rep.T_max]
+        for _ in range(2):   # a second pass computes no form again
+            for T in ladder:
+                cm.verify_estimate(tr, cf, rep, T)
+
+        def per_plane(W):
+            return [c for (shape, data, _), c in calls.items()
+                    if (shape, data) == (W.shape, W.tobytes())]
+
+        # the R form of each slice the volume term reaches, once
+        r_calls = per_plane(cf.R)
+        assert 1 < len(r_calls) <= tr.n_slices and set(r_calls) == {1}
+        # the N-side, the q0 norm and the T-side column, once per trace
+        for W in (cf.C["u"], cf.Nu, cf.C["x"]):
+            assert per_plane(W) == [1]
+        sigma_calls = per_plane(cf.C["u"] + cf.C["x"])
+        assert sum(sigma_calls) == 2 * len(ladder)

@@ -107,6 +107,15 @@ class TestGrowthParameters:
         assert abs(T_max - 2.0) < 1e-12
         assert abs(factor(1.0) - math.exp(0.5)) < 1e-12
 
+    def test_factor_overflow_is_inf(self, damped_wave_pipeline):
+        # growth exponent r/c = 2 scaled to 1e9: e^{1e9} is no float
+        _, cf, rep = damped_wave_pipeline
+        huge = dataclasses.replace(cf, R=5e8 * cf.R)
+        *_, factor = cm.growth_parameters(huge)
+        assert factor(1.0) == math.inf
+        assert dataclasses.replace(rep, growth_exponent=1e9) \
+            .bound_factor(1.0) == math.inf
+
     def test_requires_positive_definite_norm(self):
         cf = make_compact(np.eye(1), [[-1.0]], m=1)
         with pytest.raises(NormUndefinedError):
