@@ -140,7 +140,7 @@ class DataSpec:
     w0: tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class SliceState:
     u_level: float
     values: np.ndarray   # (n_unknowns, x_extent, *cells), order (q, w)
@@ -150,14 +150,21 @@ class SliceState:
         return self.values.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolutionTrace:
+    """The slices of one march: slice j lies at u = j du and holds
+    nx + 1 - j x points.  A trace cannot change: slices and diagnostics
+    are tuples (a list passed in is copied into one)."""
     grid: GridSpec
-    slices: list = field(default_factory=list)
-    diagnostics: list = field(default_factory=list)   # per-slice max |v|
-    # energymon's per-slice form tables, bound to the slices they came from
+    slices: tuple = ()
+    diagnostics: tuple = ()   # per-slice max |v|
+    # energymon's per-slice form tables
     _forms: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "slices", tuple(self.slices))
+        object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
 
     @property
     def n_slices(self) -> int:
@@ -366,8 +373,9 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
 
     `report` is the well-posedness report of the reduction that gave
     `canon`; systems whose verdict is not WELL_POSED are refused unless
-    force=True.  Marches until fewer than two x-points remain.  The slice
-    values of the returned trace are read-only.
+    force=True.  Marches until fewer than two x-points remain.  The
+    returned trace cannot change: its slices are a tuple of frozen slices
+    with read-only values.
     """
     _validate(canon, grid, data)
     if report.verdict is not Verdict.WELL_POSED and not force:
@@ -393,15 +401,15 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
             wb[a] = evaluate_profile(data.w0[a], u_level, tmeshes)
         return wb
 
-    trace = SolutionTrace(grid=grid)
+    slices, diagnostics = [], []
     cur = SliceState(u_level=0.0, values=q_initial())
     while True:
         stepper.fill_null(cur, w_at(cur.u_level))
         cur.values.flags.writeable = False
-        trace.slices.append(cur)
-        trace.diagnostics.append(float(np.abs(cur.values).max())
-                                 if cur.values.size else 0.0)
+        slices.append(cur)
+        diagnostics.append(float(np.abs(cur.values).max())
+                           if cur.values.size else 0.0)
         if cur.x_extent < 2:
             break
         cur = stepper.evolve(cur)
-    return trace
+    return SolutionTrace(grid=grid, slices=slices, diagnostics=diagnostics)

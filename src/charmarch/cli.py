@@ -171,17 +171,14 @@ def cmd_check(args, out):
         else EXIT_NOT_WELL_POSED
 
 
-def _run_march(args, tols: Tolerances):
-    a = _analyze(args, tols)
-    grid = _grid_from_args(args, a.canon)
-    data = _data_from_args(args, a.canon)
-    trace = charsolve.march(a.canon, grid, data, report=a.report,
-                            force=args.force)
-    return a, grid, trace
+def _march(args, a: wellposed.Analysis, grid: GridSpec):
+    return charsolve.march(a.canon, grid, _data_from_args(args, a.canon),
+                           report=a.report, force=args.force)
 
 
 def cmd_solve(args, out):
-    _, _, trace = _run_march(args, _tolerances(args.tol))
+    a = _analyze(args, _tolerances(args.tol))
+    trace = _march(args, a, _grid_from_args(args, a.canon))
     out.write("u,x_extent,max_abs_v\n")
     for s, diag in zip(trace.slices, trace.diagnostics):
         out.write("%.17g,%d,%.17g\n" % (s.u_level, s.x_extent, diag))
@@ -190,13 +187,16 @@ def cmd_solve(args, out):
 
 def cmd_verify_estimate(args, out):
     tols = _tolerances(args.tol)
-    a, grid, trace = _run_march(args, tols)
+    a = _analyze(args, tols)
+    grid = _grid_from_args(args, a.canon)
+    ladder = energymon.estimate_ladder(grid)   # refuses cfl != 1 up front
+    trace = _march(args, a, grid)
     if a.report.verdict is not Verdict.WELL_POSED:
         sys.stderr.write("cannot verify estimate: verdict is "
                          f"{a.report.verdict.value}\n")
         return EXIT_NOT_WELL_POSED
     out.write(energymon.EnergyReport.CSV_HEADER + "\n")
-    for T in energymon.estimate_ladder(grid):
+    for T in ladder:
         try:
             report = energymon.verify_estimate(trace, a.compact, a.report,
                                                T, c_tol=tols.ctol)
@@ -228,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--nx", type=int, default=64)
             p.add_argument("--cells", default="",
                            help="transverse cells, comma separated")
-            p.add_argument("--cfl", type=float, default=1.0)
+            p.add_argument("--cfl", type=float, default=1.0,
+                           help="du/dx; verify-estimate needs 1")
             p.add_argument("--Xtotal", type=float, default=2.0)
             p.add_argument("--q0", default="",
                            help="normal-data presets, one per variable")

@@ -5,17 +5,20 @@ rectangle rule (exact for periodic trigonometric data) in the transverse
 directions, per-point weight dx on the diagonal surface u + x = T, and
 corner-averaged midpoint cells for the volume term.
 
-The per-slice forms are computed once per trace and kept on it for every
-later call: the C^u, Nu and R forms cell-summed at each x point of a slice
-(the R form of a slice when the volume term first reaches it), and the C^x
-and |w|^2 forms on the x = 0 column of every slice.  The tables are keyed
-by the content of the matrix and belong to the trace's current slices;
-marched traces are read-only.  Each call evaluates only the form
-C^u + C^x on the diagonal points of its T.
+The march runs with du = dx (cfl = 1), so the surface u + x = T of grid
+level K = T/dx passes through the nodes (j, K - j); every term is read at
+that one level, off-grid T is snapped to it with one warning, and grids
+with du != dx are rejected with UnequalStepsError.
+
+A trace cannot change, so the per-slice forms are computed once per trace
+and kept on it for every later call: the Nu and C^u forms cell-summed over
+x on slice 0, the C^x and |w|^2 forms on the x = 0 column of every slice,
+and the corner-averaged R form of the volume cells, each table built in
+one pass and keyed by the content of the matrix.  Each call evaluates only
+the form C^u + C^x on the diagonal points of its level.
 """
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass
 
@@ -33,6 +36,11 @@ class RangeError(ValueError):
 
 class EstimateHorizonError(ValueError):
     """Requested T at or beyond the validity horizon c/r."""
+
+
+class UnequalStepsError(ValueError):
+    """The grid steps du != dx (cfl != 1): no surface u + x = T runs
+    through the grid nodes, so the energy check is not defined."""
 
 
 @dataclass(frozen=True)
@@ -80,13 +88,23 @@ def _line_integral(g: np.ndarray, h: float, K: int) -> float:
     return float(h * (0.5 * g[0] + g[1:K].sum() + 0.5 * g[K]))
 
 
-def _steps_for(T: float, h: float, limit: int, what: str) -> int:
-    K = int(round(T / h))
-    if abs(K * h - T) > 1e-9 * max(h, 1.0):
-        warnings.warn(f"{what}: T={T!r} snapped to the nearest grid level "
-                      f"{K * h!r}", stacklevel=3)
-    if K < 0 or K > limit:
-        raise RangeError(f"{what}: T={T!r} outside the trace coverage")
+def _check_steps(grid: GridSpec) -> None:
+    if grid.cfl != 1:
+        raise UnequalStepsError(
+            f"the energy check needs du = dx (cfl = 1), got cfl={grid.cfl!r}")
+
+
+def _level(trace: SolutionTrace, T: float) -> int:
+    """The grid level K of the surface u + x = T: it passes through the
+    nodes (j, K - j).  Off-grid T is snapped with a warning."""
+    _check_steps(trace.grid)
+    dx = trace.grid.dx
+    K = int(round(T / dx))
+    if abs(K * dx - T) > 1e-9 * max(dx, 1.0):
+        warnings.warn(f"T={T!r} snapped to the nearest grid level {K * dx!r}",
+                      stacklevel=3)
+    if K < 0 or K > trace.n_slices - 1:
+        raise RangeError(f"T={T!r} outside the trace coverage")
     return K
 
 
@@ -96,18 +114,9 @@ def _content(W: np.ndarray) -> tuple:
 
 
 def _table(trace: SolutionTrace, key: tuple, build):
-    """The table stored on the trace under key, made by build() on first use.
-
-    The store belongs to the trace's current slices: when a slice has been
-    appended, removed or replaced since it was filled, it is emptied, so a
-    table never describes other slices than the trace holds.
-    """
+    """The table stored on the trace under key, made by build() on first
+    use; the trace cannot change, so a table never goes stale."""
     store = trace._forms
-    built_from = store.get("slices")
-    if built_from is None or len(built_from) != trace.n_slices \
-            or not all(map(operator.is_, built_from, trace.slices)):
-        store.clear()
-        store["slices"] = tuple(trace.slices)
     if key not in store:
         store[key] = build()
     return store[key]
@@ -116,12 +125,12 @@ def _table(trace: SolutionTrace, key: tuple, build):
 def _row(trace: SolutionTrace, W: np.ndarray, j: int) -> np.ndarray:
     """Cell-summed form of W, on the leading len(W) components, at each x
     point of slice j."""
-    rows = _table(trace, ("row",) + _content(W),
-                  lambda: [None] * trace.n_slices)
-    if rows[j] is None:
-        rows[j] = _cell_sum(
-            _quad_form(W, trace.slices[j].values[:len(W)]), trace)
-    return rows[j]
+    return _cell_sum(_quad_form(W, trace.slices[j].values[:len(W)]), trace)
+
+
+def _first_row(trace: SolutionTrace, W: np.ndarray) -> np.ndarray:
+    """_row of slice 0 (u = 0), once per trace."""
+    return _table(trace, ("row",) + _content(W), lambda: _row(trace, W, 0))
 
 
 def _column(trace: SolutionTrace, key: tuple, form) -> np.ndarray:
@@ -132,75 +141,52 @@ def _column(trace: SolutionTrace, key: tuple, form) -> np.ndarray:
     return _table(trace, key, build)
 
 
-def _volume_cells(trace: SolutionTrace, R: np.ndarray, top: int) -> list:
+def _volume_cells(trace: SolutionTrace, R: np.ndarray) -> list:
     """Corner-averaged R form on the cells between slices j-1 and j, for
-    j = 1..top (list index j-1).
-
-    Each slice's R form is computed when the volume term first reaches it,
-    once per trace.
-    """
-    cells = _table(trace, ("volume",) + _content(R), list)
-    while len(cells) < top:
-        j = len(cells) + 1
-        gl, gh = _row(trace, R, j - 1), _row(trace, R, j)
-        n = max(0, min(len(gl) - 1, len(gh) - 1))
-        cells.append(0.25 * (gl[:n] + gl[1:n + 1] + gh[:n] + gh[1:n + 1]))
-    return cells[:top]
+    every j >= 1 (list index j-1), built in one pass over the slices."""
+    def build():
+        rows = [_row(trace, R, j) for j in range(trace.n_slices)]
+        cells = []
+        for gl, gh in zip(rows, rows[1:]):
+            n = min(len(gl), len(gh)) - 1
+            cells.append(0.25 * (gl[:n] + gl[1:n + 1] + gh[:n] + gh[1:n + 1]))
+        return cells
+    return _table(trace, ("volume",) + _content(R), build)
 
 
-def _data_norms(trace: SolutionTrace, Nu: np.ndarray, nq: int, T: float):
-    dx, du = trace.grid.dx, trace.grid.du
-    Kx = _steps_for(T, dx, trace.slices[0].x_extent - 1, "norm_q0")
-    Ku = _steps_for(T, du, trace.n_slices - 1, "norm_w0")
-    norm_q0 = _line_integral(_row(trace, Nu, 0), dx, Kx)
+def _data_norms(trace: SolutionTrace, Nu: np.ndarray, nq: int, K: int):
+    dx = trace.grid.dx
+    norm_q0 = _line_integral(_first_row(trace, Nu), dx, K)
     gw = _column(trace, ("|w|^2", nq),
                  lambda col: (col[nq:] ** 2).sum(axis=0))
-    norm_w0 = _line_integral(gw, du, Ku)
+    norm_w0 = _line_integral(gw, dx, K)
     return norm_q0, norm_w0
 
 
 def data_norms(trace: SolutionTrace, canon: CanonicalSystem, T: float):
     """(||q0||^2, ||w0||^2): weighted data norms on {u=0, x<=T} and
     {x=0, u<=T}."""
-    return _data_norms(trace, canon.Nu, canon.nq, T)
+    return _data_norms(trace, canon.Nu, canon.nq, _level(trace, T))
 
 
-def _diagonal_points(trace: SolutionTrace, T: float):
-    """(slice index, x index) pairs on the diagonal u + x = T."""
-    dx, du = trace.grid.dx, trace.grid.du
-    pts = []
-    warned = False
-    for j, s in enumerate(trace.slices):
-        xt = T - s.u_level
-        if xt < -1e-9 * dx:
-            break
-        i = int(round(xt / dx))
-        if not warned and abs(i * dx - xt) > 1e-9 * max(dx, 1.0):
-            warnings.warn(
-                f"sigma_norm: diagonal point at u={s.u_level!r} snapped to "
-                "the nearest x node", stacklevel=3)
-            warned = True
-        if 0 <= i < s.x_extent:
-            pts.append((j, i))
-    if not pts:
-        raise RangeError(f"no diagonal grid points found for T={T!r}")
-    return pts
+def _sigma_norm(trace: SolutionTrace, cf: CompactSystem, K: int) -> float:
+    W = cf.C["u"] + cf.C["x"]
+    dx = trace.grid.dx
+    plane = np.stack([trace.slices[j].values[:, K - j]
+                      for j in range(K + 1)], axis=1)
+    total = 0.0
+    for g in _cell_sum(_quad_form(W, plane), trace).tolist():
+        total += dx * g
+    return total
 
 
 def sigma_norm(trace: SolutionTrace, cf: CompactSystem, T: float) -> float:
     """Norm of the solution on the surface u + x = T.
 
-    Quadrature over grid points on the diagonal with weight dx times the
-    transverse cell volume; off-grid T is snapped with a warning.
+    Quadrature over the grid points (j, K - j) of its level K with weight
+    dx times the transverse cell volume.
     """
-    W = cf.C["u"] + cf.C["x"]
-    dx = trace.grid.dx
-    plane = np.stack([trace.slices[j].values[:, i]
-                      for j, i in _diagonal_points(trace, T)], axis=1)
-    total = 0.0
-    for g in _cell_sum(_quad_form(W, plane), trace).tolist():
-        total += dx * g
-    return total
+    return _sigma_norm(trace, cf, _level(trace, T))
 
 
 def balance_residual(trace: SolutionTrace, cf: CompactSystem,
@@ -209,41 +195,32 @@ def balance_residual(trace: SolutionTrace, cf: CompactSystem,
 
         | int_Sigma v(Cu+Cx)v - int_N vCuv - int_T vCxv + int_V vRv |
     """
-    return _balance_residual(trace, cf, T, sigma_norm(trace, cf, T))
+    K = _level(trace, T)
+    return _balance_residual(trace, cf, K, _sigma_norm(trace, cf, K))
 
 
-def _balance_residual(trace: SolutionTrace, cf: CompactSystem, T: float,
+def _balance_residual(trace: SolutionTrace, cf: CompactSystem, K: int,
                       sigma: float) -> float:
-    """balance_residual with int_Sigma already computed."""
-    dx, du = trace.grid.dx, trace.grid.du
-
-    Kx = _steps_for(T, dx, trace.slices[0].x_extent - 1, "balance N-side")
-    intN = _line_integral(_row(trace, cf.C["u"], 0), dx, Kx)
-
-    Ku = _steps_for(T, du, trace.n_slices - 1, "balance T-side")
+    """balance_residual at level K with int_Sigma already computed."""
+    dx = trace.grid.dx
+    intN = _line_integral(_first_row(trace, cf.C["u"]), dx, K)
     gT = _column(trace, ("column",) + _content(cf.C["x"]),
                  lambda col: _quad_form(cf.C["x"], col))
-    intT = _line_integral(gT, du, Ku)
+    intT = _line_integral(gT, dx, K)
 
     intV = 0.0
     if np.any(cf.R):
-        # slices 1..top-1 lie at u <= T and close a layer of cells each
-        top = 1
-        while top < trace.n_slices \
-                and trace.slices[top].u_level <= T + 1e-9 * du:
-            top += 1
-        for hi, corner in zip(trace.slices[1:top],
-                              _volume_cells(trace, cf.R, top - 1)):
-            # cells whose far corner stays inside u + x <= T
-            ncell = max(0, min(len(corner),
-                               int(round((T - hi.u_level) / dx))))
-            intV += float(corner[:ncell].sum()) * dx * du
+        # the K - j cells below slice j stay inside u + x <= T
+        for j, corner in enumerate(_volume_cells(trace, cf.R)[:K], start=1):
+            intV += float(corner[:K - j].sum()) * dx * dx
     return abs(sigma - intN - intT + intV)
 
 
 def estimate_ladder(grid: GridSpec) -> list:
     """The diagonal surfaces T_k = k X/9 (k = 1..8) snapped to the x grid;
-    positive, without repeats, in increasing order."""
+    positive, without repeats, in increasing order.  Raises
+    UnequalStepsError unless du = dx."""
+    _check_steps(grid)
     snapped = (round(k * grid.X_total / 9.0 / grid.dx) * grid.dx
                for k in range(1, 9))
     return list(dict.fromkeys(T for T in snapped if T > 0))
@@ -256,20 +233,23 @@ def verify_estimate(trace: SolutionTrace, cf: CompactSystem,
 
     The growth factor and the horizon c/r are those of `report`.  The
     discrete tolerance is tol_h = c_tol * dx scaled by the data norms
-    (first-order scheme).  Raises EstimateHorizonError when T is at or
-    beyond the validity horizon c/r of the exponential branch.
+    (first-order scheme).  Every field but T is that of the grid level K
+    of T, the factor too.  Raises EstimateHorizonError when T or its level
+    is at or beyond the validity horizon c/r of the exponential branch.
     """
     if report.verdict is not Verdict.WELL_POSED:
         raise ValueError("verify_estimate requires a WELL_POSED verdict")
-    if T >= report.T_max:
+    dx = trace.grid.dx
+    K = _level(trace, T) if T < report.T_max else None
+    if K is None or K * dx >= report.T_max:
         raise EstimateHorizonError(
             f"estimate not guaranteed for T >= c/r = {report.T_max!r}")
-    nq_sq, nw_sq = _data_norms(trace, cf.Nu, cf.nq, T)
-    sig = sigma_norm(trace, cf, T)
-    bound = report.bound_factor(T) * (nq_sq + nw_sq)
+    nq_sq, nw_sq = _data_norms(trace, cf.Nu, cf.nq, K)
+    sig = _sigma_norm(trace, cf, K)
+    bound = report.bound_factor(K * dx) * (nq_sq + nw_sq)
     margin = bound - sig
-    tol_h = c_tol * trace.grid.dx * (nq_sq + nw_sq)
-    residual = _balance_residual(trace, cf, T, sig)
+    tol_h = c_tol * dx * (nq_sq + nw_sq)
+    residual = _balance_residual(trace, cf, K, sig)
     return EnergyReport(
         T=T, norm_q0_sq=nq_sq, norm_w0_sq=nw_sq, sigma_norm_sq=sig,
         bound=bound, margin=margin, balance_residual=residual,

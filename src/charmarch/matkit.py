@@ -14,7 +14,6 @@ import scipy.linalg
 
 # Default relative tolerances (all scaled by a matrix norm).
 TOL_RANK = 1e-10
-TOL_ORTH = 1e-12
 TOL_SYM = 1e-10
 TOL_EIG = 1e-10
 
@@ -131,7 +130,7 @@ def rank_and_nullspaces(M, tol: float = TOL_RANK):
     return rank, [v for v in right], [v for v in left]
 
 
-def orthonormal_complete(vs, dim: int, tol: float = TOL_ORTH) -> np.ndarray:
+def orthonormal_complete(vs, dim: int) -> np.ndarray:
     """Complete orthonormal vectors to a dim x dim orthogonal matrix.
 
     The first len(vs) rows are the inputs; the remaining rows are produced

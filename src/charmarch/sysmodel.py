@@ -97,11 +97,12 @@ class SideMatrices:
         return self.names[2:]
 
 
-def _read_matrix(lines, start, n, what):
-    """Read n rows of n floats starting at lines[start]; returns (M, next)."""
+def _read_matrix(lines, start, nrows, ncols, what):
+    """Read nrows rows of ncols floats starting at lines[start]; returns
+    (M, next)."""
     rows = []
     idx = start
-    while len(rows) < n:
+    while len(rows) < nrows:
         if idx >= len(lines):
             raise ParseError(f"unexpected end of file inside {what}", len(lines))
         lineno, text = lines[idx]
@@ -109,9 +110,10 @@ def _read_matrix(lines, start, n, what):
         parts = text.split()
         if not parts:
             continue
-        if len(parts) != n:
+        if len(parts) != ncols:
             raise ParseError(
-                f"{what}: expected {n} values per row, got {len(parts)}", lineno)
+                f"{what}: expected {ncols} values per row, got {len(parts)}",
+                lineno)
         try:
             rows.append([float(p) for p in parts])
         except ValueError:
@@ -179,11 +181,13 @@ def load_system(text) -> tuple:
                 if parts[2] in A:
                     raise ParseError(f"duplicate matrix A {parts[2]}", lineno)
                 A[parts[2]], idx = _read_matrix(lines, idx, n_unknowns,
+                                                n_unknowns,
                                                 f"matrix A {parts[2]}")
             elif len(parts) == 2 and parts[1] == "D":
                 if D is not None:
                     raise ParseError("duplicate matrix D", lineno)
-                D, idx = _read_matrix(lines, idx, n_unknowns, "matrix D")
+                D, idx = _read_matrix(lines, idx, n_unknowns, n_unknowns,
+                                      "matrix D")
             else:
                 raise ParseError("expected 'matrix A <coord>' or 'matrix D'", lineno)
         elif key == "chart":
@@ -191,9 +195,10 @@ def load_system(text) -> tuple:
                 raise ParseError("chart before ncoords", lineno)
             if len(parts) != 1:
                 raise ParseError("chart takes no arguments", lineno)
-            J, idx = _read_matrix(lines, idx, n_coords, "chart Jacobian")
-            offs, idx = _read_matrix_row(lines, idx, n_coords)
-            offsets = offs
+            J, idx = _read_matrix(lines, idx, n_coords, n_coords,
+                                  "chart Jacobian")
+            offs, idx = _read_matrix(lines, idx, 1, n_coords, "chart offsets")
+            offsets = offs[0]
         else:
             raise ParseError(f"unknown key '{key}'", lineno)
 
@@ -215,27 +220,6 @@ def load_system(text) -> tuple:
                            coord_names=coord_names, A=A, D=D)
     chart = Chart(J=J, offsets=offsets)
     return sys, chart
-
-
-def _read_matrix_row(lines, start, n):
-    """Read a single row of n floats (the chart offsets)."""
-    rows = []
-    idx = start
-    while not rows:
-        if idx >= len(lines):
-            raise ParseError("unexpected end of file inside chart offsets", len(lines))
-        lineno, text = lines[idx]
-        idx += 1
-        parts = text.split()
-        if not parts:
-            continue
-        if len(parts) != n:
-            raise ParseError(f"chart offsets: expected {n} values", lineno)
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise ParseError("chart offsets: invalid number", lineno) from None
-    return np.array(rows[0]), idx
 
 
 def _fmt(x: float) -> str:

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import charmarch as cm
-from charmarch import energymon
+from charmarch import cli, energymon
 from charmarch.charsolve import SliceState, SolutionTrace
-from charmarch.energymon import EstimateHorizonError, RangeError
+from charmarch.energymon import (EstimateHorizonError, RangeError,
+                                 UnequalStepsError)
 from charmarch.wellposed import Verdict
 
 TWO_PI_SQ = (2.0 * math.pi) ** 2   # transverse volume for two unit-period axes
@@ -80,12 +81,13 @@ class TestSigmaNorm:
         # C^u + C^x = I the diagonal norm is (#points) * dx * V * 30
         grid = wave_grid(8, cy=4, cz=4)
         v = np.array([1.0, 2.0, 3.0, 4.0])
-        tr = cm.SolutionTrace(grid=grid)
+        slices = []
         for j in range(grid.nx + 1):
             vals = np.broadcast_to(
                 v[:, None, None, None],
                 (4, grid.nx + 1 - j, 4, 4)).copy()
-            tr.slices.append(SliceState(u_level=j * grid.du, values=vals))
+            slices.append(SliceState(u_level=j * grid.du, values=vals))
+        tr = cm.SolutionTrace(grid=grid, slices=slices)
         K = 4
         T = K * grid.dx
         got = cm.sigma_norm(tr, wave_compact, T)
@@ -105,8 +107,8 @@ class TestSigmaNorm:
 
     def test_no_diagonal_points(self, wave_compact):
         grid = wave_grid(8)
-        tr = SolutionTrace(grid=grid)
-        tr.slices.append(SliceState(u_level=5.0, values=np.zeros((4, 2, 4, 4))))
+        slices = [SliceState(u_level=5.0, values=np.zeros((4, 2, 4, 4)))]
+        tr = SolutionTrace(grid=grid, slices=slices)
         with pytest.raises(RangeError):
             cm.sigma_norm(tr, wave_compact, 1.0)
 
@@ -169,10 +171,10 @@ def _loop_balance_residual(trace, cf, T):
     quad, cell_sum = energymon._quad_form, energymon._cell_sum
     sigma = cm.sigma_norm(trace, cf, T)
     first = trace.slices[0]
-    Kx = energymon._steps_for(T, dx, first.x_extent - 1, "N-side")
+    Kx = _steps_for(T, dx, first.x_extent - 1, "N-side")
     intN = energymon._line_integral(
         cell_sum(quad(cf.C["u"], first.values), trace), dx, Kx)
-    Ku = energymon._steps_for(T, du, trace.n_slices - 1, "T-side")
+    Ku = _steps_for(T, du, trace.n_slices - 1, "T-side")
     gT = np.array([cell_sum(quad(cf.C["x"], s.values[:, 0]), trace)
                    for s in trace.slices[:Ku + 1]])
     intT = energymon._line_integral(gT, du, Ku)
@@ -268,12 +270,45 @@ class TestVerifyEstimate:
 
 # --- oracle: the per-T energy code, every form recomputed on every call ----
 
+def _steps_for(T, h, limit, what):
+    K = int(round(T / h))
+    if abs(K * h - T) > 1e-9 * max(h, 1.0):
+        warnings.warn(f"{what}: T={T!r} snapped to the nearest grid level "
+                      f"{K * h!r}", stacklevel=3)
+    if K < 0 or K > limit:
+        raise RangeError(f"{what}: T={T!r} outside the trace coverage")
+    return K
+
+
+def _diagonal_points(trace, T):
+    """(slice index, x index) pairs on the diagonal u + x = T, found by
+    searching every slice."""
+    dx = trace.grid.dx
+    pts = []
+    warned = False
+    for j, s in enumerate(trace.slices):
+        xt = T - s.u_level
+        if xt < -1e-9 * dx:
+            break
+        i = int(round(xt / dx))
+        if not warned and abs(i * dx - xt) > 1e-9 * max(dx, 1.0):
+            warnings.warn(
+                f"sigma_norm: diagonal point at u={s.u_level!r} snapped to "
+                "the nearest x node", stacklevel=3)
+            warned = True
+        if 0 <= i < s.x_extent:
+            pts.append((j, i))
+    if not pts:
+        raise RangeError(f"no diagonal grid points found for T={T!r}")
+    return pts
+
+
 def _oracle_data_norms(trace, Nu, nq, T):
     dx, du = trace.grid.dx, trace.grid.du
     quad, cell_sum = energymon._quad_form, energymon._cell_sum
     first = trace.slices[0]
-    Kx = energymon._steps_for(T, dx, first.x_extent - 1, "norm_q0")
-    Ku = energymon._steps_for(T, du, trace.n_slices - 1, "norm_w0")
+    Kx = _steps_for(T, dx, first.x_extent - 1, "norm_q0")
+    Ku = _steps_for(T, du, trace.n_slices - 1, "norm_w0")
     gq = cell_sum(quad(Nu, first.values[:nq]), trace)
     gw = np.array([cell_sum((s.values[nq:, 0] ** 2).sum(axis=0), trace)
                    for s in trace.slices[:Ku + 1]])
@@ -284,7 +319,7 @@ def _oracle_data_norms(trace, Nu, nq, T):
 def _oracle_sigma_norm(trace, cf, T):
     W = cf.C["u"] + cf.C["x"]
     total = 0.0
-    for j, i in energymon._diagonal_points(trace, T):
+    for j, i in _diagonal_points(trace, T):
         g = energymon._cell_sum(
             energymon._quad_form(W, trace.slices[j].values[:, i]), trace)
         total += trace.grid.dx * float(g)
@@ -295,10 +330,10 @@ def _oracle_balance_residual(trace, cf, T, sigma):
     dx, du = trace.grid.dx, trace.grid.du
     quad, cell_sum = energymon._quad_form, energymon._cell_sum
     first = trace.slices[0]
-    Kx = energymon._steps_for(T, dx, first.x_extent - 1, "balance N-side")
+    Kx = _steps_for(T, dx, first.x_extent - 1, "balance N-side")
     intN = energymon._line_integral(
         cell_sum(quad(cf.C["u"], first.values), trace), dx, Kx)
-    Ku = energymon._steps_for(T, du, trace.n_slices - 1, "balance T-side")
+    Ku = _steps_for(T, du, trace.n_slices - 1, "balance T-side")
     gT = np.array([cell_sum(quad(cf.C["x"], s.values[:, 0]), trace)
                    for s in trace.slices[:Ku + 1]])
     intT = energymon._line_integral(gT, du, Ku)
@@ -354,17 +389,6 @@ DAMPED_DATA = cm.DataSpec(
     w0=((cm.ProfileTerm(kind="sine", amp=1.2, k=1.0, phase=0.4),),))
 
 
-def _random_trace(grid, n_slices, seed=0):
-    rng = np.random.default_rng(seed)
-    cells = tuple(t.cells for t in grid.transverse)
-    tr = SolutionTrace(grid=grid)
-    for j in range(n_slices):
-        tr.slices.append(SliceState(
-            u_level=j * grid.du,
-            values=rng.normal(size=(4, grid.nx + 1 - j) + cells)))
-    return tr
-
-
 class TestFormTables:
     def test_damped_ladder_matches_oracle(self, damped_wave_pipeline):
         canon, cf, rep = damped_wave_pipeline
@@ -381,21 +405,49 @@ class TestFormTables:
         for T in cm.estimate_ladder(grid) + [grid.dx, grid.X_total]:
             _assert_matches_oracle(tr, wave_compact, wave_report, T)
 
+    def test_unequal_steps_rejected(self, wave_analysis, capsys):
+        # du = dx/2: no surface u + x = T runs through the grid nodes
+        a = wave_analysis
+        grid = cm.GridSpec(X_total=0.9, nx=24, cfl=0.5,
+                           transverse=(cm.TransverseAxis(cells=8),
+                                       cm.TransverseAxis(cells=4)))
+        tr = cm.march(a.canon, grid, DAMPED_DATA, report=a.report)
+        T = 3 * grid.dx
+        for check in (lambda: cm.data_norms(tr, a.canon, T),
+                      lambda: cm.sigma_norm(tr, a.compact, T),
+                      lambda: cm.balance_residual(tr, a.compact, T),
+                      lambda: cm.verify_estimate(tr, a.compact, a.report, T),
+                      lambda: cm.estimate_ladder(grid)):
+            with pytest.raises(UnequalStepsError, match="cfl"):
+                check()
+        code = cli.main(["verify-estimate", "--example", "wave3d",
+                         "--nx", "24", "--Xtotal", "0.9", "--cells", "8,4",
+                         "--cfl", "0.5", "--w0", "sine:amp=1.2,k=1"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_ERROR
+        assert out == ""
+        assert "cfl" in err
+
     @pytest.mark.parametrize("damped", [False, True])
-    def test_off_node_diagonal_matches_oracle(self, damped, wave_analysis,
-                                              damped_wave_pipeline):
-        # du = dx/2: every other diagonal point and off-grid T are snapped
+    def test_off_grid_T_reads_its_grid_level(self, damped, wave_analysis,
+                                             damped_wave_pipeline):
+        # T just below the level K = 1: sigma must read both nodes (0, 1)
+        # and (1, 0) of that level, as the data norms and the factor do
         if damped:
             canon, cf, rep = damped_wave_pipeline
         else:
             a = wave_analysis
             canon, cf, rep = a.canon, a.compact, a.report
-        grid = cm.GridSpec(X_total=0.9, nx=24, cfl=0.5,
-                           transverse=(cm.TransverseAxis(cells=8),
-                                       cm.TransverseAxis(cells=4)))
-        tr = cm.march(canon, grid, DAMPED_DATA, report=rep)
-        for T in (grid.dx, 3 * grid.dx, 0.97 * 5 * grid.dx, 0.3, 0.44):
-            _assert_matches_oracle(tr, cf, rep, T)
+        grid = wave_grid(128, cy=8, X=0.5)
+        data = cm.DataSpec(
+            q0=((cm.ProfileTerm(kind="sine", amp=0.8, k=2.0, phase=0.3,
+                                trans=((1.0, 0.0), (0.0, 0.0))),), (), ()),
+            w0=((cm.ProfileTerm(kind="sine", amp=1.2, k=1.0, phase=0.3),),))
+        tr = cm.march(canon, grid, data, report=rep)
+        at_level = cm.verify_estimate(tr, cf, rep, grid.dx)
+        with pytest.warns(UserWarning, match="snapped"):
+            off = cm.verify_estimate(tr, cf, rep, 0.997 * grid.dx)
+        assert off == dataclasses.replace(at_level, T=0.997 * grid.dx)
 
     def test_same_trace_with_and_without_r(self, damped_wave_pipeline):
         canon, cf, rep = damped_wave_pipeline
@@ -406,22 +458,20 @@ class TestFormTables:
             for k in (2, 9, 17):
                 _assert_matches_oracle(tr, system, rep, k * grid.dx)
 
-    def test_appended_or_replaced_slice_reads_fresh_tables(
-            self, damped_wave_pipeline):
-        _, cf, rep = damped_wave_pipeline
+    def test_marched_trace_cannot_change(self, damped_wave_pipeline):
+        canon, cf, rep = damped_wave_pipeline
         grid = wave_grid(8, X=0.4)
-        tr = _random_trace(grid, 5)
-        T1, T2 = 3 * grid.dx, 5 * grid.dx
-        cm.sigma_norm(tr, cf, T1)
-        _assert_matches_oracle(tr, cf, rep, T1)
-        with pytest.raises(RangeError):
-            cm.verify_estimate(tr, cf, rep, T2)
-        tr.slices.append(_random_trace(grid, 6, seed=1).slices[5])
-        for T in (T1, T2):
-            _assert_matches_oracle(tr, cf, rep, T)
-        tr.slices[2] = _random_trace(grid, 3, seed=2).slices[2]
-        for T in (T1, T2):
-            _assert_matches_oracle(tr, cf, rep, T)
+        tr = cm.march(canon, grid, DAMPED_DATA, report=rep)
+        first = tr.slices[0]
+        with pytest.raises(AttributeError):
+            tr.slices.append(first)
+        with pytest.raises(TypeError):
+            tr.slices[2] = first
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tr.slices[0].values = np.zeros_like(first.values)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tr.slices = ()
+        _assert_matches_oracle(tr, cf, rep, 3 * grid.dx)
 
     def test_each_form_computed_once(self, damped_wave_pipeline,
                                      monkeypatch):
