@@ -4,8 +4,10 @@ The domain is {u >= 0, x >= 0, u + x <= X_total} with periodic transverse
 directions.  Each u-slice is completed by integrating the hypersurface
 equations outward from x = 0 (Heun), then the normal variables are advanced
 to the next slice with Lax-Friedrichs in x and centered periodic transverse
-differences.  One x-cell is trimmed per step, so no outer-x boundary
-condition is needed when the CFL condition holds.
+differences.  The march steps du = dx, which meets the CFL condition for
+every WELL_POSED system: Nu > 0, Nx <= 0 and Nu + Nx > 0 put the
+eigenvalues of Nu^-1 Nx in (-1, 0].  One x-cell is trimmed per step, so no
+outer-x boundary condition is needed.
 
 The hypersurface right-hand side is linear in v = (q, w) and q is known on
 the slice, so d_x w = f + A w with the q-driven forcing f evaluated over
@@ -27,7 +29,7 @@ from .wellposed import Verdict, WellPosednessReport
 
 
 class CFLError(ValueError):
-    """Spectral radius of Nu^-1 Nx times cfl exceeds 1."""
+    """Spectral radius of Nu^-1 Nx exceeds 1 (never when WELL_POSED)."""
 
 
 class NotWellPosedError(RuntimeError):
@@ -44,15 +46,18 @@ class DataSpecError(ValueError):
 
 @dataclass(frozen=True)
 class TransverseAxis:
+    """A periodic coordinate on [0, 2 pi) of `cells` cells of width h."""
     cells: int
-    period: float = 2.0 * math.pi
+
+    @property
+    def h(self) -> float:
+        return 2.0 * math.pi / self.cells
 
 
 @dataclass(frozen=True)
 class GridSpec:
     X_total: float
     nx: int
-    cfl: float = 1.0
     transverse: tuple = ()
 
     def __post_init__(self):
@@ -60,30 +65,20 @@ class GridSpec:
             raise ValueError("X_total must be positive")
         if self.nx < 2:
             raise ValueError("nx must be at least 2")
-        if not (0.0 < self.cfl <= 1.0):
-            raise ValueError("cfl must lie in (0, 1]")
 
     @property
     def dx(self) -> float:
         return self.X_total / self.nx
 
-    @property
-    def du(self) -> float:
-        return self.cfl * self.dx
-
     def transverse_meshes(self):
         """Open periodic grids, meshed with indexing='ij'."""
-        axes = [np.arange(t.cells) * (t.period / t.cells)
-                for t in self.transverse]
+        axes = [np.arange(t.cells) * t.h for t in self.transverse]
         if not axes:
             return []
         return list(np.meshgrid(*axes, indexing="ij"))
 
     def transverse_cell_volume(self) -> float:
-        vol = 1.0
-        for t in self.transverse:
-            vol *= t.period / t.cells
-        return vol
+        return math.prod((t.h for t in self.transverse), start=1.0)
 
 
 @dataclass(frozen=True)
@@ -152,7 +147,7 @@ class SliceState:
 
 @dataclass(frozen=True)
 class SolutionTrace:
-    """The slices of one march: slice j lies at u = j du and holds
+    """The slices of one march: slice j lies at u = j dx and holds
     nx + 1 - j x points.  A trace cannot change: slices and diagnostics
     are tuples (a list passed in is copied into one)."""
     grid: GridSpec
@@ -210,7 +205,7 @@ class _FieldOperator:
         self.rows = M0.shape[0]
         self.M0 = M0 if np.any(M0) else None
         nt = len(grid.transverse)
-        self.terms = [(M / (2.0 * t.period / t.cells), j - nt)
+        self.terms = [(M / (2.0 * t.h), j - nt)
                       for j, (M, t) in enumerate(zip(Mt, grid.transverse))
                       if np.any(M)]
 
@@ -242,17 +237,22 @@ def _spectral_radius(canon: CanonicalSystem) -> float:
     return float(np.abs(np.linalg.eigvals(A)).max())
 
 
+def _check_step(canon: CanonicalSystem) -> None:
+    """du = dx is stable in x only when rho(Nu^-1 Nx) <= 1."""
+    if _spectral_radius(canon) > 1.0 + 1e-12:
+        raise CFLError("spectral_radius(Nu^-1 Nx) exceeds 1")
+
+
 class _Stepper:
     """The operators of the march for one system and grid, built once.
 
     Hypersurface pass: d_x w = f + A w, with the q-driven forcing
     f = -(L0_q q + L^i_q d_i q) and the null coupling
-    A w = -(L0_w w + L^i_w d_i w).  Evolution (built when du is given,
-    after the CFL check): lam Nu^-1 Nx with lam = du/dx, and the source
-    operator du Nu^-1 (N0 v + N^i d_i v).
+    A w = -(L0_w w + L^i_w d_i w).  Evolution by one step du = dx:
+    Nu^-1 Nx, and the source operator dx Nu^-1 (N0 v + N^i d_i v).
     """
 
-    def __init__(self, canon: CanonicalSystem, grid: GridSpec, du=None):
+    def __init__(self, canon: CanonicalSystem, grid: GridSpec):
         nq = canon.nq
         names = canon.transverse_names
         self.nq, self.n, self.dx = nq, canon.n_unknowns, grid.dx
@@ -260,16 +260,11 @@ class _Stepper:
             -canon.L0[:, :nq], [-canon.Li[k][:, :nq] for k in names], grid)
         self.coupling = _FieldOperator(
             -canon.L0[:, nq:], [-canon.Li[k][:, nq:] for k in names], grid)
-        self.du = du
-        if du is None:
-            return
-        if _spectral_radius(canon) * (du / grid.dx) > 1.0 + 1e-12:
-            raise CFLError("cfl * spectral_radius(Nu^-1 Nx) exceeds 1")
         Nui = np.linalg.inv(canon.Nu) if nq else np.zeros((0, 0))
-        self.lam_A = (du / grid.dx) * (Nui @ canon.Nx)
+        self.NuiNx = Nui @ canon.Nx
         self.source = _FieldOperator(
-            du * Nui @ canon.N0, [du * Nui @ canon.Ni[k] for k in names],
-            grid)
+            grid.dx * Nui @ canon.N0,
+            [grid.dx * Nui @ canon.Ni[k] for k in names], grid)
 
     def fill_null(self, slice_: SliceState, w_boundary) -> None:
         """Integrate d_x w outward from x = 0 in place on the slice (Heun).
@@ -319,11 +314,11 @@ class _Stepper:
             inner = new[:nq, 1:]
             np.add(q[:, :-2], q[:, 2:], out=inner)
             inner *= 0.5
-            inner -= _apply(0.5 * self.lam_A, q[:, 2:] - q[:, :-2])
+            inner -= _apply(0.5 * self.NuiNx, q[:, 2:] - q[:, :-2])
             inner -= src[:, 1:-1]
-        new[:nq, 0] = (q[:, 0] - _apply(self.lam_A, q[:, 1] - q[:, 0])
+        new[:nq, 0] = (q[:, 0] - _apply(self.NuiNx, q[:, 1] - q[:, 0])
                        - src[:, 0])
-        out = SliceState(u_level=slice_.u_level + self.du, values=new)
+        out = SliceState(u_level=slice_.u_level + self.dx, values=new)
         _check_finite(new[:nq], out.u_level, "evolution step")
         return out
 
@@ -342,14 +337,16 @@ def hypersurface_integrate(canon: CanonicalSystem, slice_: SliceState,
 
 
 def evolution_step(canon: CanonicalSystem, slice_: SliceState,
-                   du: float, grid: GridSpec) -> SliceState:
-    """Advance the normal variables one u-step on a one-cell-narrower slice.
+                   grid: GridSpec) -> SliceState:
+    """Advance the normal variables one u-step du = dx on a
+    one-cell-narrower slice.
 
     Lax-Friedrichs in x at interior points; a one-sided first-order
     difference at x = 0 (pure outflow when Nx <= 0).  Null variables of the
     returned slice are left at zero for the next hypersurface pass.
     """
-    return _Stepper(canon, grid, du).evolve(slice_)
+    _check_step(canon)
+    return _Stepper(canon, grid).evolve(slice_)
 
 
 def _validate(canon: CanonicalSystem, grid: GridSpec, data: DataSpec):
@@ -381,7 +378,8 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
     if report.verdict is not Verdict.WELL_POSED and not force:
         raise NotWellPosedError(
             f"verdict is {report.verdict.value}; pass force=True to march anyway")
-    stepper = _Stepper(canon, grid, grid.du)
+    _check_step(canon)
+    stepper = _Stepper(canon, grid)
 
     tmeshes = grid.transverse_meshes()
     cells = tuple(t.cells for t in grid.transverse)

@@ -33,11 +33,9 @@ def _print_matrix(out, label: str, M: np.ndarray):
 def _analyze(args, tols: Tolerances) -> wellposed.Analysis:
     if args.example:
         text = builtin.example_text(args.example)
-    elif args.input:
+    else:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    else:
-        raise ValueError("one of --example or --input is required")
     return wellposed.analyze(*sysmodel.load_system(text), tols)
 
 
@@ -110,11 +108,12 @@ def parse_presets(spec: str, count: int, n_transverse: int):
 def _grid_from_args(args, canon):
     cells = [int(c) for c in args.cells.split(",")] if args.cells else []
     d = len(canon.transverse_names)
-    if len(cells) < d:
-        cells = cells + [16] * (d - len(cells))
-    transverse = tuple(TransverseAxis(cells=c) for c in cells[:d])
-    return GridSpec(X_total=args.Xtotal, nx=args.nx, cfl=args.cfl,
-                    transverse=transverse)
+    if len(cells) > d:
+        raise ValueError(f"--cells lists {len(cells)} values but the system "
+                         f"has {d} transverse coordinates")
+    cells += [16] * (d - len(cells))
+    return GridSpec(X_total=args.Xtotal, nx=args.nx,
+                    transverse=tuple(TransverseAxis(cells=c) for c in cells))
 
 
 def _data_from_args(args, canon):
@@ -189,14 +188,13 @@ def cmd_verify_estimate(args, out):
     tols = _tolerances(args.tol)
     a = _analyze(args, tols)
     grid = _grid_from_args(args, a.canon)
-    ladder = energymon.estimate_ladder(grid)   # refuses cfl != 1 up front
     trace = _march(args, a, grid)
     if a.report.verdict is not Verdict.WELL_POSED:
         sys.stderr.write("cannot verify estimate: verdict is "
                          f"{a.report.verdict.value}\n")
         return EXIT_NOT_WELL_POSED
     out.write(energymon.EnergyReport.CSV_HEADER + "\n")
-    for T in ladder:
+    for T in energymon.estimate_ladder(grid):
         try:
             report = energymon.verify_estimate(trace, a.compact, a.report,
                                                T, c_tol=tols.ctol)
@@ -217,9 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, grid=False):
-        p.add_argument("--example", choices=builtin.EXAMPLES,
-                       help="built-in system name")
-        p.add_argument("--input", help="path to a system-definition file")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--example", choices=builtin.EXAMPLES,
+                            help="built-in system name")
+        source.add_argument("--input", help="path to a system-definition file")
         p.add_argument("--tol", default="",
                        help="tolerance overrides key=val,... "
                             "(rank, sym, eig, ctol)")
@@ -227,9 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
         if grid:
             p.add_argument("--nx", type=int, default=64)
             p.add_argument("--cells", default="",
-                           help="transverse cells, comma separated")
-            p.add_argument("--cfl", type=float, default=1.0,
-                           help="du/dx; verify-estimate needs 1")
+                           help="transverse cells, comma separated, at most "
+                                "one per transverse coordinate; missing "
+                                "ones are 16")
             p.add_argument("--Xtotal", type=float, default=2.0)
             p.add_argument("--q0", default="",
                            help="normal-data presets, one per variable")
@@ -259,7 +258,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse has written --help or the error
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as out:

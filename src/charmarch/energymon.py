@@ -5,10 +5,9 @@ rectangle rule (exact for periodic trigonometric data) in the transverse
 directions, per-point weight dx on the diagonal surface u + x = T, and
 corner-averaged midpoint cells for the volume term.
 
-The march runs with du = dx (cfl = 1), so the surface u + x = T of grid
-level K = T/dx passes through the nodes (j, K - j); every term is read at
-that one level, off-grid T is snapped to it with one warning, and grids
-with du != dx are rejected with UnequalStepsError.
+The march steps du = dx, so the surface u + x = T of grid level K = T/dx
+passes through the nodes (j, K - j); every term is read at that one level,
+and off-grid T is snapped to it with one warning.
 
 A trace cannot change, so the per-slice forms are computed once per trace
 and kept on it for every later call: the Nu and C^u forms cell-summed over
@@ -36,11 +35,6 @@ class RangeError(ValueError):
 
 class EstimateHorizonError(ValueError):
     """Requested T at or beyond the validity horizon c/r."""
-
-
-class UnequalStepsError(ValueError):
-    """The grid steps du != dx (cfl != 1): no surface u + x = T runs
-    through the grid nodes, so the energy check is not defined."""
 
 
 @dataclass(frozen=True)
@@ -88,16 +82,9 @@ def _line_integral(g: np.ndarray, h: float, K: int) -> float:
     return float(h * (0.5 * g[0] + g[1:K].sum() + 0.5 * g[K]))
 
 
-def _check_steps(grid: GridSpec) -> None:
-    if grid.cfl != 1:
-        raise UnequalStepsError(
-            f"the energy check needs du = dx (cfl = 1), got cfl={grid.cfl!r}")
-
-
 def _level(trace: SolutionTrace, T: float) -> int:
     """The grid level K of the surface u + x = T: it passes through the
     nodes (j, K - j).  Off-grid T is snapped with a warning."""
-    _check_steps(trace.grid)
     dx = trace.grid.dx
     K = int(round(T / dx))
     if abs(K * dx - T) > 1e-9 * max(dx, 1.0):
@@ -218,9 +205,7 @@ def _balance_residual(trace: SolutionTrace, cf: CompactSystem, K: int,
 
 def estimate_ladder(grid: GridSpec) -> list:
     """The diagonal surfaces T_k = k X/9 (k = 1..8) snapped to the x grid;
-    positive, without repeats, in increasing order.  Raises
-    UnequalStepsError unless du = dx."""
-    _check_steps(grid)
+    positive, without repeats, in increasing order."""
     snapped = (round(k * grid.X_total / 9.0 / grid.dx) * grid.dx
                for k in range(1, 9))
     return list(dict.fromkeys(T for T in snapped if T > 0))

@@ -1,19 +1,25 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import charmarch as cm
 from charmarch.charsolve import (CFLError, DataSpecError, MarchAbortError,
-                                 NotWellPosedError, SliceState)
+                                 NotWellPosedError, SliceState,
+                                 _spectral_radius)
+from charmarch.wellposed import Verdict
 
 import conftest
 
 R2 = 1.0 / math.sqrt(2.0)
 
 
-def wave_grid(nx=16, cy=8, cz=8, X=2.0, cfl=1.0):
-    return cm.GridSpec(X_total=X, nx=nx, cfl=cfl,
+def wave_grid(nx=16, cy=8, cz=8, X=2.0):
+    return cm.GridSpec(X_total=X, nx=nx,
                        transverse=(cm.TransverseAxis(cells=cy),
                                    cm.TransverseAxis(cells=cz)))
 
@@ -60,16 +66,16 @@ class TestHypersurfaceIntegrate:
 class TestEvolutionStep:
     def test_zero_slice_stays_zero(self, wave_canon):
         grid = wave_grid()
-        s = cm.evolution_step(wave_canon, empty_slice(grid), grid.du, grid)
+        s = cm.evolution_step(wave_canon, empty_slice(grid), grid)
         assert s.x_extent == grid.nx
         assert not np.any(s.values)
-        assert s.u_level == grid.du
+        assert s.u_level == grid.dx
 
     def test_plane_wave_keeps_q_zero(self, wave_canon):
         grid = wave_grid()
         s0 = empty_slice(grid)
         s0.values[3] = 0.37  # w constant on the slice
-        s = cm.evolution_step(wave_canon, s0, grid.du, grid)
+        s = cm.evolution_step(wave_canon, s0, grid)
         np.testing.assert_allclose(s.values[:3], 0.0, atol=1e-15)
 
     def test_single_mode_hand_computation(self, wave_canon):
@@ -81,10 +87,10 @@ class TestEvolutionStep:
         s0 = empty_slice(grid)
         y = np.arange(16) * (2.0 * math.pi / 16)
         s0.values[0] = eps * np.sin(y)[None, :, None]
-        s = cm.evolution_step(wave_canon, s0, grid.du, grid)
+        s = cm.evolution_step(wave_canon, s0, grid)
         dy = 2.0 * math.pi / 16
         centered = (np.roll(eps * np.sin(y), -1) - np.roll(eps * np.sin(y), 1)) / (2 * dy)
-        expected_q2 = grid.du * R2 * centered
+        expected_q2 = grid.dx * R2 * centered
         shape = (s.x_extent, 16, 4)
         np.testing.assert_allclose(
             s.values[1], np.broadcast_to(expected_q2[None, :, None], shape),
@@ -95,11 +101,30 @@ class TestEvolutionStep:
         np.testing.assert_allclose(s.values[2], 0.0, atol=1e-15)
 
     def test_cfl_violation_rejected(self, wave_canon):
-        import dataclasses
         fast = dataclasses.replace(wave_canon, Nx=np.diag([-3.0, 0.0, 0.0]))
         grid = wave_grid()
         with pytest.raises(CFLError):
-            cm.evolution_step(fast, empty_slice(grid), grid.du, grid)
+            cm.evolution_step(fast, empty_slice(grid), grid)
+
+    @given(arrays(float, (3, 3), elements=st.floats(-2.0, 2.0)),
+           arrays(float, (3, 3), elements=st.floats(-2.0, 2.0)),
+           st.floats(1e-3, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_well_posed_meets_cfl_at_du_equal_dx(self, wave_canon,
+                                                 wave_report, A, B, shift):
+        # Nu > 0, Nx <= 0 and Nu + Nx > 0 put the eigenvalues of
+        # Nu^-1 Nx in (-1, 0], so the one step du = dx never trips CFLError
+        canon = dataclasses.replace(wave_canon,
+                                    Nu=A @ A.T + shift * np.eye(3),
+                                    Nx=-(B @ B.T))
+        report = cm.check_criteria(cm.compact_form(canon))
+        assume(report.verdict is Verdict.WELL_POSED)
+        assert _spectral_radius(canon) < 1.0
+        data = cm.DataSpec(
+            q0=((cm.ProfileTerm(kind="sine", k=2.0),), (), ()),
+            w0=((cm.ProfileTerm(kind="sine", amp=1.2, k=1.0),),))
+        grid = wave_grid(nx=6, cy=4, cz=4)
+        assert cm.march(canon, grid, data, report=report).n_slices == 7
 
 
 class TestMarch:
@@ -138,7 +163,6 @@ class TestMarch:
 
     def test_linearity(self, wave_canon, wave_report):
         def scaled(data, a):
-            import dataclasses
             sc = lambda terms: tuple(dataclasses.replace(t, amp=a * t.amp)
                                      for t in terms)
             return cm.DataSpec(q0=tuple(sc(p) for p in data.q0),
@@ -209,7 +233,7 @@ def _oracle_derivatives(plane, grid):
     derivs = []
     for j, t in enumerate(grid.transverse):
         axis = plane.ndim - nt + j
-        h = t.period / t.cells
+        h = t.h
         derivs.append((np.roll(plane, -1, axis=axis)
                        - np.roll(plane, 1, axis=axis)) / (2.0 * h))
     return derivs
@@ -237,7 +261,7 @@ def _oracle_hypersurface(canon, vals, wb, grid):
 
 
 def _oracle_evolution(canon, vals, grid):
-    nq, du, dx = canon.nq, grid.du, grid.dx
+    nq, du, dx = canon.nq, grid.dx, grid.dx
     lam = du / dx
     Nui = np.linalg.inv(canon.Nu)
     A = Nui @ canon.Nx
@@ -269,7 +293,7 @@ def _oracle_march(canon, grid, data):
         vals[a] = cm.charsolve.evaluate_profile(data.q0[a], xs, tmeshes)
     out = []
     for j in range(grid.nx + 1):
-        wb = np.array([cm.charsolve.evaluate_profile(p, j * grid.du, tmeshes)
+        wb = np.array([cm.charsolve.evaluate_profile(p, j * grid.dx, tmeshes)
                        for p in data.w0])
         vals = _oracle_hypersurface(canon, vals, wb, grid)
         out.append(vals)
@@ -281,7 +305,6 @@ def _oracle_march(canon, grid, data):
 
 def _transverse_null_coupling(canon):
     """wave3d with L^y[0, 3] = 0.3: d_y w feeds d_x w."""
-    import dataclasses
     Ly = canon.Li["y"].copy()
     Ly[0, 3] = 0.3
     return dataclasses.replace(canon, Li={**canon.Li, "y": Ly})

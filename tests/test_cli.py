@@ -79,6 +79,46 @@ class TestCheck:
         assert "unknown tolerance key 'orth'" in capsys.readouterr().err
 
 
+class TestUsageErrors:
+    """A bad command line exits 1 (2 means NOT_WELL_POSED), writes nothing
+    to stdout and names its cause on stderr."""
+
+    @pytest.mark.parametrize("argv, cause", [
+        (["check", "--example", "wave3d", "--bogus"], "--bogus"),
+        (["check", "--example", "nosuch"], "nosuch"),
+        (["solve", "--example", "wave3d", "--cfl", "0.5"], "--cfl"),
+        (["solve", "--example", "wave3d", "--cells", "8,4,9"],
+         "--cells lists 3 values but the system has 2 transverse"),
+    ])
+    def test_exit_one(self, argv, cause, capsys):
+        assert cli.main(argv) == cli.EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert cause in err
+
+    @pytest.mark.parametrize("command",
+                             ["analyze", "check", "solve", "verify-estimate"])
+    def test_example_and_input_exclusive(self, command, tmp_path, capsys):
+        # the file alone is NOT_WELL_POSED; --example must not win over it
+        path = tmp_path / "reversed.txt"
+        path.write_text(conftest.reversed_x_chart_text(), encoding="utf-8")
+        argv = [command, "--example", "wave3d", "--input", str(path)]
+        assert cli.main(argv) == cli.EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "not allowed with argument" in err
+
+    def test_help_exits_zero(self, capsys):
+        assert cli.main(["solve", "--help"]) == cli.EXIT_OK
+        assert "--cells" in capsys.readouterr().out
+
+    def test_short_cells_padded_with_16(self, wave_canon):
+        args = cli.build_parser().parse_args(
+            ["solve", "--example", "wave3d", "--cells", "8"])
+        grid = cli._grid_from_args(args, wave_canon)
+        assert [t.cells for t in grid.transverse] == [8, 16]
+
+
 class TestSolve:
     def test_plane_wave_trace_csv(self):
         code, text = run_cli([

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 import charmarch as cm
-from charmarch import cli, energymon
+from charmarch import energymon
 from charmarch.charsolve import SliceState, SolutionTrace
-from charmarch.energymon import (EstimateHorizonError, RangeError,
-                                 UnequalStepsError)
+from charmarch.energymon import EstimateHorizonError, RangeError
 from charmarch.wellposed import Verdict
 
 TWO_PI_SQ = (2.0 * math.pi) ** 2   # transverse volume for two unit-period axes
@@ -86,7 +85,7 @@ class TestSigmaNorm:
             vals = np.broadcast_to(
                 v[:, None, None, None],
                 (4, grid.nx + 1 - j, 4, 4)).copy()
-            slices.append(SliceState(u_level=j * grid.du, values=vals))
+            slices.append(SliceState(u_level=j * grid.dx, values=vals))
         tr = cm.SolutionTrace(grid=grid, slices=slices)
         K = 4
         T = K * grid.dx
@@ -167,7 +166,7 @@ class TestBalanceResidual:
 def _loop_balance_residual(trace, cf, T):
     """balance_residual with a Python loop over the volume cells: the
     reference for the vectorized volume term."""
-    dx, du = trace.grid.dx, trace.grid.du
+    dx, du = trace.grid.dx, trace.grid.dx
     quad, cell_sum = energymon._quad_form, energymon._cell_sum
     sigma = cm.sigma_norm(trace, cf, T)
     first = trace.slices[0]
@@ -304,7 +303,7 @@ def _diagonal_points(trace, T):
 
 
 def _oracle_data_norms(trace, Nu, nq, T):
-    dx, du = trace.grid.dx, trace.grid.du
+    dx, du = trace.grid.dx, trace.grid.dx
     quad, cell_sum = energymon._quad_form, energymon._cell_sum
     first = trace.slices[0]
     Kx = _steps_for(T, dx, first.x_extent - 1, "norm_q0")
@@ -327,7 +326,7 @@ def _oracle_sigma_norm(trace, cf, T):
 
 
 def _oracle_balance_residual(trace, cf, T, sigma):
-    dx, du = trace.grid.dx, trace.grid.du
+    dx, du = trace.grid.dx, trace.grid.dx
     quad, cell_sum = energymon._quad_form, energymon._cell_sum
     first = trace.slices[0]
     Kx = _steps_for(T, dx, first.x_extent - 1, "balance N-side")
@@ -404,29 +403,6 @@ class TestFormTables:
         tr = cm.march(wave_canon, grid, DAMPED_DATA, report=wave_report)
         for T in cm.estimate_ladder(grid) + [grid.dx, grid.X_total]:
             _assert_matches_oracle(tr, wave_compact, wave_report, T)
-
-    def test_unequal_steps_rejected(self, wave_analysis, capsys):
-        # du = dx/2: no surface u + x = T runs through the grid nodes
-        a = wave_analysis
-        grid = cm.GridSpec(X_total=0.9, nx=24, cfl=0.5,
-                           transverse=(cm.TransverseAxis(cells=8),
-                                       cm.TransverseAxis(cells=4)))
-        tr = cm.march(a.canon, grid, DAMPED_DATA, report=a.report)
-        T = 3 * grid.dx
-        for check in (lambda: cm.data_norms(tr, a.canon, T),
-                      lambda: cm.sigma_norm(tr, a.compact, T),
-                      lambda: cm.balance_residual(tr, a.compact, T),
-                      lambda: cm.verify_estimate(tr, a.compact, a.report, T),
-                      lambda: cm.estimate_ladder(grid)):
-            with pytest.raises(UnequalStepsError, match="cfl"):
-                check()
-        code = cli.main(["verify-estimate", "--example", "wave3d",
-                         "--nx", "24", "--Xtotal", "0.9", "--cells", "8,4",
-                         "--cfl", "0.5", "--w0", "sine:amp=1.2,k=1"])
-        out, err = capsys.readouterr()
-        assert code == cli.EXIT_ERROR
-        assert out == ""
-        assert "cfl" in err
 
     @pytest.mark.parametrize("damped", [False, True])
     def test_off_grid_T_reads_its_grid_level(self, damped, wave_analysis,
