@@ -6,8 +6,7 @@ from .canonical import (CanonicalSystem, CharacteristicStructure,
                         CompactSystem, compact_form, null_structure,
                         split_and_reduce, transversality_check)
 from .charsolve import (DataSpec, GridSpec, ProfileTerm, SliceState,
-                        SolutionTrace, TransverseAxis, evolution_step,
-                        hypersurface_integrate, march)
+                        SolutionTrace, TransverseAxis, march)
 from .energymon import (EnergyReport, balance_residual, data_norms,
                         estimate_ladder, sigma_norm, verify_estimate)
 from .matkit import (Definiteness, DefinitenessClass, Tolerances,
@@ -27,9 +26,8 @@ __all__ = [
     "SliceState", "SolutionTrace", "Tolerances", "TransverseAxis", "Verdict",
     "WellPosednessReport", "analyze", "balance_residual", "check_criteria",
     "classify_definiteness", "compact_form", "data_norms", "estimate_ladder",
-    "evolution_step", "growth_parameters", "hypersurface_integrate",
-    "load_system", "march", "null_structure", "orthonormal_complete",
-    "rank_and_nullspaces", "serialize_system", "side_matrices", "sigma_norm",
-    "split_and_reduce", "transversality_check", "verify_characteristic",
-    "verify_estimate",
+    "growth_parameters", "load_system", "march", "null_structure",
+    "orthonormal_complete", "rank_and_nullspaces", "serialize_system",
+    "side_matrices", "sigma_norm", "split_and_reduce", "transversality_check",
+    "verify_characteristic", "verify_estimate",
 ]

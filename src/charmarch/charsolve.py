@@ -16,6 +16,9 @@ when the system has no w -> w coupling (A = 0) the pass is a cumulative sum
 of trapezoid increments of f.  The operators (Nu^-1 Nx, Nu^-1 N^i,
 Nu^-1 N0 and the hypersurface blocks) are built once per march, after one
 CFL check, and periodic differences are taken from slices of the plane.
+
+`march` is the one public way into the scheme, so its guards (grid and data
+against the system, the verdict, the CFL check) hold for every step taken.
 """
 from __future__ import annotations
 
@@ -85,11 +88,11 @@ class GridSpec:
 class ProfileTerm:
     """One separable data term: amp * base(s) * prod_i cos(k_i theta_i + p_i).
 
-    base is sin(k s + phase) for kind='sine', a Gaussian bump for
-    kind='gauss', and 0 for kind='zero'.  s is x for normal data and u for
-    null data.
+    base is sin(k s + phase) for kind='sine' and a Gaussian bump for
+    kind='gauss'.  s is x for normal data and u for null data; a zero
+    profile is the empty tuple of terms.
     """
-    kind: str = "zero"
+    kind: str
     amp: float = 1.0
     k: float = 1.0
     phase: float = 0.0
@@ -98,13 +101,10 @@ class ProfileTerm:
     trans: tuple = ()   # ((wavenumber, phase), ...) per transverse axis
 
     def __post_init__(self):
-        if self.kind not in ("zero", "sine", "gauss"):
+        if self.kind not in ("sine", "gauss"):
             raise DataSpecError(f"unknown profile kind '{self.kind}'")
 
     def evaluate(self, s, tmeshes):
-        if self.kind == "zero":
-            return np.zeros(np.broadcast(np.asarray(s), *tmeshes).shape) \
-                if tmeshes else np.zeros_like(np.asarray(s, dtype=float))
         if self.kind == "sine":
             out = self.amp * np.sin(self.k * np.asarray(s, dtype=float)
                                     + self.phase)
@@ -237,12 +237,6 @@ def _spectral_radius(canon: CanonicalSystem) -> float:
     return float(np.abs(np.linalg.eigvals(A)).max())
 
 
-def _check_step(canon: CanonicalSystem) -> None:
-    """du = dx is stable in x only when rho(Nu^-1 Nx) <= 1."""
-    if _spectral_radius(canon) > 1.0 + 1e-12:
-        raise CFLError("spectral_radius(Nu^-1 Nx) exceeds 1")
-
-
 class _Stepper:
     """The operators of the march for one system and grid, built once.
 
@@ -323,32 +317,6 @@ class _Stepper:
         return out
 
 
-def hypersurface_integrate(canon: CanonicalSystem, slice_: SliceState,
-                           w_boundary: np.ndarray,
-                           grid: GridSpec) -> SliceState:
-    """Fill the null variables on a slice by integrating d_x w outward.
-
-    q must already be set on the slice; w_boundary are the x=0 values,
-    shape (m, *cells) or (m,).  Heun (second order) steps in x.
-    """
-    out = SliceState(u_level=slice_.u_level, values=slice_.values.copy())
-    _Stepper(canon, grid).fill_null(out, w_boundary)
-    return out
-
-
-def evolution_step(canon: CanonicalSystem, slice_: SliceState,
-                   grid: GridSpec) -> SliceState:
-    """Advance the normal variables one u-step du = dx on a
-    one-cell-narrower slice.
-
-    Lax-Friedrichs in x at interior points; a one-sided first-order
-    difference at x = 0 (pure outflow when Nx <= 0).  Null variables of the
-    returned slice are left at zero for the next hypersurface pass.
-    """
-    _check_step(canon)
-    return _Stepper(canon, grid).evolve(slice_)
-
-
 def _validate(canon: CanonicalSystem, grid: GridSpec, data: DataSpec):
     if len(grid.transverse) != len(canon.transverse_names):
         raise DataSpecError("grid transverse axes do not match the system")
@@ -378,7 +346,9 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
     if report.verdict is not Verdict.WELL_POSED and not force:
         raise NotWellPosedError(
             f"verdict is {report.verdict.value}; pass force=True to march anyway")
-    _check_step(canon)
+    # du = dx is stable in x only when rho(Nu^-1 Nx) <= 1
+    if _spectral_radius(canon) > 1.0 + 1e-12:
+        raise CFLError("spectral_radius(Nu^-1 Nx) exceeds 1")
     stepper = _Stepper(canon, grid)
 
     tmeshes = grid.transverse_meshes()

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import math
 import re
 import sys
@@ -39,15 +40,20 @@ def _analyze(args, tols: Tolerances) -> wellposed.Analysis:
     return wellposed.analyze(*sysmodel.load_system(text), tols)
 
 
-def _tolerances(spec: str) -> Tolerances:
-    keys = {f.name for f in dataclasses.fields(Tolerances)}
+_TOL_KEYS = tuple(f.name for f in dataclasses.fields(Tolerances))
+# ctol scales the slack of the energy check, which only verify-estimate runs
+_REDUCTION_TOL_KEYS = tuple(k for k in _TOL_KEYS if k != "ctol")
+
+
+def _tolerances(spec: str, keys=_TOL_KEYS) -> Tolerances:
     overrides = {}
     for item in spec.split(",") if spec else ():
         if "=" not in item:
             raise ValueError(f"bad tolerance override '{item}'")
         key, val = item.split("=", 1)
         if key not in keys:
-            raise ValueError(f"unknown tolerance key '{key}'")
+            raise ValueError(f"unknown tolerance key '{key}' "
+                             f"(this command takes {', '.join(keys)})")
         overrides[key] = float(val)
     return Tolerances(**overrides)
 
@@ -126,7 +132,7 @@ def _data_from_args(args, canon):
 
 
 def cmd_analyze(args, out):
-    a = _analyze(args, _tolerances(args.tol))
+    a = _analyze(args, _tolerances(args.tol, args.tol_keys))
     B, cs, canon, cf = a.B, a.structure, a.canon, a.compact
     for name in B.names:
         _print_matrix(out, f"B^{name}", B.B[name])
@@ -152,7 +158,7 @@ def cmd_analyze(args, out):
 
 
 def cmd_check(args, out):
-    rep = _analyze(args, _tolerances(args.tol)).report
+    rep = _analyze(args, _tolerances(args.tol, args.tol_keys)).report
     out.write(f"verdict: {rep.verdict.value}\n")
     for name, ok in rep.symmetric_Ca.items():
         out.write(f"symmetric C^{name}: {'yes' if ok else 'no'}\n")
@@ -170,14 +176,11 @@ def cmd_check(args, out):
         else EXIT_NOT_WELL_POSED
 
 
-def _march(args, a: wellposed.Analysis, grid: GridSpec):
-    return charsolve.march(a.canon, grid, _data_from_args(args, a.canon),
-                           report=a.report, force=args.force)
-
-
 def cmd_solve(args, out):
-    a = _analyze(args, _tolerances(args.tol))
-    trace = _march(args, a, _grid_from_args(args, a.canon))
+    a = _analyze(args, _tolerances(args.tol, args.tol_keys))
+    trace = charsolve.march(a.canon, _grid_from_args(args, a.canon),
+                            _data_from_args(args, a.canon),
+                            report=a.report, force=args.force)
     out.write("u,x_extent,max_abs_v\n")
     for s, diag in zip(trace.slices, trace.diagnostics):
         out.write("%.17g,%d,%.17g\n" % (s.u_level, s.x_extent, diag))
@@ -185,14 +188,15 @@ def cmd_solve(args, out):
 
 
 def cmd_verify_estimate(args, out):
-    tols = _tolerances(args.tol)
+    tols = _tolerances(args.tol, args.tol_keys)
     a = _analyze(args, tols)
-    grid = _grid_from_args(args, a.canon)
-    trace = _march(args, a, grid)
     if a.report.verdict is not Verdict.WELL_POSED:
         sys.stderr.write("cannot verify estimate: verdict is "
                          f"{a.report.verdict.value}\n")
         return EXIT_NOT_WELL_POSED
+    grid = _grid_from_args(args, a.canon)
+    trace = charsolve.march(a.canon, grid, _data_from_args(args, a.canon),
+                            report=a.report)
     out.write(energymon.EnergyReport.CSV_HEADER + "\n")
     for T in energymon.estimate_ladder(grid):
         try:
@@ -214,15 +218,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "first-order hyperbolic systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid=False):
+    def common(p, tol_keys=_REDUCTION_TOL_KEYS, grid=False):
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--example", choices=builtin.EXAMPLES,
                             help="built-in system name")
         source.add_argument("--input", help="path to a system-definition file")
         p.add_argument("--tol", default="",
                        help="tolerance overrides key=val,... "
-                            "(rank, sym, eig, ctol)")
-        p.add_argument("--out", help="write the report to this path")
+                            f"({', '.join(tol_keys)})")
+        p.set_defaults(tol_keys=tol_keys)
+        p.add_argument("--out", help="write the report to this path once "
+                                     "the command has run")
         if grid:
             p.add_argument("--nx", type=int, default=64)
             p.add_argument("--cells", default="",
@@ -234,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="normal-data presets, one per variable")
             p.add_argument("--w0", default="",
                            help="null-data presets, one per variable")
-            p.add_argument("--force", action="store_true",
-                           help="march even when not well posed")
 
     p = sub.add_parser("analyze", help="print the canonicalization pipeline")
     common(p)
@@ -243,9 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p = sub.add_parser("solve", help="march and write trace diagnostics")
     common(p, grid=True)
+    p.add_argument("--force", action="store_true",
+                   help="march even when not well posed")
     p = sub.add_parser("verify-estimate",
                        help="march and verify the a priori estimate")
-    common(p, grid=True)
+    common(p, tol_keys=_TOL_KEYS, grid=True)
     return parser
 
 
@@ -263,10 +269,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:   # argparse has written --help or the error
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as out:
-                return _COMMANDS[args.command](args, out)
-        return _COMMANDS[args.command](args, sys.stdout)
+        if not args.out:
+            return _COMMANDS[args.command](args, sys.stdout)
+        # a command that raises leaves the file as it was
+        buf = io.StringIO()
+        code = _COMMANDS[args.command](args, buf)
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.write(buf.getvalue())
+        return code
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 import charmarch as cm
 from charmarch.charsolve import (CFLError, DataSpecError, MarchAbortError,
-                                 NotWellPosedError, SliceState,
+                                 NotWellPosedError, SliceState, _Stepper,
                                  _spectral_radius)
 from charmarch.wellposed import Verdict
 
@@ -29,21 +29,23 @@ def empty_slice(grid, n=4, u=0.0):
     return SliceState(u_level=u, values=np.zeros((n, grid.nx + 1) + cells))
 
 
+# The single steps run through _Stepper, the object that march drives;
+# fill_null works in place on the slice.
 class TestHypersurfaceIntegrate:
     def test_constant_boundary_zero_q(self, wave_canon):
         grid = wave_grid()
-        s = cm.hypersurface_integrate(wave_canon, empty_slice(grid),
-                                      np.array([0.7]), grid)
+        s = empty_slice(grid)
+        _Stepper(wave_canon, grid).fill_null(s, np.array([0.7]))
         np.testing.assert_allclose(s.values[3], 0.7, atol=1e-15)
         np.testing.assert_allclose(s.values[:3], 0.0, atol=1e-15)
 
     def test_sine_mode_antiderivative(self, wave_canon):
         # with q3 = sin(y) the null equation is d_x w = (1/sqrt2) cos(y)
         grid = wave_grid(nx=32, cy=64, cz=4)
-        s0 = empty_slice(grid)
+        s = empty_slice(grid)
         y = np.arange(64) * (2.0 * math.pi / 64)
-        s0.values[1] = np.sin(y)[None, :, None]
-        s = cm.hypersurface_integrate(wave_canon, s0, np.array([0.0]), grid)
+        s.values[1] = np.sin(y)[None, :, None]
+        _Stepper(wave_canon, grid).fill_null(s, np.array([0.0]))
         x = np.arange(grid.nx + 1) * grid.dx
         expected = (x[:, None, None] * R2) * np.cos(y)[None, :, None]
         err = np.abs(s.values[3] - expected).max()
@@ -52,21 +54,21 @@ class TestHypersurfaceIntegrate:
 
     def test_zero_everything(self, wave_canon):
         grid = wave_grid()
-        s = cm.hypersurface_integrate(wave_canon, empty_slice(grid),
-                                      np.zeros(1), grid)
+        s = empty_slice(grid)
+        _Stepper(wave_canon, grid).fill_null(s, np.zeros(1))
         assert not np.any(s.values)
 
     def test_non_finite_boundary_aborts(self, wave_canon):
         grid = wave_grid()
         with pytest.raises(MarchAbortError):
-            cm.hypersurface_integrate(wave_canon, empty_slice(grid),
-                                      np.array([math.inf]), grid)
+            _Stepper(wave_canon, grid).fill_null(empty_slice(grid),
+                                                 np.array([math.inf]))
 
 
 class TestEvolutionStep:
     def test_zero_slice_stays_zero(self, wave_canon):
         grid = wave_grid()
-        s = cm.evolution_step(wave_canon, empty_slice(grid), grid)
+        s = _Stepper(wave_canon, grid).evolve(empty_slice(grid))
         assert s.x_extent == grid.nx
         assert not np.any(s.values)
         assert s.u_level == grid.dx
@@ -75,7 +77,7 @@ class TestEvolutionStep:
         grid = wave_grid()
         s0 = empty_slice(grid)
         s0.values[3] = 0.37  # w constant on the slice
-        s = cm.evolution_step(wave_canon, s0, grid)
+        s = _Stepper(wave_canon, grid).evolve(s0)
         np.testing.assert_allclose(s.values[:3], 0.0, atol=1e-15)
 
     def test_single_mode_hand_computation(self, wave_canon):
@@ -87,7 +89,7 @@ class TestEvolutionStep:
         s0 = empty_slice(grid)
         y = np.arange(16) * (2.0 * math.pi / 16)
         s0.values[0] = eps * np.sin(y)[None, :, None]
-        s = cm.evolution_step(wave_canon, s0, grid)
+        s = _Stepper(wave_canon, grid).evolve(s0)
         dy = 2.0 * math.pi / 16
         centered = (np.roll(eps * np.sin(y), -1) - np.roll(eps * np.sin(y), 1)) / (2 * dy)
         expected_q2 = grid.dx * R2 * centered
@@ -100,23 +102,33 @@ class TestEvolutionStep:
             np.broadcast_to(eps * np.sin(y)[None, :, None], shape), atol=1e-12)
         np.testing.assert_allclose(s.values[2], 0.0, atol=1e-15)
 
-    def test_cfl_violation_rejected(self, wave_canon):
+    def test_cfl_violation_rejected(self, wave_canon, wave_report):
         fast = dataclasses.replace(wave_canon, Nx=np.diag([-3.0, 0.0, 0.0]))
         grid = wave_grid()
+        data = cm.DataSpec(q0=((), (), ()), w0=((),))
         with pytest.raises(CFLError):
-            cm.evolution_step(fast, empty_slice(grid), grid)
+            cm.march(fast, grid, data, report=wave_report)
 
     @given(arrays(float, (3, 3), elements=st.floats(-2.0, 2.0)),
            arrays(float, (3, 3), elements=st.floats(-2.0, 2.0)),
-           st.floats(1e-3, 1.0))
+           st.floats(1e-3, 1.0), st.floats(0.0, 1.0, exclude_max=True))
     @settings(max_examples=60, deadline=None)
     def test_well_posed_meets_cfl_at_du_equal_dx(self, wave_canon,
-                                                 wave_report, A, B, shift):
+                                                 wave_report, A, B, shift,
+                                                 s):
         # Nu > 0, Nx <= 0 and Nu + Nx > 0 put the eigenvalues of
-        # Nu^-1 Nx in (-1, 0], so the one step du = dx never trips CFLError
-        canon = dataclasses.replace(wave_canon,
-                                    Nu=A @ A.T + shift * np.eye(3),
-                                    Nx=-(B @ B.T))
+        # Nu^-1 Nx in (-1, 0], so the one step du = dx never trips CFLError.
+        # Nx = -s lambda_min(Nu) / lambda_max(B B^T) B B^T with s < 1 gives
+        # Nu + Nx >= (1 - s) lambda_min(Nu) > 0: the draws are WELL_POSED
+        # by construction.
+        Nu = A @ A.T + shift * np.eye(3)
+        Nx = np.zeros((3, 3))
+        if np.any(B):
+            B = B / np.abs(B).max()   # tiny entries would underflow in B B^T
+            BBt = B @ B.T
+            Nx = (-s * np.linalg.eigvalsh(Nu)[0]
+                  / np.linalg.eigvalsh(BBt)[-1]) * BBt
+        canon = dataclasses.replace(wave_canon, Nu=Nu, Nx=Nx)
         report = cm.check_criteria(cm.compact_form(canon))
         assume(report.verdict is Verdict.WELL_POSED)
         assert _spectral_radius(canon) < 1.0
@@ -214,6 +226,11 @@ class TestMarch:
         data = cm.DataSpec(q0=((), (), ()), w0=((),))
         with pytest.raises(DataSpecError):
             cm.march(wave_canon, grid, data, report=wave_report)
+
+    def test_zero_profile_kind_rejected(self):
+        # a zero profile is the empty tuple of terms
+        with pytest.raises(DataSpecError):
+            cm.ProfileTerm(kind="zero")
 
     def test_wrong_data_arity_rejected(self, wave_canon, wave_report):
         grid = wave_grid(nx=8, cy=4, cz=4)

@@ -4,7 +4,7 @@ import math
 import pytest
 
 import charmarch.cli as cli
-from charmarch import builtin
+from charmarch import builtin, charsolve
 from charmarch.charsolve import ProfileTerm
 
 import conftest
@@ -78,6 +78,20 @@ class TestCheck:
         assert cli.main(argv) == cli.EXIT_ERROR
         assert "unknown tolerance key 'orth'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "check", "solve"])
+    def test_ctol_only_taken_by_verify_estimate(self, command, capsys):
+        # ctol scales the slack of the energy check, which these commands
+        # never run; each --tol help names only the keys its command takes
+        argv = [command, "--example", "wave3d", "--tol", "ctol=5"]
+        assert cli.main(argv) == cli.EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unknown tolerance key 'ctol'" in err
+        assert cli.main([command, "--help"]) == cli.EXIT_OK
+        assert "(rank, sym, eig)" in capsys.readouterr().out
+        assert cli.main(["verify-estimate", "--help"]) == cli.EXIT_OK
+        assert "(rank, sym, eig, ctol)" in capsys.readouterr().out
+
 
 class TestUsageErrors:
     """A bad command line exits 1 (2 means NOT_WELL_POSED), writes nothing
@@ -144,6 +158,28 @@ class TestSolve:
         assert code == cli.EXIT_OK
         assert out.read_text().startswith("u,x_extent,max_abs_v")
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--example", "wave3d", "--cells", "8,4,9"],
+        ["solve", "--input", "REVERSED", "--nx", "8"],
+    ], ids=["usage-error", "not-well-posed"])
+    def test_failed_command_leaves_out_file(self, argv, tmp_path):
+        path = tmp_path / "reversed.txt"
+        path.write_text(conftest.reversed_x_chart_text(), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        out.write_text("old", encoding="utf-8")
+        argv = [str(path) if a == "REVERSED" else a for a in argv]
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_ERROR
+        assert out.read_text(encoding="utf-8") == "old"
+
+    def test_out_file_written_on_exit_two(self, tmp_path):
+        # check reports a NOT_WELL_POSED verdict rather than failing
+        path = tmp_path / "reversed.txt"
+        path.write_text(conftest.reversed_x_chart_text(), encoding="utf-8")
+        out = tmp_path / "report.txt"
+        assert cli.main(["check", "--input", str(path), "--out", str(out)]) \
+            == cli.EXIT_NOT_WELL_POSED
+        assert out.read_text().startswith("verdict: NOT_WELL_POSED\n")
+
     def test_refuses_not_well_posed_without_force(self, tmp_path, capsys):
         path = tmp_path / "reversed.txt"
         path.write_text(conftest.reversed_x_chart_text(), encoding="utf-8")
@@ -175,6 +211,27 @@ class TestVerifyEstimate:
         assert code == cli.EXIT_OK
         assert all(line.endswith(",true")
                    for line in text.strip().splitlines()[1:])
+
+
+    def test_not_well_posed_refused_before_march(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def no_march(*args, **kwargs):
+            raise AssertionError("march called")
+
+        monkeypatch.setattr(charsolve, "march", no_march)
+        path = tmp_path / "reversed.txt"
+        path.write_text(conftest.reversed_x_chart_text(), encoding="utf-8")
+        argv = ["verify-estimate", "--input", str(path), "--nx", "8",
+                "--cells", "4,4"]
+        assert cli.main(argv) == cli.EXIT_NOT_WELL_POSED
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "cannot verify estimate: verdict is NOT_WELL_POSED\n"
+        # the estimate needs a WELL_POSED verdict, so there is no --force
+        assert cli.main(argv + ["--force"]) == cli.EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --force" in err
 
 
 class TestParsePresets:
