@@ -7,8 +7,7 @@ from .canonical import (CanonicalSystem, CharacteristicStructure,
                         split_and_reduce, transversality_check)
 from .charsolve import (DataSpec, GridSpec, ProfileTerm, SliceState,
                         SolutionTrace, TransverseAxis, march)
-from .energymon import (EnergyReport, balance_residual, data_norms,
-                        estimate_ladder, sigma_norm, verify_estimate)
+from .energymon import EnergyReport, estimate_ladder, verify_estimate
 from .matkit import (Definiteness, DefinitenessClass, Tolerances,
                      classify_definiteness, orthonormal_complete,
                      rank_and_nullspaces)
@@ -24,10 +23,10 @@ __all__ = [
     "Chart", "DataSpec", "Definiteness", "DefinitenessClass", "EnergyReport",
     "FirstOrderSystem", "GridSpec", "ProfileTerm", "SideMatrices",
     "SliceState", "SolutionTrace", "Tolerances", "TransverseAxis", "Verdict",
-    "WellPosednessReport", "analyze", "balance_residual", "check_criteria",
-    "classify_definiteness", "compact_form", "data_norms", "estimate_ladder",
+    "WellPosednessReport", "analyze", "check_criteria",
+    "classify_definiteness", "compact_form", "estimate_ladder",
     "growth_parameters", "load_system", "march", "null_structure",
     "orthonormal_complete", "rank_and_nullspaces", "serialize_system",
-    "side_matrices", "sigma_norm", "split_and_reduce", "transversality_check",
+    "side_matrices", "split_and_reduce", "transversality_check",
     "verify_characteristic", "verify_estimate",
 ]

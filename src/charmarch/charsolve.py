@@ -64,8 +64,9 @@ class GridSpec:
     transverse: tuple = ()
 
     def __post_init__(self):
-        if self.X_total <= 0:
-            raise ValueError("X_total must be positive")
+        if not (math.isfinite(self.X_total) and self.X_total > 0):
+            raise ValueError(f"X_total must be positive and finite, "
+                             f"got {self.X_total!r}")
         if self.nx < 2:
             raise ValueError("nx must be at least 2")
 
@@ -153,7 +154,7 @@ class SolutionTrace:
     grid: GridSpec
     slices: tuple = ()
     diagnostics: tuple = ()   # per-slice max |v|
-    # energymon's per-slice form tables
+    # energymon's per-slice forms, one record per compact system
     _forms: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 

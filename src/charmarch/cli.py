@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import io
 import math
+import os
 import re
 import sys
 
@@ -59,6 +61,8 @@ def _tolerances(spec: str, keys=_TOL_KEYS) -> Tolerances:
 
 
 _PRESET_SPLIT = re.compile(r",(?=(?:zero|sine:|gauss:))")
+_PRESET_KEYS = {"sine": ("amp", "k", "phase"),
+                "gauss": ("amp", "center", "width")}
 _TRANS_KEYS = ("ky", "kz")
 _TRANS_PHASE_KEYS = ("phasey", "phasez")
 
@@ -68,7 +72,8 @@ def parse_presets(spec: str, count: int, n_transverse: int):
 
     Grammar per item: zero | sine:amp=..,k=..,phase=..[,ky=..][,kz=..]
     | gauss:amp=..,center=..,width=..[,ky=..][,kz=..]; optional phasey/phasez
-    shift the transverse cosine factors.
+    shift the transverse cosine factors.  A parameter that the kind does not
+    use is rejected.
     """
     items = _PRESET_SPLIT.split(spec.strip()) if spec.strip() else []
     if len(items) != count:
@@ -82,7 +87,7 @@ def parse_presets(spec: str, count: int, n_transverse: int):
         if ":" not in item:
             raise ValueError(f"bad preset '{item}'")
         kind, params = item.split(":", 1)
-        if kind not in ("sine", "gauss"):
+        if kind not in _PRESET_KEYS:
             raise ValueError(f"unknown preset kind '{kind}'")
         kv = {}
         for pair in params.split(","):
@@ -97,17 +102,12 @@ def parse_presets(spec: str, count: int, n_transverse: int):
             if kt != round(kt):
                 raise ValueError("transverse wavenumbers must be integers")
             trans.append((kt, pt))
-        term = ProfileTerm(
-            kind=kind,
-            amp=kv.pop("amp", 1.0),
-            k=kv.pop("k", 1.0),
-            phase=kv.pop("phase", 0.0),
-            center=kv.pop("center", 0.0),
-            width=kv.pop("width", 1.0),
-            trans=tuple(trans))
+        shape = {key: kv.pop(key) for key in _PRESET_KEYS[kind] if key in kv}
         if kv:
-            raise ValueError(f"unknown preset parameters: {', '.join(kv)}")
-        profiles.append((term,))
+            raise ValueError(f"preset {kind} does not take parameters: "
+                             f"{', '.join(kv)}")
+        profiles.append(
+            (ProfileTerm(kind=kind, trans=tuple(trans), **shape),))
     return tuple(profiles)
 
 
@@ -228,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
                             f"({', '.join(tol_keys)})")
         p.set_defaults(tol_keys=tol_keys)
         p.add_argument("--out", help="write the report to this path once "
-                                     "the command has run")
+                                     "the command has run; a command that "
+                                     "fails leaves the file as it was")
         if grid:
             p.add_argument("--nx", type=int, default=64)
             p.add_argument("--cells", default="",
@@ -263,6 +264,19 @@ _COMMANDS = {
 }
 
 
+def _check_writable(path: str):
+    """Raise OSError when path cannot be written; create and change
+    nothing."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                parent)
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -271,11 +285,13 @@ def main(argv=None) -> int:
     try:
         if not args.out:
             return _COMMANDS[args.command](args, sys.stdout)
-        # a command that raises leaves the file as it was
+        _check_writable(args.out)
+        # a command that raises or writes no report leaves the file as it was
         buf = io.StringIO()
         code = _COMMANDS[args.command](args, buf)
-        with open(args.out, "w", encoding="utf-8") as out:
-            out.write(buf.getvalue())
+        if buf.getvalue():
+            with open(args.out, "w", encoding="utf-8") as out:
+                out.write(buf.getvalue())
         return code
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

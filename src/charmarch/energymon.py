@@ -9,11 +9,13 @@ The march steps du = dx, so the surface u + x = T of grid level K = T/dx
 passes through the nodes (j, K - j); every term is read at that one level,
 and off-grid T is snapped to it with one warning.
 
-A trace cannot change, so the per-slice forms are computed once per trace
-and kept on it for every later call: the Nu and C^u forms cell-summed over
-x on slice 0, the C^x and |w|^2 forms on the x = 0 column of every slice,
-and the corner-averaged R form of the volume cells, each table built in
-one pass and keyed by the content of the matrix.  Each call evaluates only
+`verify_estimate` is the one energy check: its report carries the data
+norms, sigma, the bound and the balance residual.  A trace cannot change,
+so the per-slice forms of a compact system are built in one pass on its
+first call and kept on the trace as one record, keyed by the content of
+C^u, C^x and R and by nq: the Nu and C^u forms cell-summed over x on
+slice 0, the |w|^2 and C^x forms on one stack of the x = 0 column, and
+the corner-averaged R form of the volume cells.  Each call evaluates only
 the form C^u + C^x on the diagonal points of its level.
 """
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalSystem, CompactSystem
+from .canonical import CompactSystem
 from .charsolve import GridSpec, SolutionTrace
 from .matkit import Tolerances
 from .wellposed import Verdict, WellPosednessReport
@@ -100,107 +102,42 @@ def _content(W: np.ndarray) -> tuple:
     return (W.dtype.str, W.shape, W.tobytes())
 
 
-def _table(trace: SolutionTrace, key: tuple, build):
-    """The table stored on the trace under key, made by build() on first
-    use; the trace cannot change, so a table never goes stale."""
-    store = trace._forms
-    if key not in store:
-        store[key] = build()
-    return store[key]
-
-
 def _row(trace: SolutionTrace, W: np.ndarray, j: int) -> np.ndarray:
     """Cell-summed form of W, on the leading len(W) components, at each x
     point of slice j."""
     return _cell_sum(_quad_form(W, trace.slices[j].values[:len(W)]), trace)
 
 
-def _first_row(trace: SolutionTrace, W: np.ndarray) -> np.ndarray:
-    """_row of slice 0 (u = 0), once per trace."""
-    return _table(trace, ("row",) + _content(W), lambda: _row(trace, W, 0))
+@dataclass(frozen=True)
+class _Forms:
+    """The per-slice forms of one compact system on one trace."""
+    q0: np.ndarray      # Nu form at each x point of u = 0
+    north: np.ndarray   # C^u form at each x point of u = 0
+    w0: np.ndarray      # |w|^2 at x = 0 of each slice
+    column: np.ndarray  # C^x form at x = 0 of each slice
+    volume: list        # R form of the cells between slices j-1 and j,
+                        # corner-averaged, at index j-1; empty when R = 0
 
 
-def _column(trace: SolutionTrace, key: tuple, form) -> np.ndarray:
-    """Cell-summed form(v) at x = 0 of every slice, built in one pass."""
-    def build():
+def _forms(trace: SolutionTrace, cf: CompactSystem) -> _Forms:
+    """The forms of cf on trace, built in one pass on first use and kept
+    on the trace, which cannot change, so they never go stale."""
+    key = (_content(cf.C["u"]), _content(cf.C["x"]), _content(cf.R), cf.nq)
+    if key not in trace._forms:
         col = np.stack([s.values[:, 0] for s in trace.slices], axis=1)
-        return _cell_sum(form(col), trace)
-    return _table(trace, key, build)
-
-
-def _volume_cells(trace: SolutionTrace, R: np.ndarray) -> list:
-    """Corner-averaged R form on the cells between slices j-1 and j, for
-    every j >= 1 (list index j-1), built in one pass over the slices."""
-    def build():
-        rows = [_row(trace, R, j) for j in range(trace.n_slices)]
-        cells = []
-        for gl, gh in zip(rows, rows[1:]):
-            n = min(len(gl), len(gh)) - 1
-            cells.append(0.25 * (gl[:n] + gl[1:n + 1] + gh[:n] + gh[1:n + 1]))
-        return cells
-    return _table(trace, ("volume",) + _content(R), build)
-
-
-def _data_norms(trace: SolutionTrace, Nu: np.ndarray, nq: int, K: int):
-    dx = trace.grid.dx
-    norm_q0 = _line_integral(_first_row(trace, Nu), dx, K)
-    gw = _column(trace, ("|w|^2", nq),
-                 lambda col: (col[nq:] ** 2).sum(axis=0))
-    norm_w0 = _line_integral(gw, dx, K)
-    return norm_q0, norm_w0
-
-
-def data_norms(trace: SolutionTrace, canon: CanonicalSystem, T: float):
-    """(||q0||^2, ||w0||^2): weighted data norms on {u=0, x<=T} and
-    {x=0, u<=T}."""
-    return _data_norms(trace, canon.Nu, canon.nq, _level(trace, T))
-
-
-def _sigma_norm(trace: SolutionTrace, cf: CompactSystem, K: int) -> float:
-    W = cf.C["u"] + cf.C["x"]
-    dx = trace.grid.dx
-    plane = np.stack([trace.slices[j].values[:, K - j]
-                      for j in range(K + 1)], axis=1)
-    total = 0.0
-    for g in _cell_sum(_quad_form(W, plane), trace).tolist():
-        total += dx * g
-    return total
-
-
-def sigma_norm(trace: SolutionTrace, cf: CompactSystem, T: float) -> float:
-    """Norm of the solution on the surface u + x = T.
-
-    Quadrature over the grid points (j, K - j) of its level K with weight
-    dx times the transverse cell volume.
-    """
-    return _sigma_norm(trace, cf, _level(trace, T))
-
-
-def balance_residual(trace: SolutionTrace, cf: CompactSystem,
-                     T: float) -> float:
-    """Residual of the discrete energy balance over the triangular prism:
-
-        | int_Sigma v(Cu+Cx)v - int_N vCuv - int_T vCxv + int_V vRv |
-    """
-    K = _level(trace, T)
-    return _balance_residual(trace, cf, K, _sigma_norm(trace, cf, K))
-
-
-def _balance_residual(trace: SolutionTrace, cf: CompactSystem, K: int,
-                      sigma: float) -> float:
-    """balance_residual at level K with int_Sigma already computed."""
-    dx = trace.grid.dx
-    intN = _line_integral(_first_row(trace, cf.C["u"]), dx, K)
-    gT = _column(trace, ("column",) + _content(cf.C["x"]),
-                 lambda col: _quad_form(cf.C["x"], col))
-    intT = _line_integral(gT, dx, K)
-
-    intV = 0.0
-    if np.any(cf.R):
-        # the K - j cells below slice j stay inside u + x <= T
-        for j, corner in enumerate(_volume_cells(trace, cf.R)[:K], start=1):
-            intV += float(corner[:K - j].sum()) * dx * dx
-    return abs(sigma - intN - intT + intV)
+        volume = []
+        if np.any(cf.R):
+            rows = [_row(trace, cf.R, j) for j in range(trace.n_slices)]
+            for gl, gh in zip(rows, rows[1:]):
+                n = min(len(gl), len(gh)) - 1
+                volume.append(
+                    0.25 * (gl[:n] + gl[1:n + 1] + gh[:n] + gh[1:n + 1]))
+        trace._forms[key] = _Forms(
+            q0=_row(trace, cf.Nu, 0), north=_row(trace, cf.C["u"], 0),
+            w0=_cell_sum((col[cf.nq:] ** 2).sum(axis=0), trace),
+            column=_cell_sum(_quad_form(cf.C["x"], col), trace),
+            volume=volume)
+    return trace._forms[key]
 
 
 def estimate_ladder(grid: GridSpec) -> list:
@@ -216,11 +153,14 @@ def verify_estimate(trace: SolutionTrace, cf: CompactSystem,
                     c_tol: float = Tolerances.ctol) -> EnergyReport:
     """Check the a priori bound sigma <= factor(T) (||q0||^2 + ||w0||^2).
 
-    The growth factor and the horizon c/r are those of `report`.  The
-    discrete tolerance is tol_h = c_tol * dx scaled by the data norms
-    (first-order scheme).  Every field but T is that of the grid level K
-    of T, the factor too.  Raises EstimateHorizonError when T or its level
-    is at or beyond the validity horizon c/r of the exponential branch.
+    The data norms are taken on {u=0, x<=T} and {x=0, u<=T}, sigma on the
+    surface u + x = T, and the balance residual is that of the discrete
+    energy identity over the triangular prism.  The growth factor and the
+    horizon c/r are those of `report`.  The discrete tolerance is
+    tol_h = c_tol * dx scaled by the data norms (first-order scheme).
+    Every field but T is that of the grid level K of T, the factor too.
+    Raises EstimateHorizonError when T or its level is at or beyond the
+    validity horizon c/r of the exponential branch.
     """
     if report.verdict is not Verdict.WELL_POSED:
         raise ValueError("verify_estimate requires a WELL_POSED verdict")
@@ -229,12 +169,26 @@ def verify_estimate(trace: SolutionTrace, cf: CompactSystem,
     if K is None or K * dx >= report.T_max:
         raise EstimateHorizonError(
             f"estimate not guaranteed for T >= c/r = {report.T_max!r}")
-    nq_sq, nw_sq = _data_norms(trace, cf.Nu, cf.nq, K)
-    sig = _sigma_norm(trace, cf, K)
+    forms = _forms(trace, cf)
+    nq_sq = _line_integral(forms.q0, dx, K)
+    nw_sq = _line_integral(forms.w0, dx, K)
+    # sigma: the nodes (j, K - j) of level K, weight dx times the cell volume
+    plane = np.stack([trace.slices[j].values[:, K - j]
+                      for j in range(K + 1)], axis=1)
+    sig = 0.0
+    for g in _cell_sum(_quad_form(cf.C["u"] + cf.C["x"], plane),
+                       trace).tolist():
+        sig += dx * g
     bound = report.bound_factor(K * dx) * (nq_sq + nw_sq)
     margin = bound - sig
     tol_h = c_tol * dx * (nq_sq + nw_sq)
-    residual = _balance_residual(trace, cf, K, sig)
+    # balance: | int_Sigma v(Cu+Cx)v - int_N vCuv - int_T vCxv + int_V vRv |
+    intV = 0.0
+    # the K - j cells below slice j stay inside u + x <= T
+    for j, corner in enumerate(forms.volume[:K], start=1):
+        intV += float(corner[:K - j].sum()) * dx * dx
+    residual = abs(sig - _line_integral(forms.north, dx, K)
+                   - _line_integral(forms.column, dx, K) + intV)
     return EnergyReport(
         T=T, norm_q0_sq=nq_sq, norm_w0_sq=nw_sq, sigma_norm_sq=sig,
         bound=bound, margin=margin, balance_residual=residual,

@@ -7,6 +7,7 @@ functions are pure; matrices and vectors are plain numpy arrays.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,16 @@ class Tolerances:
     sym: float = TOL_SYM
     eig: float = TOL_EIG
     ctol: float = 10.0
+
+    def __post_init__(self):
+        for name in ("rank", "sym", "eig", "ctol"):
+            value = getattr(self, name)
+            # ctol = 0 asks for an energy check with no slack
+            low = value >= 0 if name == "ctol" else value > 0
+            if not (math.isfinite(value) and low):
+                raise ValueError(
+                    f"tolerance {name} must be finite and "
+                    f"{'>= 0' if name == 'ctol' else '> 0'}, got {value!r}")
 
 
 class MatrixShapeError(ValueError):

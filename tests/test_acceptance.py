@@ -203,7 +203,8 @@ def test_acceptance_8_balance_linear(wave_canon, wave_compact, wave_report):
     for nx in (16, 32, 64):
         tr = cm.march(wave_canon, grid2(nx, 4, 4), PLANE_WAVE,
                       report=wave_report)
-        res.append(cm.balance_residual(tr, wave_compact, 1.0))
+        res.append(cm.verify_estimate(tr, wave_compact, wave_report,
+                                      1.0).balance_residual)
     ok = res[0] > res[1] > res[2] > 0.0 \
         and res[0] / res[1] >= 1.5 and res[1] / res[2] >= 1.5
     _verdict_line(8, ok, "balance residual shrinks ~linearly over three "

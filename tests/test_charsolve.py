@@ -227,6 +227,11 @@ class TestMarch:
         with pytest.raises(DataSpecError):
             cm.march(wave_canon, grid, data, report=wave_report)
 
+    @pytest.mark.parametrize("X", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_X_total_rejected(self, X):
+        with pytest.raises(ValueError, match="X_total"):
+            cm.GridSpec(X_total=X, nx=8)
+
     def test_zero_profile_kind_rejected(self):
         # a zero profile is the empty tuple of terms
         with pytest.raises(DataSpecError):

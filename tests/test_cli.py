@@ -103,6 +103,14 @@ class TestUsageErrors:
         (["solve", "--example", "wave3d", "--cfl", "0.5"], "--cfl"),
         (["solve", "--example", "wave3d", "--cells", "8,4,9"],
          "--cells lists 3 values but the system has 2 transverse"),
+        (["check", "--example", "wave3d", "--tol", "eig=nan"],
+         "tolerance eig must be finite"),
+        (["check", "--example", "wave3d", "--tol", "eig=-1"],
+         "tolerance eig must be finite and > 0"),
+        (["solve", "--example", "wave3d", "--Xtotal", "nan"],
+         "X_total must be positive and finite"),
+        (["solve", "--example", "wave3d", "--w0", "gauss:k=3,phase=2"],
+         "preset gauss does not take parameters: k, phase"),
     ])
     def test_exit_one(self, argv, cause, capsys):
         assert cli.main(argv) == cli.EXIT_ERROR
@@ -158,18 +166,37 @@ class TestSolve:
         assert code == cli.EXIT_OK
         assert out.read_text().startswith("u,x_extent,max_abs_v")
 
-    @pytest.mark.parametrize("argv", [
-        ["solve", "--example", "wave3d", "--cells", "8,4,9"],
-        ["solve", "--input", "REVERSED", "--nx", "8"],
-    ], ids=["usage-error", "not-well-posed"])
-    def test_failed_command_leaves_out_file(self, argv, tmp_path):
+    @pytest.mark.parametrize("argv, code", [
+        (["solve", "--example", "wave3d", "--cells", "8,4,9"],
+         cli.EXIT_ERROR),
+        (["solve", "--input", "REVERSED", "--nx", "8"], cli.EXIT_ERROR),
+        (["verify-estimate", "--input", "REVERSED", "--nx", "8",
+          "--cells", "4,4"], cli.EXIT_NOT_WELL_POSED),
+    ], ids=["usage-error", "not-well-posed", "estimate-refused"])
+    def test_failed_command_leaves_out_file(self, argv, code, tmp_path):
         path = tmp_path / "reversed.txt"
         path.write_text(conftest.reversed_x_chart_text(), encoding="utf-8")
         out = tmp_path / "out.csv"
         out.write_text("old", encoding="utf-8")
         argv = [str(path) if a == "REVERSED" else a for a in argv]
-        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_ERROR
+        assert cli.main(argv + ["--out", str(out)]) == code
         assert out.read_text(encoding="utf-8") == "old"
+
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."],
+                             ids=["missing-dir", "directory"])
+    def test_unwritable_out_refused_before_march(self, target, tmp_path,
+                                                 capsys, monkeypatch):
+        def no_march(*args, **kwargs):
+            raise AssertionError("march called")
+
+        monkeypatch.setattr(charsolve, "march", no_march)
+        out = tmp_path / target
+        assert cli.main(["solve", "--example", "wave3d", "--nx", "8",
+                         "--cells", "4,4", "--out", str(out)]) \
+            == cli.EXIT_ERROR
+        assert "march called" not in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+        assert [p.name for p in tmp_path.iterdir()] == []
 
     def test_out_file_written_on_exit_two(self, tmp_path):
         # check reports a NOT_WELL_POSED verdict rather than failing
@@ -253,6 +280,8 @@ class TestParsePresets:
         "sine:amp=1,ky=0.5,zero,zero",    # non-integer transverse wavenumber
         "sine:amp=1,bogus=2,zero,zero",   # unknown parameter
         "triangle:amp=1,zero,zero",       # unknown kind
+        "sine:amp=1,width=3,center=2,zero,zero",   # gauss parameters
+        "gauss:amp=1,k=3,phase=2,zero,zero",       # sine parameters
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):

@@ -27,24 +27,27 @@ def two_sin_sq_integral(T):
 
 
 class TestDataNorms:
-    def test_zero_data(self, wave_canon, wave_report):
+    def test_zero_data(self, wave_canon, wave_compact, wave_report):
         grid = wave_grid(16)
         data = cm.DataSpec(q0=((), (), ()), w0=((),))
         tr = cm.march(wave_canon, grid, data, report=wave_report)
-        assert cm.data_norms(tr, wave_canon, 1.0) == (0.0, 0.0)
+        er = cm.verify_estimate(tr, wave_compact, wave_report, 1.0)
+        assert (er.norm_q0_sq, er.norm_w0_sq) == (0.0, 0.0)
 
-    def test_plane_wave_null_norm(self, wave_canon, wave_report,
-                                  plane_wave_data):
+    def test_plane_wave_null_norm(self, wave_canon, wave_compact,
+                                  wave_report, plane_wave_data):
         # w = sqrt(2) sin(u) on x=0, so ||w0||^2 = (2pi)^2 int 2 sin^2
         grid = wave_grid(64)
         tr = cm.march(wave_canon, grid, plane_wave_data, report=wave_report)
         T = 1.0
-        nq_sq, nw_sq = cm.data_norms(tr, wave_canon, T)
+        er = cm.verify_estimate(tr, wave_compact, wave_report, T)
+        nq_sq, nw_sq = er.norm_q0_sq, er.norm_w0_sq
         assert nq_sq == 0.0
         exact = TWO_PI_SQ * two_sin_sq_integral(T)
         assert abs(nw_sq - exact) <= 1e-3 * exact
 
-    def test_normal_norm_uses_nu_weight(self, wave_canon, wave_report):
+    def test_normal_norm_uses_nu_weight(self, wave_canon, wave_compact,
+                                        wave_report):
         # q1 = sin(x) carries Nu weight 2, q2 = sin(x) carries weight 1
         grid = wave_grid(64)
         term = (cm.ProfileTerm(kind="sine", k=1.0),)
@@ -55,27 +58,31 @@ class TestDataNorms:
                       cm.DataSpec(q0=((), term, ()), w0=((),)),
                       report=wave_report)
         T = 1.5
-        n1, _ = cm.data_norms(t1, wave_canon, T)
-        n2, _ = cm.data_norms(t2, wave_canon, T)
+        n1 = cm.verify_estimate(t1, wave_compact, wave_report, T).norm_q0_sq
+        n2 = cm.verify_estimate(t2, wave_compact, wave_report, T).norm_q0_sq
         exact = TWO_PI_SQ * (two_sin_sq_integral(T) / 2.0)
         assert abs(n2 - exact) <= 1e-3 * exact
         assert abs(n1 - 2.0 * n2) <= 1e-12 * n1
 
-    def test_off_grid_T_warns(self, wave_canon, wave_report, plane_wave_data):
+    def test_off_grid_T_warns(self, wave_canon, wave_compact, wave_report,
+                              plane_wave_data):
         grid = wave_grid(16)
         tr = cm.march(wave_canon, grid, plane_wave_data, report=wave_report)
         with pytest.warns(UserWarning, match="snapped"):
-            cm.data_norms(tr, wave_canon, 1.0 + 0.3 * grid.dx)
+            cm.verify_estimate(tr, wave_compact, wave_report,
+                               1.0 + 0.3 * grid.dx)
 
-    def test_out_of_range_T(self, wave_canon, wave_report, plane_wave_data):
+    def test_out_of_range_T(self, wave_canon, wave_compact, wave_report,
+                            plane_wave_data):
         grid = wave_grid(16)
         tr = cm.march(wave_canon, grid, plane_wave_data, report=wave_report)
         with pytest.raises(RangeError):
-            cm.data_norms(tr, wave_canon, 2.0 * grid.X_total)
+            cm.verify_estimate(tr, wave_compact, wave_report,
+                               2.0 * grid.X_total)
 
 
 class TestSigmaNorm:
-    def test_constant_trace_arithmetic(self, wave_compact):
+    def test_constant_trace_arithmetic(self, wave_compact, wave_report):
         # hand-built trace with v = (1, 2, 3, 4) everywhere; with
         # C^u + C^x = I the diagonal norm is (#points) * dx * V * 30
         grid = wave_grid(8, cy=4, cz=4)
@@ -89,7 +96,8 @@ class TestSigmaNorm:
         tr = cm.SolutionTrace(grid=grid, slices=slices)
         K = 4
         T = K * grid.dx
-        got = cm.sigma_norm(tr, wave_compact, T)
+        got = cm.verify_estimate(tr, wave_compact, wave_report,
+                                 T).sigma_norm_sq
         expected = (K + 1) * grid.dx * TWO_PI_SQ * 30.0
         assert abs(got - expected) <= 1e-12 * expected
 
@@ -100,16 +108,17 @@ class TestSigmaNorm:
         grid = wave_grid(64)
         tr = cm.march(wave_canon, grid, plane_wave_data, report=wave_report)
         T = 1.0
-        sig = cm.sigma_norm(tr, wave_compact, T)
+        sig = cm.verify_estimate(tr, wave_compact, wave_report,
+                                 T).sigma_norm_sq
         exact = TWO_PI_SQ * two_sin_sq_integral(T)
         assert abs(sig - exact) <= 5.0 * grid.dx * exact
 
-    def test_no_diagonal_points(self, wave_compact):
+    def test_no_diagonal_points(self, wave_compact, wave_report):
         grid = wave_grid(8)
         slices = [SliceState(u_level=5.0, values=np.zeros((4, 2, 4, 4)))]
         tr = SolutionTrace(grid=grid, slices=slices)
         with pytest.raises(RangeError):
-            cm.sigma_norm(tr, wave_compact, 1.0)
+            cm.verify_estimate(tr, wave_compact, wave_report, 1.0)
 
 
 class TestBalanceResidual:
@@ -118,7 +127,8 @@ class TestBalanceResidual:
         grid = wave_grid(16)
         data = cm.DataSpec(q0=((), (), ()), w0=((),))
         tr = cm.march(wave_canon, grid, data, report=wave_report)
-        assert cm.balance_residual(tr, wave_compact, 1.0) == 0.0
+        assert cm.verify_estimate(tr, wave_compact, wave_report,
+                                  1.0).balance_residual == 0.0
 
     def test_plane_wave_residual_shrinks_linearly(self, wave_canon,
                                                   wave_compact, wave_report,
@@ -131,19 +141,22 @@ class TestBalanceResidual:
             grid = wave_grid(nx)
             tr = cm.march(wave_canon, grid, plane_wave_data,
                           report=wave_report)
-            res.append(cm.balance_residual(tr, wave_compact, T))
+            res.append(cm.verify_estimate(tr, wave_compact, wave_report,
+                                          T).balance_residual)
         assert res[0] > res[1] > res[2] > 0.0
         assert res[0] / res[1] >= 1.5
         assert res[1] / res[2] >= 1.5
 
     def test_volume_term_enters_for_nonzero_r(self, damped_wave_pipeline,
                                               plane_wave_data):
+        # T = 6 dx stays below the horizon c/r = 0.5 of the damped system
         canon, cf, rep = damped_wave_pipeline
         grid = wave_grid(32)
         tr = cm.march(canon, grid, plane_wave_data, report=rep)
-        with_R = cm.balance_residual(tr, cf, 1.0)
-        no_R = cm.balance_residual(tr, dataclasses.replace(
-            cf, R=np.zeros((4, 4))), 1.0)
+        T = 6 * grid.dx
+        with_R = cm.verify_estimate(tr, cf, rep, T).balance_residual
+        no_R = cm.verify_estimate(tr, dataclasses.replace(
+            cf, R=np.zeros((4, 4))), rep, T).balance_residual
         # dropping the volume term must leave a visibly larger imbalance
         assert with_R < no_R
 
@@ -157,10 +170,12 @@ class TestBalanceResidual:
         tr = cm.march(canon, grid, data, report=rep)
         for k in (1, 5, 13, 18):
             T = k * grid.dx
-            got = cm.balance_residual(tr, cf, T)
+            er = cm.verify_estimate(tr, cf, rep, T)
+            got = er.balance_residual
             assert abs(got - _loop_balance_residual(tr, cf, T)) \
-                <= 1e-12 * cm.sigma_norm(tr, cf, T)
-            assert cm.verify_estimate(tr, cf, rep, T).balance_residual == got
+                <= 1e-12 * er.sigma_norm_sq
+            # a second call reads the forms kept on the trace
+            assert cm.verify_estimate(tr, cf, rep, T) == er
 
 
 def _loop_balance_residual(trace, cf, T):
@@ -168,7 +183,7 @@ def _loop_balance_residual(trace, cf, T):
     reference for the vectorized volume term."""
     dx, du = trace.grid.dx, trace.grid.dx
     quad, cell_sum = energymon._quad_form, energymon._cell_sum
-    sigma = cm.sigma_norm(trace, cf, T)
+    sigma = _oracle_sigma_norm(trace, cf, T)
     first = trace.slices[0]
     Kx = _steps_for(T, dx, first.x_extent - 1, "N-side")
     intN = energymon._line_integral(

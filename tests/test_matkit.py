@@ -89,6 +89,19 @@ class TestRankAndNullspaces:
                                        np.eye(len(right)), atol=1e-12)
 
 
+class TestTolerances:
+    @pytest.mark.parametrize("field, value", [
+        ("rank", math.nan), ("sym", 0.0), ("eig", -1.0), ("eig", math.inf),
+        ("ctol", -1.0), ("ctol", math.nan),
+    ])
+    def test_invalid_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"tolerance {field} must be"):
+            matkit.Tolerances(**{field: value})
+
+    def test_zero_ctol_accepted(self):
+        assert matkit.Tolerances(ctol=0.0).ctol == 0.0
+
+
 class TestOrthonormalComplete:
     def test_wave_rotation(self):
         z = np.array([1.0, -1.0, 0.0, 0.0]) / math.sqrt(2.0)
