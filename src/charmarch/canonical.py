@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from . import matkit
+from .matkit import Tolerances
 from .sysmodel import NotCharacteristicError, SideMatrices
 
 
@@ -98,13 +99,13 @@ class CompactSystem:
 
 
 def null_structure(B: SideMatrices, D: np.ndarray,
-                   tol: float = matkit.TOL_RANK) -> CharacteristicStructure:
+                   tols: Tolerances = Tolerances()) -> CharacteristicStructure:
     """Null vectors of B^u, completing rotation S, and the rotated system.
 
     Raises NotCharacteristicError when B^u is regular (m = 0)."""
     Bu = B.B["u"]
     n = Bu.shape[0]
-    _, right, left = matkit.rank_and_nullspaces(Bu, tol)
+    _, right, left = matkit.rank_and_nullspaces(Bu, tols)
     m = len(right)
     if m == 0:
         raise NotCharacteristicError("surface u=const is not characteristic")
@@ -118,11 +119,11 @@ def null_structure(B: SideMatrices, D: np.ndarray,
 
 
 def transversality_check(cs: CharacteristicStructure, B: SideMatrices,
-                         tol: float = matkit.TOL_RANK) -> np.ndarray:
-    """M[nu, mu] = z~_nu . B^x . z_mu; raises unless |det M| > tol."""
+                         tols: Tolerances = Tolerances()) -> np.ndarray:
+    """M[nu, mu] = z~_nu . B^x . z_mu; raises unless |det M| > tols.rank."""
     Bx = B.B["x"]
     M = np.array([[zt @ Bx @ z for z in cs.right_null] for zt in cs.left_null])
-    if abs(np.linalg.det(M)) <= tol:
+    if abs(np.linalg.det(M)) <= tols.rank:
         raise TransversalityError(
             "surface x=const not transverse: hypersurface equations "
             "unsolvable for d_x w")
@@ -161,7 +162,7 @@ def _select_evolution_rows(Bpu: np.ndarray, m: int, tol: float):
 
 def split_and_reduce(cs: CharacteristicStructure, B: SideMatrices,
                      D: np.ndarray,
-                     tol: float = matkit.TOL_RANK) -> CanonicalSystem:
+                     tols: Tolerances = Tolerances()) -> CanonicalSystem:
     """Build the almost-canonical system from the rotated one.
 
     Hypersurface rows come from the left-null contraction of the original
@@ -172,7 +173,7 @@ def split_and_reduce(cs: CharacteristicStructure, B: SideMatrices,
     m, n = cs.m, cs.n_unknowns
     nq = n - m
     S = cs.S
-    M = transversality_check(cs, B, tol)
+    M = transversality_check(cs, B, tols)
     Minv = np.linalg.inv(M)
     Ztil = np.array(cs.left_null)
 
@@ -183,7 +184,7 @@ def split_and_reduce(cs: CharacteristicStructure, B: SideMatrices,
     Lx = Gx[:, m:]          # coefficient of d_x q after scaling
 
     # evolution rows from the rotated system
-    rows, Nu = _select_evolution_rows(cs.Bprime["u"], m, tol)
+    rows, Nu = _select_evolution_rows(cs.Bprime["u"], m, tols.rank)
     Fw = cs.Bprime["x"][rows][:, :m]
     Fq = cs.Bprime["x"][rows][:, m:]
     Nx = Fq - Fw @ Lx
@@ -210,7 +211,7 @@ def split_and_reduce(cs: CharacteristicStructure, B: SideMatrices,
     That[:m, m:] = Lx
     to_hat = P.T @ That @ S
     row_transform = np.vstack([S[rows] - Fw @ Minv @ Ztil, Minv @ Ztil])
-    if abs(np.linalg.det(row_transform)) <= tol:
+    if abs(np.linalg.det(row_transform)) <= tols.rank:
         raise ReductionError(
             "reduction is not an equivalence: row transform singular")
 

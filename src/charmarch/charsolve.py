@@ -23,6 +23,7 @@ against the system, the verdict, the CFL check) hold for every step taken.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,10 +48,20 @@ class DataSpecError(ValueError):
     """Initial-data specification inconsistent with the system or grid."""
 
 
+def _check_count(value, name: str, low: int):
+    # numpy integers are integers, bool is not
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TransverseAxis:
     """A periodic coordinate on [0, 2 pi) of `cells` cells of width h."""
     cells: int
+
+    def __post_init__(self):
+        _check_count(self.cells, "cells", 1)
 
     @property
     def h(self) -> float:
@@ -67,8 +78,7 @@ class GridSpec:
         if not (math.isfinite(self.X_total) and self.X_total > 0):
             raise ValueError(f"X_total must be positive and finite, "
                              f"got {self.X_total!r}")
-        if self.nx < 2:
-            raise ValueError("nx must be at least 2")
+        _check_count(self.nx, "nx", 2)
 
     @property
     def dx(self) -> float:

@@ -33,7 +33,8 @@ def _print_matrix(out, label: str, M: np.ndarray):
         out.write("  " + " ".join(_fmt(x) for x in row) + "\n")
 
 
-def _analyze(args, tols: Tolerances) -> wellposed.Analysis:
+def _analyze(args) -> wellposed.Analysis:
+    tols = _tolerances(args.tol, args.tol_keys)
     if args.example:
         text = builtin.example_text(args.example)
     else:
@@ -47,16 +48,31 @@ _TOL_KEYS = tuple(f.name for f in dataclasses.fields(Tolerances))
 _REDUCTION_TOL_KEYS = tuple(k for k in _TOL_KEYS if k != "ctol")
 
 
-def _tolerances(spec: str, keys=_TOL_KEYS) -> Tolerances:
-    overrides = {}
-    for item in spec.split(",") if spec else ():
+def _numbers(items, what: str) -> dict:
+    """key=number items as a dict; an item without '=', a repeated key and
+    a value that is not a number are refused by name."""
+    out = {}
+    for item in items:
         if "=" not in item:
-            raise ValueError(f"bad tolerance override '{item}'")
-        key, val = item.split("=", 1)
+            raise ValueError(f"bad {what} '{item}'")
+        key, val = (part.strip() for part in item.split("=", 1))
+        if key in out:
+            raise ValueError(f"repeated {what} '{key}'")
+        try:
+            out[key] = float(val)
+        except ValueError:
+            raise ValueError(
+                f"{what} '{key}' is not a number: '{val}'") from None
+    return out
+
+
+def _tolerances(spec: str, keys=_TOL_KEYS) -> Tolerances:
+    overrides = _numbers(spec.split(",") if spec else (),
+                         "tolerance override")
+    for key in overrides:
         if key not in keys:
             raise ValueError(f"unknown tolerance key '{key}' "
                              f"(this command takes {', '.join(keys)})")
-        overrides[key] = float(val)
     return Tolerances(**overrides)
 
 
@@ -89,18 +105,14 @@ def parse_presets(spec: str, count: int, n_transverse: int):
         kind, params = item.split(":", 1)
         if kind not in _PRESET_KEYS:
             raise ValueError(f"unknown preset kind '{kind}'")
-        kv = {}
-        for pair in params.split(","):
-            if "=" not in pair:
-                raise ValueError(f"bad preset parameter '{pair}'")
-            key, val = pair.split("=", 1)
-            kv[key.strip()] = float(val)
+        kv = _numbers(params.split(","), "preset parameter")
         trans = []
         for j in range(n_transverse):
             kt = kv.pop(_TRANS_KEYS[j], 0.0)
             pt = kv.pop(_TRANS_PHASE_KEYS[j], 0.0)
-            if kt != round(kt):
-                raise ValueError("transverse wavenumbers must be integers")
+            if not kt.is_integer():   # False for inf and nan too
+                raise ValueError(f"{_TRANS_KEYS[j]}={kt!r}: transverse "
+                                 "wavenumbers must be integers")
             trans.append((kt, pt))
         shape = {key: kv.pop(key) for key in _PRESET_KEYS[kind] if key in kv}
         if kv:
@@ -132,7 +144,7 @@ def _data_from_args(args, canon):
 
 
 def cmd_analyze(args, out):
-    a = _analyze(args, _tolerances(args.tol, args.tol_keys))
+    a = _analyze(args)
     B, cs, canon, cf = a.B, a.structure, a.canon, a.compact
     for name in B.names:
         _print_matrix(out, f"B^{name}", B.B[name])
@@ -158,7 +170,7 @@ def cmd_analyze(args, out):
 
 
 def cmd_check(args, out):
-    rep = _analyze(args, _tolerances(args.tol, args.tol_keys)).report
+    rep = _analyze(args).report
     out.write(f"verdict: {rep.verdict.value}\n")
     for name, ok in rep.symmetric_Ca.items():
         out.write(f"symmetric C^{name}: {'yes' if ok else 'no'}\n")
@@ -177,7 +189,7 @@ def cmd_check(args, out):
 
 
 def cmd_solve(args, out):
-    a = _analyze(args, _tolerances(args.tol, args.tol_keys))
+    a = _analyze(args)
     trace = charsolve.march(a.canon, _grid_from_args(args, a.canon),
                             _data_from_args(args, a.canon),
                             report=a.report, force=args.force)
@@ -188,8 +200,7 @@ def cmd_solve(args, out):
 
 
 def cmd_verify_estimate(args, out):
-    tols = _tolerances(args.tol, args.tol_keys)
-    a = _analyze(args, tols)
+    a = _analyze(args)
     if a.report.verdict is not Verdict.WELL_POSED:
         sys.stderr.write("cannot verify estimate: verdict is "
                          f"{a.report.verdict.value}\n")
@@ -200,8 +211,7 @@ def cmd_verify_estimate(args, out):
     out.write(energymon.EnergyReport.CSV_HEADER + "\n")
     for T in energymon.estimate_ladder(grid):
         try:
-            report = energymon.verify_estimate(trace, a.compact, a.report,
-                                               T, c_tol=tols.ctol)
+            report = energymon.verify_estimate(trace, a.compact, a.report, T)
         except energymon.EstimateHorizonError:
             sys.stderr.write(f"skipping T={T:.6g}: estimate not guaranteed "
                              f"for T >= c/r = {a.report.T_max:.6g}\n")
@@ -284,7 +294,9 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         if not args.out:
-            return _COMMANDS[args.command](args, sys.stdout)
+            code = _COMMANDS[args.command](args, sys.stdout)
+            sys.stdout.flush()   # a closed stdout raises here, not at exit
+            return code
         _check_writable(args.out)
         # a command that raises or writes no report leaves the file as it was
         buf = io.StringIO()
@@ -293,6 +305,11 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8") as out:
                 out.write(buf.getvalue())
         return code
+    except BrokenPipeError:
+        # stdout's reader has gone: report nothing, and point stdout at
+        # devnull so that the interpreter's final flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR

@@ -27,7 +27,6 @@ import numpy as np
 
 from .canonical import CompactSystem
 from .charsolve import GridSpec, SolutionTrace
-from .matkit import Tolerances
 from .wellposed import Verdict, WellPosednessReport
 
 
@@ -149,15 +148,14 @@ def estimate_ladder(grid: GridSpec) -> list:
 
 
 def verify_estimate(trace: SolutionTrace, cf: CompactSystem,
-                    report: WellPosednessReport, T: float,
-                    c_tol: float = Tolerances.ctol) -> EnergyReport:
+                    report: WellPosednessReport, T: float) -> EnergyReport:
     """Check the a priori bound sigma <= factor(T) (||q0||^2 + ||w0||^2).
 
     The data norms are taken on {u=0, x<=T} and {x=0, u<=T}, sigma on the
     surface u + x = T, and the balance residual is that of the discrete
-    energy identity over the triangular prism.  The growth factor and the
-    horizon c/r are those of `report`.  The discrete tolerance is
-    tol_h = c_tol * dx scaled by the data norms (first-order scheme).
+    energy identity over the triangular prism.  The growth factor, the
+    horizon c/r and ctol are those of `report`; the discrete tolerance is
+    tol_h = ctol * dx scaled by the data norms (first-order scheme).
     Every field but T is that of the grid level K of T, the factor too.
     Raises EstimateHorizonError when T or its level is at or beyond the
     validity horizon c/r of the exponential branch.
@@ -181,7 +179,7 @@ def verify_estimate(trace: SolutionTrace, cf: CompactSystem,
         sig += dx * g
     bound = report.bound_factor(K * dx) * (nq_sq + nw_sq)
     margin = bound - sig
-    tol_h = c_tol * dx * (nq_sq + nw_sq)
+    tol_h = report.tols.ctol * dx * (nq_sq + nw_sq)
     # balance: | int_Sigma v(Cu+Cx)v - int_N vCuv - int_T vCxv + int_V vRv |
     intV = 0.0
     # the K - j cells below slice j stay inside u + x <= T

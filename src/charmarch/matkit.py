@@ -13,20 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-# Default relative tolerances (all scaled by a matrix norm).
-TOL_RANK = 1e-10
-TOL_SYM = 1e-10
-TOL_EIG = 1e-10
-
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The tolerances of one analysis: rank decisions (null spaces,
-    transversality, row selection), symmetry of the C^a, eigenvalue signs,
-    and ctol, which scales the discrete slack c_tol * dx of the estimate."""
-    rank: float = TOL_RANK
-    sym: float = TOL_SYM
-    eig: float = TOL_EIG
+    """The tolerances of one analysis, the only way to set one: rank
+    decisions (null spaces, transversality, row selection), symmetry of the
+    C^a, eigenvalue signs, and ctol, which scales the discrete slack
+    ctol * dx of the estimate.  rank, sym and eig scale a matrix norm, but
+    the transversality and row-transform determinant tests read rank, like
+    wellposed.MARGINAL_BAND, as an absolute bound (ROADMAP item 5)."""
+    rank: float = 1e-10
+    sym: float = 1e-10
+    eig: float = 1e-10
     ctol: float = 10.0
 
     def __post_init__(self):
@@ -125,7 +123,7 @@ def _nullspace(M: np.ndarray, tol: float) -> np.ndarray:
     return np.array([_fix_sign(v, tol) for v in basis])
 
 
-def rank_and_nullspaces(M, tol: float = TOL_RANK):
+def rank_and_nullspaces(M, tols: Tolerances = Tolerances()):
     """Rank plus orthonormal right and left null bases of a square matrix.
 
     Returns (rank, right_null, left_null) where the null bases are lists of
@@ -133,10 +131,8 @@ def rank_and_nullspaces(M, tol: float = TOL_RANK):
     rank + len(right_null) == dim.
     """
     M = as_square(M)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    right = _nullspace(M, tol)
-    left = _nullspace(M.T, tol)
+    right = _nullspace(M, tols.rank)
+    left = _nullspace(M.T, tols.rank)
     rank = M.shape[0] - right.shape[0]
     return rank, [v for v in right], [v for v in left]
 
@@ -184,20 +180,21 @@ def orthonormal_complete(vs, dim: int) -> np.ndarray:
     return S
 
 
-def classify_definiteness(M, tol: float = TOL_EIG,
-                          sym_tol: float = TOL_SYM) -> DefinitenessClass:
+def classify_definiteness(M, tols: Tolerances = Tolerances()
+                          ) -> DefinitenessClass:
     """Classify a symmetric matrix by the signs of its eigenvalues.
 
-    Eigenvalues within tol*||M|| of zero count as zero; a matrix whose
+    Eigenvalues within tols.eig*||M|| of zero count as zero; a matrix whose
     eigenvalues are all negligible is tagged ZERO (distinct from the
-    semi-definite tags).
+    semi-definite tags).  Asymmetry beyond tols.sym*||M|| is refused.
     """
     M = as_square(M)
     scale = float(np.linalg.norm(M, 2)) if M.size else 0.0
-    if np.linalg.norm(M - M.T, 2) > sym_tol * max(scale, np.finfo(float).tiny):
+    if np.linalg.norm(M - M.T, 2) > tols.sym * max(scale,
+                                                    np.finfo(float).tiny):
         raise NotSymmetricError("matrix is asymmetric beyond tolerance")
     w = np.linalg.eigvalsh(0.5 * (M + M.T))
-    thr = tol * scale
+    thr = tols.eig * scale
     n_pos = int(np.sum(w > thr))
     n_neg = int(np.sum(w < -thr))
     n = len(w)

@@ -66,7 +66,8 @@ class Chart:
             raise ValueError("chart Jacobian must be square")
         if self.offsets.shape != (n,):
             raise ValueError("offsets length must match n_coords")
-        rank, _, _ = matkit.rank_and_nullspaces(J, matkit.TOL_RANK)
+        # built before any tolerance is known: the default rank tolerance
+        rank, _, _ = matkit.rank_and_nullspaces(J)
         if rank < n:
             raise SingularChartError("singular chart: Jacobian is not invertible")
 
@@ -265,11 +266,12 @@ def side_matrices(sys: FirstOrderSystem, chart: Chart) -> SideMatrices:
     return SideMatrices(names=names, B=B)
 
 
-def verify_characteristic(B: SideMatrices, tol: float = matkit.TOL_RANK) -> int:
+def verify_characteristic(B: SideMatrices,
+                          tols: matkit.Tolerances = matkit.Tolerances()) -> int:
     """Multiplicity m = dim null(B^u); raises if u = const is not
     characteristic (m = 0)."""
     Bu = B.B["u"]
-    rank, right, _ = matkit.rank_and_nullspaces(Bu, tol)
+    rank, right, _ = matkit.rank_and_nullspaces(Bu, tols)
     m = len(right)
     if m == 0:
         raise NotCharacteristicError("surface u=const is not characteristic")

@@ -33,7 +33,7 @@ class NormUndefinedError(ValueError):
 
 # absolute eigenvalue band under which a failed Nx sign check is reported as
 # INCONCLUSIVE instead of NOT_WELL_POSED
-MARGINAL_BAND = matkit.TOL_EIG
+MARGINAL_BAND = 1e-10
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,7 @@ class WellPosednessReport:
     growth_exponent: float
     T_max: float
     time_function_ok: bool
+    tols: Tolerances    # the tolerances the criteria were checked at
 
     def bound_factor(self, T: float) -> float:
         """e^{(r/c)T}; exactly 1 when R is non-negative (growth exponent 0),
@@ -69,8 +70,8 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _classify(M: np.ndarray, tol: float) -> DefinitenessClass:
-    return matkit.classify_definiteness(_sym(M), tol)
+def _classify(M: np.ndarray, tols: Tolerances) -> DefinitenessClass:
+    return matkit.classify_definiteness(_sym(M), tols)
 
 
 def _growth(cf: CompactSystem, cls_R: DefinitenessClass):
@@ -85,18 +86,18 @@ def _growth(cf: CompactSystem, cls_R: DefinitenessClass):
     return r, c, 0.0, math.inf
 
 
-def check_criteria(cf: CompactSystem, tol: float = matkit.TOL_EIG,
-                   sym_tol: float = matkit.TOL_SYM) -> WellPosednessReport:
+def check_criteria(cf: CompactSystem,
+                   tols: Tolerances = Tolerances()) -> WellPosednessReport:
     """Evaluate the symmetry/definiteness criteria on a compact system."""
     symmetric = {}
     for name, C in cf.C.items():
         scale = max(float(np.linalg.norm(C, 2)), np.finfo(float).tiny)
-        symmetric[name] = bool(np.linalg.norm(C - C.T, 2) <= sym_tol * scale)
+        symmetric[name] = bool(np.linalg.norm(C - C.T, 2) <= tols.sym * scale)
 
-    cls_Nu = _classify(cf.Nu, tol)
-    cls_Nx = _classify(cf.Nx, tol)
-    cls_sum = _classify(cf.Nu + cf.Nx, tol)
-    cls_R = _classify(cf.R, tol)
+    cls_Nu = _classify(cf.Nu, tols)
+    cls_Nx = _classify(cf.Nx, tols)
+    cls_sum = _classify(cf.Nu + cf.Nx, tols)
+    cls_R = _classify(cf.R, tols)
 
     nx_ok = cls_Nx.is_nonpositive()
     all_sym = all(symmetric.values())
@@ -116,20 +117,20 @@ def check_criteria(cf: CompactSystem, tol: float = matkit.TOL_EIG,
         symmetric_Ca=symmetric, class_Nu=cls_Nu, class_Nx=cls_Nx,
         class_NuPlusNx=cls_sum, class_R=cls_R, verdict=verdict,
         r=r, c=c, growth_exponent=growth, T_max=T_max,
-        time_function_ok=sum_pd)
+        time_function_ok=sum_pd, tols=tols)
 
 
-def growth_parameters(cf: CompactSystem, tol: float = matkit.TOL_EIG):
+def growth_parameters(cf: CompactSystem, tols: Tolerances = Tolerances()):
     """(r, c, T_max, factor) entering the a priori bound.
 
     factor(T) = 1 identically when R is non-negative (so T_max = inf),
     otherwise e^{(r/c)T} with the bound guaranteed only for T < T_max = c/r.
     Raises NormUndefinedError unless C^u + C^x is positive definite.
     """
-    if _classify(cf.C["u"] + cf.C["x"], tol).tag \
+    if _classify(cf.C["u"] + cf.C["x"], tols).tag \
             is not Definiteness.POSITIVE_DEFINITE:
         raise NormUndefinedError("no norm on Sigma_T: criterion ii violated")
-    r, c, T_max, growth = _growth(cf, _classify(cf.R, tol))
+    r, c, T_max, growth = _growth(cf, _classify(cf.R, tols))
     return r, c, T_max, functools.partial(_bound_factor, growth)
 
 
@@ -152,8 +153,8 @@ def analyze(system: sysmodel.FirstOrderSystem, chart: sysmodel.Chart,
     when the chart does not admit the reduction.
     """
     B = sysmodel.side_matrices(system, chart)
-    cs = canonical.null_structure(B, system.D, tols.rank)
-    canon = canonical.split_and_reduce(cs, B, system.D, tols.rank)
+    cs = canonical.null_structure(B, system.D, tols)
+    canon = canonical.split_and_reduce(cs, B, system.D, tols)
     cf = canonical.compact_form(canon)
     return Analysis(B=B, structure=cs, canon=canon, compact=cf,
-                    report=check_criteria(cf, tols.eig, tols.sym))
+                    report=check_criteria(cf, tols))

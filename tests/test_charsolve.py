@@ -232,6 +232,23 @@ class TestMarch:
         with pytest.raises(ValueError, match="X_total"):
             cm.GridSpec(X_total=X, nx=8)
 
+    @pytest.mark.parametrize("nx, cells, field", [
+        (8.0, 4, "nx"), (True, 4, "nx"), (1, 4, "nx"),
+        (8, 4.5, "cells"), (8, 0, "cells"), (8, -2, "cells"),
+        (8, True, "cells"), (8, np.bool_(True), "cells"),
+    ])
+    def test_bad_grid_count_rejected(self, nx, cells, field):
+        # counts are integers (numpy integers too, bool not), checked where
+        # they enter, not by a TypeError in the march
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            cm.GridSpec(X_total=2.0, nx=nx,
+                        transverse=(cm.TransverseAxis(cells=cells),))
+
+    def test_numpy_integer_counts_accepted(self):
+        grid = cm.GridSpec(X_total=2.0, nx=np.int64(8),
+                           transverse=(cm.TransverseAxis(cells=np.int32(4)),))
+        assert grid.dx == 0.25 and grid.transverse[0].h == math.pi / 2
+
     def test_zero_profile_kind_rejected(self):
         # a zero profile is the empty tuple of terms
         with pytest.raises(DataSpecError):

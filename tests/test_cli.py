@@ -1,5 +1,10 @@
+import errno
 import io
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -111,6 +116,18 @@ class TestUsageErrors:
          "X_total must be positive and finite"),
         (["solve", "--example", "wave3d", "--w0", "gauss:k=3,phase=2"],
          "preset gauss does not take parameters: k, phase"),
+        (["check", "--example", "wave3d", "--tol", "eig=1e-3,eig=1e-10"],
+         "repeated tolerance override 'eig'"),
+        (["check", "--example", "wave3d", "--tol", "eig=abc"],
+         "tolerance override 'eig' is not a number: 'abc'"),
+        (["solve", "--example", "wave3d", "--q0",
+          "sine:amp=1,amp=2,zero,zero"], "repeated preset parameter 'amp'"),
+        (["solve", "--example", "wave3d", "--w0", "sine:ky=inf"],
+         "ky=inf: transverse wavenumbers must be integers"),
+        (["solve", "--example", "wave3d", "--w0", "sine:k=x"],
+         "preset parameter 'k' is not a number: 'x'"),
+        (["solve", "--example", "wave3d", "--cells", "0,4"],
+         "cells must be an integer >= 1, got 0"),
     ])
     def test_exit_one(self, argv, cause, capsys):
         assert cli.main(argv) == cli.EXIT_ERROR
@@ -282,6 +299,10 @@ class TestParsePresets:
         "triangle:amp=1,zero,zero",       # unknown kind
         "sine:amp=1,width=3,center=2,zero,zero",   # gauss parameters
         "gauss:amp=1,k=3,phase=2,zero,zero",       # sine parameters
+        "sine:amp=1,ky=inf,zero,zero",    # infinite transverse wavenumber
+        "sine:amp=1,kz=nan,zero,zero",    # nan transverse wavenumber
+        "sine:amp=1,amp=2,zero,zero",     # repeated key
+        "sine:amp=abc,zero,zero",         # value not a number
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
@@ -293,3 +314,45 @@ class TestParsePresets:
         assert tols.sym == 1e-10 and tols.eig == 1e-10
         with pytest.raises(ValueError):
             cli._tolerances("bogus=1")
+        with pytest.raises(ValueError, match="repeated .* 'eig'"):
+            cli._tolerances("eig=1e-3,eig=1e-10")
+
+
+class TestClosedStdout:
+    """A reader that has gone away is no error of the command: exit 1 with
+    nothing on stderr."""
+
+    def test_in_process(self, tmp_path, monkeypatch, capsys):
+        class ClosedPipe(io.TextIOWrapper):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        stdout = ClosedPipe(open(tmp_path / "stdout", "wb"))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            assert cli.main(["check", "--example", "wave3d"]) \
+                == cli.EXIT_ERROR
+        finally:
+            stdout.close()
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("command", ["analyze", "check"])
+    def test_subprocess(self, command, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)      # closed before the child writes
+        env = dict(os.environ, PYTHONPATH=str(
+            pathlib.Path(cli.__file__).resolve().parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:          # each write reaches the pipe at once
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "charmarch.cli", command,
+                 "--example", "wave3d"],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                env=env)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == cli.EXIT_ERROR
+        assert proc.stderr == b""

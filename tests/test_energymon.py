@@ -217,12 +217,15 @@ class TestVerifyEstimate:
         assert rep.bound == rep.norm_q0_sq + rep.norm_w0_sq   # factor is 1
         assert rep.margin >= -10.0 * grid.dx * rep.bound
 
-    def test_holds_monotone_in_c_tol(self, wave_canon, wave_compact,
-                                     wave_report, plane_wave_data):
+    def test_holds_monotone_in_ctol(self, wave_canon, wave_compact,
+                                    wave_report, plane_wave_data):
         grid = wave_grid(32)
         tr = cm.march(wave_canon, grid, plane_wave_data, report=wave_report)
-        flags = [cm.verify_estimate(tr, wave_compact, wave_report, 1.0,
-                                    c_tol=c).holds
+        flags = [cm.verify_estimate(
+                     tr, wave_compact,
+                     dataclasses.replace(wave_report,
+                                         tols=cm.Tolerances(ctol=c)),
+                     1.0).holds
                  for c in (0.0, 1.0, 10.0, 100.0)]
         for earlier, later in zip(flags, flags[1:]):
             assert later >= earlier
@@ -254,7 +257,7 @@ class TestVerifyEstimate:
         # that report's factor is 1 with no horizon c/r
         Dc = np.diag([0.5, 0.5, 0.5, -1e-6])
         cf = dataclasses.replace(wave_compact, Dc=Dc, R=2.0 * Dc)
-        rep = cm.check_criteria(cf, tol=1e-3)
+        rep = cm.check_criteria(cf, cm.Tolerances(eig=1e-3))
         assert rep.growth_exponent == 0.0 and math.isinf(rep.T_max)
         tr = cm.march(wave_canon, wave_grid(16), plane_wave_data,
                       report=wave_report)
@@ -366,11 +369,11 @@ def _oracle_balance_residual(trace, cf, T, sigma):
     return abs(sigma - intN - intT + intV)
 
 
-def _oracle_verify(trace, cf, report, T, c_tol=cm.Tolerances.ctol):
+def _oracle_verify(trace, cf, report, T):
     nq_sq, nw_sq = _oracle_data_norms(trace, cf.Nu, cf.nq, T)
     sig = _oracle_sigma_norm(trace, cf, T)
     bound = report.bound_factor(T) * (nq_sq + nw_sq)
-    tol_h = c_tol * trace.grid.dx * (nq_sq + nw_sq)
+    tol_h = report.tols.ctol * trace.grid.dx * (nq_sq + nw_sq)
     return cm.EnergyReport(
         T=T, norm_q0_sq=nq_sq, norm_w0_sq=nw_sq, sigma_norm_sq=sig,
         bound=bound, margin=bound - sig,

@@ -65,7 +65,7 @@ class TestRankAndNullspaces:
 
     def test_bad_tol_rejected(self):
         with pytest.raises(ValueError):
-            rank_and_nullspaces(np.eye(2), tol=0.0)
+            rank_and_nullspaces(np.eye(2), matkit.Tolerances(rank=0.0))
 
     @given(st.integers(0, 4), st.integers(0, 10**6))
     @settings(max_examples=100, deadline=None)

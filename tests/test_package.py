@@ -1,5 +1,7 @@
 """The public names of the package, pinned: a name added or dropped is a
 change of the API and must show up here."""
+import inspect
+
 import charmarch as cm
 
 PUBLIC = {
@@ -26,3 +28,21 @@ def test_verify_estimate_is_the_one_energy_check():
     for name in ("data_norms", "sigma_norm", "balance_residual"):
         assert not hasattr(cm, name)
         assert not hasattr(cm.energymon, name)
+
+
+def test_tolerances_is_the_one_way_to_set_a_tolerance():
+    functions = {name: inspect.signature(getattr(cm, name)).parameters
+                 for name in cm.__all__
+                 if inspect.isfunction(getattr(cm, name))}
+    assert len(functions) == 17
+    for name, params in functions.items():   # no float tolerance left
+        assert all(p == "tols" for p in params if "tol" in p), name
+    takes_tols = {name for name, params in functions.items()
+                  if "tols" in params}
+    assert takes_tols == {
+        "analyze", "check_criteria", "classify_definiteness",
+        "growth_parameters", "null_structure", "rank_and_nullspaces",
+        "split_and_reduce", "transversality_check", "verify_characteristic"}
+    assert all(functions[name]["tols"].default == cm.Tolerances()
+               for name in takes_tols)
+    assert not [name for name in dir(cm.matkit) if name.startswith("TOL")]

@@ -90,6 +90,31 @@ class TestCheckCriteria:
             assert cm.check_criteria(cf).verdict is Verdict.WELL_POSED
 
 
+class TestAnalyze:
+    def test_stages_by_hand_match_analyze(self, wave_system, wave_analysis):
+        # D chosen so the compact R is diag(1, 1, 1, -2e-6): non-negative at
+        # eig tolerance 1e-3, indefinite at the default
+        sys_, chart = wave_system
+        canon = wave_analysis.canon
+        Dc = np.diag([0.5, 0.5, 0.5, -1e-6])
+        sys_ = dataclasses.replace(
+            sys_, D=np.linalg.solve(canon.row_transform, Dc @ canon.to_hat))
+        tols = cm.Tolerances(rank=1e-8, sym=1e-8, eig=1e-3)
+        B = cm.side_matrices(sys_, chart)
+        assert cm.verify_characteristic(B, tols) == 1
+        cs = cm.null_structure(B, sys_.D, tols)
+        cm.transversality_check(cs, B, tols)
+        cf = cm.compact_form(cm.split_and_reduce(cs, B, sys_.D, tols))
+        by_hand = cm.check_criteria(cf, tols)
+        a = cm.analyze(sys_, chart, tols)
+        assert a.report == by_hand
+        assert a.report.tols is tols
+        assert by_hand.growth_exponent == 0.0
+        assert cm.analyze(sys_, chart).report.growth_exponent > 0.0
+        r, c, T_max, _ = cm.growth_parameters(cf, tols)
+        assert (r, c, T_max) == (by_hand.r, by_hand.c, by_hand.T_max)
+
+
 class TestGrowthParameters:
     def test_wave_r_zero_factor_one(self, wave_compact):
         r, c, T_max, factor = cm.growth_parameters(wave_compact)
@@ -148,10 +173,11 @@ class TestGrowthParameters:
                           -rng.uniform(0.0, 0.5) * X @ X.T / nq, m,
                           Dc=(np.diag(d), D, 0.0 * D)[seed % 3])
         try:
-            r, c, T_max, factor = cm.growth_parameters(cf, tol)
+            r, c, T_max, factor = cm.growth_parameters(
+                cf, cm.Tolerances(eig=tol))
         except NormUndefinedError:
             return
-        rep = cm.check_criteria(cf, tol)
+        rep = cm.check_criteria(cf, cm.Tolerances(eig=tol))
         assert (r, c, T_max) == (rep.r, rep.c, rep.T_max)
         h = min(T_max, 2.0)
         assert all(factor(T) == rep.bound_factor(T) for T in (0.0, 0.3 * h, h))
