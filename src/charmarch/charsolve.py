@@ -114,6 +114,18 @@ class ProfileTerm:
     def __post_init__(self):
         if self.kind not in ("sine", "gauss"):
             raise DataSpecError(f"unknown profile kind '{self.kind}'")
+        for name in ("amp", "k", "phase", "center"):
+            if not math.isfinite(getattr(self, name)):
+                raise DataSpecError(f"profile {name} must be finite, "
+                                    f"got {getattr(self, name)!r}")
+        if not (math.isfinite(self.width) and self.width > 0):
+            raise DataSpecError(
+                f"profile width must be finite and > 0, got {self.width!r}")
+        for i, pair in enumerate(self.trans):
+            if len(pair) != 2 or not all(map(math.isfinite, pair)):
+                raise DataSpecError(
+                    f"profile trans[{i}] must be a finite (wavenumber, "
+                    f"phase) pair, got {pair!r}")
 
     def evaluate(self, s, tmeshes):
         if self.kind == "sine":

@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import functools
 import io
 import math
 import os
@@ -124,7 +125,13 @@ def parse_presets(spec: str, count: int, n_transverse: int):
 
 
 def _grid_from_args(args, canon):
-    cells = [int(c) for c in args.cells.split(",")] if args.cells else []
+    cells = []
+    for item in args.cells.split(",") if args.cells else ():
+        try:
+            cells.append(int(item))
+        except ValueError:
+            raise ValueError(
+                f"--cells item '{item}' is not an integer") from None
     d = len(canon.transverse_names)
     if len(cells) > d:
         raise ValueError(f"--cells lists {len(cells)} values but the system "
@@ -220,6 +227,7 @@ def cmd_verify_estimate(args, out):
     return EXIT_OK
 
 
+@functools.cache   # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="charmarch",

@@ -106,7 +106,7 @@ def _nullspace(M: np.ndarray, tol: float) -> np.ndarray:
     scale = float(colnorms.max()) if n else 0.0
     if scale == 0.0:
         return np.eye(n)
-    _, r, p = scipy.linalg.qr(M, pivoting=True)
+    r, p = scipy.linalg.qr(M, mode="r", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > tol * scale))
     if rank == n:
@@ -135,6 +135,13 @@ def rank_and_nullspaces(M, tols: Tolerances = Tolerances()):
     left = _nullspace(M.T, tols.rank)
     rank = M.shape[0] - right.shape[0]
     return rank, [v for v in right], [v for v in left]
+
+
+def matrix_rank(M, tols: Tolerances = Tolerances()) -> int:
+    """The rank of rank_and_nullspaces(M, tols), from the right null space
+    alone."""
+    M = as_square(M)
+    return M.shape[0] - _nullspace(M, tols.rank).shape[0]
 
 
 def orthonormal_complete(vs, dim: int) -> np.ndarray:
@@ -180,6 +187,24 @@ def orthonormal_complete(vs, dim: int) -> np.ndarray:
     return S
 
 
+def _norm2(M: np.ndarray) -> float:
+    """||M||_2, the largest singular value, and 0 for an empty M: the
+    LAPACK call of np.linalg.norm(M, 2) without its axis handling."""
+    return float(np.linalg.svd(M, compute_uv=False)[0]) if M.size else 0.0
+
+
+def is_symmetric(M: np.ndarray, tols: Tolerances = Tolerances(),
+                 scale: float | None = None) -> bool:
+    """||M - M^T||_2 <= tols.sym * ||M||_2 for a square M; scale, when
+    given, is ||M||_2.  An exactly symmetric M passes without an SVD."""
+    if np.array_equal(M, M.T):
+        return True
+    if scale is None:
+        scale = _norm2(M)
+    return bool(_norm2(M - M.T) <= tols.sym * max(scale,
+                                                  np.finfo(float).tiny))
+
+
 def classify_definiteness(M, tols: Tolerances = Tolerances()
                           ) -> DefinitenessClass:
     """Classify a symmetric matrix by the signs of its eigenvalues.
@@ -189,9 +214,8 @@ def classify_definiteness(M, tols: Tolerances = Tolerances()
     semi-definite tags).  Asymmetry beyond tols.sym*||M|| is refused.
     """
     M = as_square(M)
-    scale = float(np.linalg.norm(M, 2)) if M.size else 0.0
-    if np.linalg.norm(M - M.T, 2) > tols.sym * max(scale,
-                                                    np.finfo(float).tiny):
+    scale = _norm2(M)
+    if not is_symmetric(M, tols, scale):
         raise NotSymmetricError("matrix is asymmetric beyond tolerance")
     w = np.linalg.eigvalsh(0.5 * (M + M.T))
     thr = tols.eig * scale

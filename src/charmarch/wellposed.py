@@ -89,10 +89,8 @@ def _growth(cf: CompactSystem, cls_R: DefinitenessClass):
 def check_criteria(cf: CompactSystem,
                    tols: Tolerances = Tolerances()) -> WellPosednessReport:
     """Evaluate the symmetry/definiteness criteria on a compact system."""
-    symmetric = {}
-    for name, C in cf.C.items():
-        scale = max(float(np.linalg.norm(C, 2)), np.finfo(float).tiny)
-        symmetric[name] = bool(np.linalg.norm(C - C.T, 2) <= tols.sym * scale)
+    symmetric = {name: matkit.is_symmetric(C, tols)
+                 for name, C in cf.C.items()}
 
     cls_Nu = _classify(cf.Nu, tols)
     cls_Nx = _classify(cf.Nx, tols)

@@ -254,6 +254,31 @@ class TestMarch:
         with pytest.raises(DataSpecError):
             cm.ProfileTerm(kind="zero")
 
+    @pytest.mark.parametrize("kwargs, cause", [
+        ({"kind": "gauss", "width": 0.0}, "width must be finite and > 0"),
+        ({"kind": "gauss", "width": -1.0}, "width must be finite and > 0"),
+        ({"kind": "gauss", "width": math.inf}, "width must be finite"),
+        ({"kind": "sine", "amp": math.nan}, "amp must be finite"),
+        ({"kind": "sine", "k": math.inf}, "k must be finite"),
+        ({"kind": "sine", "phase": -math.inf}, "phase must be finite"),
+        ({"kind": "gauss", "center": math.nan}, "center must be finite"),
+        ({"kind": "sine", "trans": ((1.0, 0.0), (math.inf, 0.0))},
+         r"trans\[1\] must be a finite"),
+        ({"kind": "sine", "trans": ((0.0, math.nan),)},
+         r"trans\[0\] must be a finite"),
+        ({"kind": "sine", "trans": ((1.0,),)}, r"trans\[0\] must be a finite"),
+    ])
+    def test_bad_profile_numbers_rejected(self, kwargs, cause):
+        # refused by name where the term is built, not by a non-finite
+        # boundary value once the march has started
+        with pytest.raises(DataSpecError, match=cause):
+            cm.ProfileTerm(**kwargs)
+
+    def test_finite_profile_numbers_accepted(self):
+        term = cm.ProfileTerm(kind="gauss", amp=-2.0, center=-1.0,
+                              width=1e-3, trans=((np.float64(3.0), -0.5),))
+        assert term.width == 1e-3
+
     def test_wrong_data_arity_rejected(self, wave_canon, wave_report):
         grid = wave_grid(nx=8, cy=4, cz=4)
         with pytest.raises(DataSpecError):

@@ -128,6 +128,22 @@ class TestUsageErrors:
          "preset parameter 'k' is not a number: 'x'"),
         (["solve", "--example", "wave3d", "--cells", "0,4"],
          "cells must be an integer >= 1, got 0"),
+        (["solve", "--example", "wave3d", "--cells", "4.5,4"],
+         "--cells item '4.5' is not an integer"),
+        (["solve", "--example", "wave3d", "--cells", "abc"],
+         "--cells item 'abc' is not an integer"),
+        (["solve", "--example", "wave3d", "--cells", "4,,4"],
+         "--cells item '' is not an integer"),
+        (["solve", "--example", "wave3d", "--w0", "gauss:width=0"],
+         "profile width must be finite and > 0, got 0.0"),
+        (["solve", "--example", "wave3d", "--w0", "gauss:width=-1"],
+         "profile width must be finite and > 0, got -1.0"),
+        (["solve", "--example", "wave3d", "--w0", "sine:amp=nan"],
+         "profile amp must be finite, got nan"),
+        (["verify-estimate", "--example", "wave3d", "--w0", "sine:k=inf"],
+         "profile k must be finite, got inf"),
+        (["solve", "--example", "wave3d", "--w0", "sine:phasey=nan"],
+         "profile trans[0] must be a finite (wavenumber, phase) pair"),
     ])
     def test_exit_one(self, argv, cause, capsys):
         assert cli.main(argv) == cli.EXIT_ERROR
@@ -156,6 +172,44 @@ class TestUsageErrors:
             ["solve", "--example", "wave3d", "--cells", "8"])
         grid = cli._grid_from_args(args, wave_canon)
         assert [t.cells for t in grid.transverse] == [8, 16]
+
+
+class TestSharedParser:
+    """One parser serves every main call of a process, and a parse leaves
+    nothing in it for the next one."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_match_a_fresh_parser(self, tmp_path, capsys):
+        path = tmp_path / "reversed.txt"
+        path.write_text(conftest.reversed_x_chart_text(), encoding="utf-8")
+        calls = [
+            ["verify-estimate", "--example", "wave3d", "--nx", "8",
+             "--cells", "4,4", "--tol", "ctol=0.5"],
+            ["check", "--example", "wave3d", "--tol", "ctol=0.5"],
+            ["check", "--example", "wave3d", "--bogus"],
+            ["check", "--example", "wave3d"],
+            ["analyze", "--input", str(path)],
+        ]
+
+        def run(argv):
+            code = cli.main(argv)
+            return (code,) + tuple(capsys.readouterr())
+
+        cli.build_parser.cache_clear()
+        shared = [run(argv) for argv in calls]
+        assert cli.build_parser.cache_info().misses == 1
+        for argv, got in zip(calls, shared):
+            cli.build_parser.cache_clear()
+            assert run(argv) == got
+        # verify-estimate's ctol key does not carry over to check
+        code, out, err = shared[1]
+        assert code == cli.EXIT_ERROR and out == ""
+        assert "unknown tolerance key 'ctol'" in err
+        assert [got[0] for got in shared] == [
+            cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_ERROR, cli.EXIT_OK,
+            cli.EXIT_OK]
 
 
 class TestSolve:
@@ -303,6 +357,11 @@ class TestParsePresets:
         "sine:amp=1,kz=nan,zero,zero",    # nan transverse wavenumber
         "sine:amp=1,amp=2,zero,zero",     # repeated key
         "sine:amp=abc,zero,zero",         # value not a number
+        "gauss:width=0,zero,zero",        # zero width
+        "gauss:width=-1,zero,zero",       # negative width
+        "sine:amp=nan,zero,zero",         # nan amplitude
+        "sine:k=inf,zero,zero",           # infinite wavenumber
+        "sine:phasez=nan,zero,zero",      # nan transverse phase
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):

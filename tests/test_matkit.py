@@ -1,16 +1,18 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charmarch import matkit
 from charmarch.matkit import (Definiteness, MatrixShapeError,
                               NotOrthonormalError, NotSymmetricError,
-                              classify_definiteness, orthonormal_complete,
-                              rank_and_nullspaces)
+                              Tolerances, classify_definiteness,
+                              orthonormal_complete, rank_and_nullspaces)
 
 WAVE_BU = np.array([[1.0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
@@ -167,3 +169,93 @@ class TestClassifyDefiniteness:
         b = classify_definiteness(P @ M @ P.T)
         assert a.tag is b.tag
         np.testing.assert_allclose(a.eigenvalues, b.eigenvalues, atol=1e-10)
+
+
+def old_is_symmetric(M, tols):
+    """The symmetry test as wellposed.check_criteria wrote it before
+    matkit.is_symmetric."""
+    scale = max(float(np.linalg.norm(M, 2)), np.finfo(float).tiny)
+    return bool(np.linalg.norm(M - M.T, 2) <= tols.sym * scale)
+
+
+SYM_TOLS = st.sampled_from([1e-14, 1e-10, 1e-6, 1e-2]).map(
+    lambda sym: matkit.Tolerances(sym=sym))
+
+
+class TestFastPathsBitExact:
+    """_norm2, is_symmetric and the R-only QR in _nullspace give bit for bit
+    what the calls they replace gave."""
+
+    @given(st.integers(0, 16), st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_norm2_is_numpy_2_norm(self, n, seed):
+        M = np.random.default_rng(seed).normal(size=(n, n))
+        assert matkit._norm2(M) == np.linalg.norm(M, 2)
+        assert matkit._norm2(M.T) == np.linalg.norm(M.T, 2)
+
+    @given(st.integers(1, 16), st.integers(0, 10**6), SYM_TOLS,
+           st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_is_symmetric_on_random_and_symmetric(self, n, seed, tols, sym):
+        M = np.random.default_rng(seed).normal(size=(n, n))
+        if sym:
+            M = M + M.T
+        assert matkit.is_symmetric(M, tols) is old_is_symmetric(M, tols)
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_is_symmetric_on_zero(self, n):
+        M = np.zeros((n, n))
+        assert matkit.is_symmetric(M) is old_is_symmetric(M, Tolerances())
+        assert matkit.is_symmetric(M)
+
+    @given(st.integers(2, 16), st.integers(0, 10**6), SYM_TOLS,
+           st.floats(0.9, 1.1))
+    @settings(max_examples=200, deadline=None)
+    def test_is_symmetric_near_threshold(self, n, seed, tols, factor):
+        # M + eps*A with ||(eps*A) - (eps*A)^T||_2 = factor * sym * ||M||_2
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(n, n))
+        M = B + B.T
+        K = rng.normal(size=(n, n))
+        K = K - K.T
+        A = K / (2.0 * np.linalg.norm(K, 2))
+        P = M + factor * tols.sym * np.linalg.norm(M, 2) * A
+        assert matkit.is_symmetric(P, tols) is old_is_symmetric(P, tols)
+
+    def test_threshold_reached_from_both_sides(self):
+        rng = np.random.default_rng(3)
+        B = rng.normal(size=(5, 5))
+        M = B + B.T
+        A = np.triu(np.ones((5, 5)), 1)
+        A = (A - A.T) / np.linalg.norm(2.0 * (A - A.T), 2)
+        tols = Tolerances(sym=1e-6)
+        eps = tols.sym * np.linalg.norm(M, 2)
+        assert matkit.is_symmetric(M + 0.9 * eps * A, tols)
+        assert not matkit.is_symmetric(M + 1.1 * eps * A, tols)
+
+    def test_given_scale_is_used(self):
+        M = np.array([[1.0, 1e-3], [0.0, 1.0]])
+        assert not matkit.is_symmetric(M, Tolerances(sym=1e-6))
+        assert matkit.is_symmetric(M, Tolerances(sym=1e-6), scale=1e4)
+
+    @given(st.integers(1, 16), st.integers(0, 16), st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_nullspace_matches_full_q(self, n, rank, seed):
+        rng = np.random.default_rng(seed)
+        rank = min(rank, n)
+        M = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, n))
+        qr = scipy.linalg.qr
+
+        def full_q(A, mode="full", pivoting=False):
+            _, r, p = qr(A, pivoting=True)
+            return r, p
+
+        r, p = qr(M, mode="r", pivoting=True)
+        _, r_full, p_full = qr(M, pivoting=True)
+        assert np.array_equal(r, r_full) and np.array_equal(p, p_full)
+        got = matkit._nullspace(M, 1e-10)
+        with mock.patch.object(scipy.linalg, "qr", full_q):
+            want = matkit._nullspace(M, 1e-10)
+        assert np.array_equal(got, want)
+        assert matkit.matrix_rank(M) == n - len(got) \
+            == rank_and_nullspaces(M)[0]
