@@ -137,13 +137,6 @@ def rank_and_nullspaces(M, tols: Tolerances = Tolerances()):
     return rank, [v for v in right], [v for v in left]
 
 
-def matrix_rank(M, tols: Tolerances = Tolerances()) -> int:
-    """The rank of rank_and_nullspaces(M, tols), from the right null space
-    alone."""
-    M = as_square(M)
-    return M.shape[0] - _nullspace(M, tols.rank).shape[0]
-
-
 def orthonormal_complete(vs, dim: int) -> np.ndarray:
     """Complete orthonormal vectors to a dim x dim orthogonal matrix.
 
@@ -193,15 +186,12 @@ def _norm2(M: np.ndarray) -> float:
     return float(np.linalg.svd(M, compute_uv=False)[0]) if M.size else 0.0
 
 
-def is_symmetric(M: np.ndarray, tols: Tolerances = Tolerances(),
-                 scale: float | None = None) -> bool:
-    """||M - M^T||_2 <= tols.sym * ||M||_2 for a square M; scale, when
-    given, is ||M||_2.  An exactly symmetric M passes without an SVD."""
+def is_symmetric(M: np.ndarray, tols: Tolerances = Tolerances()) -> bool:
+    """||M - M^T||_2 <= tols.sym * ||M||_2 for a square M.  An exactly
+    symmetric M passes without an SVD."""
     if np.array_equal(M, M.T):
         return True
-    if scale is None:
-        scale = _norm2(M)
-    return bool(_norm2(M - M.T) <= tols.sym * max(scale,
+    return bool(_norm2(M - M.T) <= tols.sym * max(_norm2(M),
                                                   np.finfo(float).tiny))
 
 
@@ -214,11 +204,10 @@ def classify_definiteness(M, tols: Tolerances = Tolerances()
     semi-definite tags).  Asymmetry beyond tols.sym*||M|| is refused.
     """
     M = as_square(M)
-    scale = _norm2(M)
-    if not is_symmetric(M, tols, scale):
+    if not is_symmetric(M, tols):
         raise NotSymmetricError("matrix is asymmetric beyond tolerance")
     w = np.linalg.eigvalsh(0.5 * (M + M.T))
-    thr = tols.eig * scale
+    thr = tols.eig * _norm2(M)
     n_pos = int(np.sum(w > thr))
     n_neg = int(np.sum(w < -thr))
     n = len(w)

@@ -67,7 +67,8 @@ class Chart:
         if self.offsets.shape != (n,):
             raise ValueError("offsets length must match n_coords")
         # built before any tolerance is known: the default rank tolerance
-        if matkit.matrix_rank(J) < n:
+        rank, _, _ = matkit.rank_and_nullspaces(J)
+        if rank < n:
             raise SingularChartError("singular chart: Jacobian is not invertible")
 
     def new_names(self, coord_names) -> tuple:
@@ -270,7 +271,8 @@ def verify_characteristic(B: SideMatrices,
     """Multiplicity m = dim null(B^u); raises if u = const is not
     characteristic (m = 0)."""
     Bu = B.B["u"]
-    m = Bu.shape[0] - matkit.matrix_rank(Bu, tols)
+    rank, right, _ = matkit.rank_and_nullspaces(Bu, tols)
+    m = len(right)
     if m == 0:
         raise NotCharacteristicError("surface u=const is not characteristic")
     return m

@@ -233,11 +233,6 @@ class TestFastPathsBitExact:
         assert matkit.is_symmetric(M + 0.9 * eps * A, tols)
         assert not matkit.is_symmetric(M + 1.1 * eps * A, tols)
 
-    def test_given_scale_is_used(self):
-        M = np.array([[1.0, 1e-3], [0.0, 1.0]])
-        assert not matkit.is_symmetric(M, Tolerances(sym=1e-6))
-        assert matkit.is_symmetric(M, Tolerances(sym=1e-6), scale=1e4)
-
     @given(st.integers(1, 16), st.integers(0, 16), st.integers(0, 10**6))
     @settings(max_examples=100, deadline=None)
     def test_nullspace_matches_full_q(self, n, rank, seed):
@@ -257,5 +252,4 @@ class TestFastPathsBitExact:
         with mock.patch.object(scipy.linalg, "qr", full_q):
             want = matkit._nullspace(M, 1e-10)
         assert np.array_equal(got, want)
-        assert matkit.matrix_rank(M) == n - len(got) \
-            == rank_and_nullspaces(M)[0]
+        assert rank_and_nullspaces(M)[0] == n - len(got)
