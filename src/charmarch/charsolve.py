@@ -11,11 +11,19 @@ outer-x boundary condition is needed.
 
 The hypersurface right-hand side is linear in v = (q, w) and q is known on
 the slice, so d_x w = f + A w with the q-driven forcing f evaluated over
-the whole slice at once.  Heun then needs A only on the m null components;
-when the system has no w -> w coupling (A = 0) the pass is a cumulative sum
-of trapezoid increments of f.  The operators (Nu^-1 Nx, Nu^-1 N^i,
-Nu^-1 N0 and the hypersurface blocks) are built once per march, after one
-CFL check, and periodic differences are taken from slices of the plane.
+the whole slice at once.  Heun on that equation is the exact linear
+recurrence w_{i+1} = G w_i + g_i, with the propagator
+G = I + dx A + dx^2 A^2 / 2 and g_i = dx (f_i + f_{i+1}) / 2 + dx^2 A f_i / 2,
+and the pass solves it with a log-depth doubling scan, w[d:] += G^d w[:-d]
+for d = 1, 2, 4, ...; without w -> w coupling (A = 0, G = I) the scan is a
+cumulative sum.  A that acts pointwise is a real m x m matrix and the scan
+runs on the physical slice; A with transverse terms is block-diagonal in
+the transverse Fourier modes of a real FFT, with the symbol
+M0 + i sum_j M_j sin(theta_j) / h_j of the centred differences, and the
+scan runs mode by mode.  The operators (Nu^-1 Nx, Nu^-1 N^i, Nu^-1 N0,
+the hypersurface blocks and the powers G^(2^s)) are built once per march,
+after one CFL check, and periodic differences are taken from slices of
+the plane.
 
 `march` is the one public way into the scheme, so its guards (grid and data
 against the system, the verdict, the CFL check) hold for every step taken.
@@ -225,9 +233,10 @@ class _FieldOperator:
     transverse axis j.  Zero matrices are dropped."""
 
     def __init__(self, M0, Mt, grid: GridSpec):
-        self.rows = M0.shape[0]
+        self.rows, self.cols = M0.shape
         self.M0 = M0 if np.any(M0) else None
-        nt = len(grid.transverse)
+        self.cells = tuple(t.cells for t in grid.transverse)
+        nt = len(self.cells)
         self.terms = [(M / (2.0 * t.h), j - nt)
                       for j, (M, t) in enumerate(zip(Mt, grid.transverse))
                       if np.any(M)]
@@ -235,6 +244,28 @@ class _FieldOperator:
     @property
     def is_zero(self) -> bool:
         return self.M0 is None and not self.terms
+
+    def symbol(self) -> np.ndarray:
+        """The operator on each transverse mode of `numpy.fft.rfftn`,
+        M0 + i sum_j M_j sin(theta_j) / h_j, shaped (*modes, rows, cols).
+
+        The centred difference f[j+1] - f[j-1] of mode theta is
+        2i sin(theta) f, and sin(theta) is exactly 0 at theta = 0 and pi,
+        where `_periodic_difference` cancels exactly."""
+        modes = self.cells[:-1] + (self.cells[-1] // 2 + 1,)
+        nt = len(modes)
+        out = np.zeros(modes + (self.rows, self.cols), dtype=complex)
+        if self.M0 is not None:
+            out += self.M0
+        for M, axis in self.terms:
+            n = self.cells[axis]
+            k = np.arange(modes[axis])
+            sin = np.where((k == 0) | (2 * k == n), 0.0,
+                           np.sin(2.0 * math.pi * k / n))
+            shape = [1] * nt + [1, 1]
+            shape[axis + nt] = len(k)
+            out += 2j * sin.reshape(shape) * M
+        return out
 
     def __call__(self, plane: np.ndarray) -> np.ndarray:
         out = None if self.M0 is None else _apply(self.M0, plane)
@@ -265,8 +296,11 @@ class _Stepper:
 
     Hypersurface pass: d_x w = f + A w, with the q-driven forcing
     f = -(L0_q q + L^i_q d_i q) and the null coupling
-    A w = -(L0_w w + L^i_w d_i w).  Evolution by one step du = dx:
-    Nu^-1 Nx, and the source operator dx Nu^-1 (N0 v + N^i d_i v).
+    A w = -(L0_w w + L^i_w d_i w), and the powers G^(2^s) of its Heun
+    propagator G = I + dx A + dx^2 A^2 / 2 that the scan of the widest
+    slice uses: real m x m matrices when A is pointwise, one per transverse
+    Fourier mode when it is not, none when A = 0.  Evolution by one step
+    du = dx: Nu^-1 Nx, and the source operator dx Nu^-1 (N0 v + N^i d_i v).
     """
 
     def __init__(self, canon: CanonicalSystem, grid: GridSpec):
@@ -282,14 +316,39 @@ class _Stepper:
         self.source = _FieldOperator(
             grid.dx * Nui @ canon.N0,
             [grid.dx * Nui @ canon.Ni[k] for k in names], grid)
+        self.powers = [] if self.coupling.is_zero else \
+            self._propagator_powers(grid.nx + 1)
+
+    def _propagator_powers(self, x_extent: int) -> list:
+        """G^(2^s) for every 2^s < x_extent; an overflow is an abort."""
+        A = self.coupling.symbol() if self.coupling.terms else \
+            self.coupling.M0
+        dx = self.dx
+        G = np.eye(A.shape[-1]) + dx * A + (0.5 * dx * dx) * (A @ A)
+        powers = [G]
+        with np.errstate(over="ignore", invalid="ignore"):
+            while 2 ** len(powers) < x_extent:
+                powers.append(powers[-1] @ powers[-1])
+        for s, P in enumerate(powers):
+            if not np.all(np.isfinite(P)):
+                raise MarchAbortError(
+                    f"non-finite hypersurface propagator power G^{2 ** s} "
+                    f"(dx = {dx:.6g})")
+        return powers
 
     def fill_null(self, slice_: SliceState, w_boundary) -> None:
-        """Integrate d_x w outward from x = 0 in place on the slice (Heun).
+        """Integrate d_x w = f + A w outward from x = 0 in place on the slice.
 
-        Heun's stages reduce to k1 = f_i + A w_i and
-        k2 = f_{i+1} + A (w_i + dx k1), with f evaluated on the whole slice
-        at once; without null coupling (A = 0) the pass is a cumulative
-        sum of trapezoid increments.
+        Heun's step is w_{i+1} = G w_i + g_i with
+        g_i = dx (f_i + f_{i+1}) / 2 + dx^2 A f_i / 2, built for the whole
+        slice from one forcing and one coupling evaluation and stored in w
+        behind the boundary value w_0.  The recurrence is then solved in
+        place by a doubling scan: for d = 1, 2, 4, ... < x_extent,
+        w[d:] += G^d w[:-d], the right side taken from the values before
+        the update.  Pointwise A scans the physical slice; A with
+        transverse terms scans each transverse Fourier mode of the slice
+        with that mode's G^d.  Without null coupling (A = 0, G = I) the
+        scan is a cumulative sum of trapezoid increments.
         """
         nq, dx = self.nq, self.dx
         vals = slice_.values
@@ -301,21 +360,31 @@ class _Stepper:
             raise MarchAbortError(
                 "non-finite boundary data for the null variables")
         f = self.forcing(vals[:nq])
+        w[:, 0] = wb
+        np.add(f[:, :-1], f[:, 1:], out=w[:, 1:])
         if self.coupling.is_zero:
-            inc = np.empty_like(w)
-            inc[:, 0] = wb
-            np.add(f[:, :-1], f[:, 1:], out=inc[:, 1:])
-            inc[:, 1:] *= 0.5 * dx
-            np.cumsum(inc, axis=1, out=w)
+            w[:, 1:] *= 0.5 * dx
+            np.cumsum(w, axis=1, out=w)
         else:
-            w[:, 0] = wb
-            A = self.coupling
-            for i in range(slice_.x_extent - 1):
-                wi = w[:, i]
-                k1 = f[:, i] + A(wi)
-                k2 = f[:, i + 1] + A(wi + dx * k1)
-                w[:, i + 1] = wi + 0.5 * dx * (k1 + k2)
+            # an overflow leaves inf or NaN, which _check_finite reports
+            with np.errstate(over="ignore", invalid="ignore"):
+                w[:, 1:] += dx * self.coupling(f[:, :-1])
+                w[:, 1:] *= 0.5 * dx
+                self._scan(w)
         _check_finite(w, slice_.u_level, "hypersurface integration")
+
+    def _scan(self, w: np.ndarray) -> None:
+        """w[i] <- sum_{k <= i} G^(i-k) w[k] along x, in place."""
+        axes = tuple(range(2, w.ndim))
+        spectral = bool(self.coupling.terms)
+        z = np.fft.rfftn(w, axes=axes) if spectral else w
+        for s, P in enumerate(self.powers):
+            d = 2 ** s
+            if d >= w.shape[1]:
+                break
+            z[:, d:] += np.einsum("...ab,bx...->ax...", P, z[:, :-d])
+        if spectral:
+            w[...] = np.fft.irfftn(z, s=w.shape[2:], axes=axes)
 
     def evolve(self, slice_: SliceState) -> SliceState:
         """Lax-Friedrichs step of q onto a one-cell-narrower slice."""
@@ -347,6 +416,16 @@ def _validate(canon: CanonicalSystem, grid: GridSpec, data: DataSpec):
         raise DataSpecError(f"expected {canon.nq} q0 profiles")
     if len(data.w0) != canon.m:
         raise DataSpecError(f"expected {canon.m} w0 profiles")
+    # fewer pairs are legal: a term is constant along an axis it omits
+    nt = len(grid.transverse)
+    for side, profiles in (("q0", data.q0), ("w0", data.w0)):
+        for a, terms in enumerate(profiles):
+            for term in terms:
+                if len(term.trans) > nt:
+                    raise DataSpecError(
+                        f"profile {side}[{a}] has a term with "
+                        f"{len(term.trans)} transverse pairs, but the grid "
+                        f"has {nt} transverse axes")
     for j, name in enumerate(canon.transverse_names):
         coupled = np.any(canon.Ni[name]) or np.any(canon.Li[name])
         if coupled and grid.transverse[j].cells < 4:

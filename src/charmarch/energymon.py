@@ -15,8 +15,12 @@ so the per-slice forms of a compact system are built in one pass on its
 first call and kept on the trace as one record, keyed by the content of
 C^u, C^x and R and by nq: the Nu and C^u forms cell-summed over x on
 slice 0, the |w|^2 and C^x forms on one stack of the x = 0 column, and
-the corner-averaged R form of the volume cells.  Each call evaluates only
-the form C^u + C^x on the diagonal points of its level.
+the volume term as a prefix sum.  The volume cell (j, i), between slices
+j - 1 and j at x from i dx to (i + 1) dx, carries the corner average of
+the R form and lies below level K when j + i < K; the corner averages
+are summed along each anti-diagonal j + i and then accumulated, so the
+volume integral of level K is one read, prefix[K] dx^2.  Each call
+evaluates only the form C^u + C^x on the diagonal points of its level.
 """
 from __future__ import annotations
 
@@ -114,8 +118,8 @@ class _Forms:
     north: np.ndarray   # C^u form at each x point of u = 0
     w0: np.ndarray      # |w|^2 at x = 0 of each slice
     column: np.ndarray  # C^x form at x = 0 of each slice
-    volume: list        # R form of the cells between slices j-1 and j,
-                        # corner-averaged, at index j-1; empty when R = 0
+    volume: np.ndarray  # corner-averaged R form summed over the cells
+                        # (j, i) with j + i < K, at index K; zero at R = 0
 
 
 def _forms(trace: SolutionTrace, cf: CompactSystem) -> _Forms:
@@ -124,13 +128,17 @@ def _forms(trace: SolutionTrace, cf: CompactSystem) -> _Forms:
     key = (_content(cf.C["u"]), _content(cf.C["x"]), _content(cf.R), cf.nq)
     if key not in trace._forms:
         col = np.stack([s.values[:, 0] for s in trace.slices], axis=1)
-        volume = []
+        # the cell (j, i) between slices j - 1 and j lies below level K
+        # when j + i < K: sum the cells along each anti-diagonal j + i,
+        # then along the levels
+        diagonal = np.zeros(trace.n_slices)
         if np.any(cf.R):
             rows = [_row(trace, cf.R, j) for j in range(trace.n_slices)]
-            for gl, gh in zip(rows, rows[1:]):
+            for j, (gl, gh) in enumerate(zip(rows, rows[1:]), start=1):
                 n = min(len(gl), len(gh)) - 1
-                volume.append(
-                    0.25 * (gl[:n] + gl[1:n + 1] + gh[:n] + gh[1:n + 1]))
+                diagonal[j:j + n] += \
+                    0.25 * (gl[:n] + gl[1:n + 1] + gh[:n] + gh[1:n + 1])
+        volume = np.concatenate(([0.0], np.cumsum(diagonal)))
         trace._forms[key] = _Forms(
             q0=_row(trace, cf.Nu, 0), north=_row(trace, cf.C["u"], 0),
             w0=_cell_sum((col[cf.nq:] ** 2).sum(axis=0), trace),
@@ -181,10 +189,7 @@ def verify_estimate(trace: SolutionTrace, cf: CompactSystem,
     margin = bound - sig
     tol_h = report.tols.ctol * dx * (nq_sq + nw_sq)
     # balance: | int_Sigma v(Cu+Cx)v - int_N vCuv - int_T vCxv + int_V vRv |
-    intV = 0.0
-    # the K - j cells below slice j stay inside u + x <= T
-    for j, corner in enumerate(forms.volume[:K], start=1):
-        intV += float(corner[:K - j].sum()) * dx * dx
+    intV = float(forms.volume[K]) * dx * dx
     residual = abs(sig - _line_integral(forms.north, dx, K)
                    - _line_integral(forms.column, dx, K) + intV)
     return EnergyReport(

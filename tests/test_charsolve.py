@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,22 @@ class TestHypersurfaceIntegrate:
         with pytest.raises(MarchAbortError):
             _Stepper(wave_canon, grid).fill_null(empty_slice(grid),
                                                  np.array([math.inf]))
+
+    @pytest.mark.parametrize("x_extent", [1, 2])
+    @pytest.mark.parametrize("system", ["damped", "w_coupled",
+                                        "damped_w_coupled"])
+    def test_narrow_slice_matches_oracle(self, x_extent, system, wave_canon,
+                                         damped_wave_pipeline):
+        # the scan takes no step at x_extent 1 and the G^1 step alone at 2
+        canon = _coupled_system(system, wave_canon, damped_wave_pipeline)
+        grid = wave_grid(nx=16, cy=8, cz=4, X=1.0)
+        rng = np.random.default_rng(x_extent)
+        s = SliceState(u_level=0.5, values=np.zeros((4, x_extent, 8, 4)))
+        s.values[:3] = rng.standard_normal((3, x_extent, 8, 4))
+        wb = rng.standard_normal((1, 8, 4))
+        expected = _oracle_hypersurface(canon, s.values, wb, grid)
+        _Stepper(canon, grid).fill_null(s, wb)
+        assert np.abs(s.values - expected).max() <= 1e-13
 
 
 class TestEvolutionStep:
@@ -285,6 +302,43 @@ class TestMarch:
             cm.march(wave_canon, grid, cm.DataSpec(q0=((),), w0=((),)),
                      report=wave_report)
 
+    def test_extra_transverse_pairs_rejected(self, wave_canon, wave_report):
+        # wave3d has two transverse axes; a third pair was dropped in silence
+        grid = wave_grid(nx=8, cy=4, cz=4)
+        term = cm.ProfileTerm(kind="sine", trans=((1, 0), (0, 0), (5, 0)))
+        data = cm.DataSpec(q0=((), (term,), ()), w0=((),))
+        cause = r"q0\[1\] .* 3 transverse pairs, .* 2 transverse axes"
+        with pytest.raises(DataSpecError, match=cause):
+            cm.march(wave_canon, grid, data, report=wave_report)
+
+    def test_missing_transverse_pair_is_constant(self, wave_canon,
+                                                 wave_report):
+        grid = wave_grid(nx=8, cy=4, cz=4)
+
+        def trace(trans):
+            term = cm.ProfileTerm(kind="sine", trans=trans)
+            data = cm.DataSpec(q0=((), (), ()), w0=((term,),))
+            return cm.march(wave_canon, grid, data, report=wave_report)
+
+        short, full = trace(((1, 0),)), trace(((1, 0), (0, 0)))
+        for a, b in zip(short.slices, full.slices):
+            assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("nx", [100, 128])
+    def test_propagator_overflow_aborts(self, nx, wave_canon, wave_report,
+                                        plane_wave_data):
+        # L0_w = -1e3 at dx = 0.1 gives G = 5101: G^128 overflows at
+        # nx = 128, and at nx = 100 the scan itself does
+        L0 = wave_canon.L0.copy()
+        L0[0, 3] = -1e3
+        canon = dataclasses.replace(wave_canon, L0=L0)
+        grid = wave_grid(nx=nx, cy=4, cz=4, X=0.1 * nx)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MarchAbortError, match="non-finite"):
+                cm.march(canon, grid, plane_wave_data, report=wave_report,
+                         force=True)
+
 
 # --- oracle: the per-x-point Heun loop and the np.roll evolution step ------
 
@@ -374,6 +428,15 @@ def _transverse_null_coupling(canon):
     return dataclasses.replace(canon, Li={**canon.Li, "y": Ly})
 
 
+def _coupled_system(system, wave_canon, damped_wave_pipeline):
+    """A canonical system whose hypersurface pass has null coupling A:
+    pointwise (damped), transverse (w_coupled) or both."""
+    damped = damped_wave_pipeline[0]
+    return {"damped": damped,
+            "w_coupled": _transverse_null_coupling(wave_canon),
+            "damped_w_coupled": _transverse_null_coupling(damped)}[system]
+
+
 class TestMarchMatchesOracle:
     DATA = cm.DataSpec(
         q0=((cm.ProfileTerm(kind="sine", amp=0.8, k=2.0, phase=0.3,
@@ -384,15 +447,24 @@ class TestMarchMatchesOracle:
         w0=((cm.ProfileTerm(kind="sine", amp=1.2, k=1.0, phase=0.1,
                             trans=((2.0, 0.5), (0.0, 0.0))),),))
 
-    @pytest.mark.parametrize("system", ["undamped", "damped", "w_coupled"])
+    @pytest.mark.parametrize("system", ["undamped", "damped", "w_coupled",
+                                        "damped_w_coupled"])
     def test_slices_match_to_round_off(self, system, wave_canon, wave_report,
                                        damped_wave_pipeline):
-        canon, report = {
-            "undamped": (wave_canon, wave_report),
-            "damped": (damped_wave_pipeline[0], damped_wave_pipeline[2]),
-            "w_coupled": (_transverse_null_coupling(wave_canon), wave_report),
-        }[system]
-        grid = wave_grid(nx=16, cy=8, cz=4, X=1.0)
+        canon = wave_canon if system == "undamped" else \
+            _coupled_system(system, wave_canon, damped_wave_pipeline)
+        self._assert_matches(canon, wave_report, nx=16)
+
+    @pytest.mark.parametrize("system", ["damped", "damped_w_coupled"])
+    def test_long_grid_matches_to_round_off(self, system, wave_canon,
+                                            wave_report,
+                                            damped_wave_pipeline):
+        # nx = 128 takes the scan of the hypersurface pass up to G^64
+        canon = _coupled_system(system, wave_canon, damped_wave_pipeline)
+        self._assert_matches(canon, wave_report, nx=128)
+
+    def _assert_matches(self, canon, report, nx):
+        grid = wave_grid(nx=nx, cy=8, cz=4, X=1.0)
         trace = cm.march(canon, grid, self.DATA, report=report, force=True)
         expected = _oracle_march(canon, grid, self.DATA)
         assert trace.n_slices == len(expected)
