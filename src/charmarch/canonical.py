@@ -139,11 +139,10 @@ def _select_evolution_rows(Bpu: np.ndarray, m: int, tol: float):
     """
     n = Bpu.shape[0]
     nq = n - m
-    cols = Bpu[:, m:]
-    scale = max(float(np.abs(cols).max()), np.finfo(float).tiny)
-
     if nq == 0:
         return [], np.zeros((0, 0))
+    cols = Bpu[:, m:]
+    scale = max(float(np.abs(cols).max()), np.finfo(float).tiny)
 
     def invertible(M):
         return scipy.linalg.svdvals(M)[-1] > tol * scale

@@ -20,7 +20,14 @@ j - 1 and j at x from i dx to (i + 1) dx, carries the corner average of
 the R form and lies below level K when j + i < K; the corner averages
 are summed along each anti-diagonal j + i and then accumulated, so the
 volume integral of level K is one read, prefix[K] dx^2.  Each call
-evaluates only the form C^u + C^x on the diagonal points of its level.
+evaluates only the form C^u + C^x on the diagonal points of its level:
+it copies the node (j, K - j) of each slice j into one preallocated
+plane and takes one form on it.
+
+Both kernels work on flattened views: a quadratic form v^T W v is one
+matrix product on the (components, points) view of a plane, summed as
+v * (W v) over the components, and the sum over the transverse cells is
+one reduction over their flattened axes.
 """
 from __future__ import annotations
 
@@ -64,20 +71,23 @@ class EnergyReport:
 
 
 def _quad_form(W: np.ndarray, plane: np.ndarray) -> np.ndarray:
-    """v^T W v on each grid point of a field plane (component axis first)."""
-    return np.einsum("a...,ab,b...->...", plane, W, plane)
+    """v^T W v on each grid point of a field plane (component axis first):
+    one matrix product on the (components, points) view."""
+    flat = plane.reshape(plane.shape[0], -1)
+    return (flat * (W @ flat)).sum(axis=0).reshape(plane.shape[1:])
 
 
 def _cell_sum(pointwise: np.ndarray, trace: SolutionTrace) -> np.ndarray:
     """Sum over transverse cells times the transverse cell volume.
 
-    Input has shape (...) + cells; output drops the transverse axes.
+    Input has shape (...) + cells; output drops the transverse axes.  The
+    cells are summed in one reduction over their flattened axes.
     """
     nt = len(trace.grid.transverse)
-    out = pointwise
-    for _ in range(nt):
-        out = out.sum(axis=-1)
-    return out * trace.grid.transverse_cell_volume()
+    if nt:
+        pointwise = pointwise.reshape(
+            pointwise.shape[:-nt] + (-1,)).sum(axis=-1)
+    return pointwise * trace.grid.transverse_cell_volume()
 
 
 def _line_integral(g: np.ndarray, h: float, K: int) -> float:
@@ -179,8 +189,10 @@ def verify_estimate(trace: SolutionTrace, cf: CompactSystem,
     nq_sq = _line_integral(forms.q0, dx, K)
     nw_sq = _line_integral(forms.w0, dx, K)
     # sigma: the nodes (j, K - j) of level K, weight dx times the cell volume
-    plane = np.stack([trace.slices[j].values[:, K - j]
-                      for j in range(K + 1)], axis=1)
+    first = trace.slices[0].values
+    plane = np.empty(first.shape[:1] + (K + 1,) + first.shape[2:])
+    for j in range(K + 1):
+        plane[:, j] = trace.slices[j].values[:, K - j]
     sig = 0.0
     for g in _cell_sum(_quad_form(cf.C["u"] + cf.C["x"], plane),
                        trace).tolist():

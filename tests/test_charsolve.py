@@ -85,16 +85,17 @@ class TestHypersurfaceIntegrate:
 class TestEvolutionStep:
     def test_zero_slice_stays_zero(self, wave_canon):
         grid = wave_grid()
-        s = _Stepper(wave_canon, grid).evolve(empty_slice(grid))
+        s, top = _Stepper(wave_canon, grid).evolve(empty_slice(grid))
         assert s.x_extent == grid.nx
         assert not np.any(s.values)
         assert s.u_level == grid.dx
+        assert top == 0.0
 
     def test_plane_wave_keeps_q_zero(self, wave_canon):
         grid = wave_grid()
         s0 = empty_slice(grid)
         s0.values[3] = 0.37  # w constant on the slice
-        s = _Stepper(wave_canon, grid).evolve(s0)
+        s, _ = _Stepper(wave_canon, grid).evolve(s0)
         np.testing.assert_allclose(s.values[:3], 0.0, atol=1e-15)
 
     def test_single_mode_hand_computation(self, wave_canon):
@@ -106,7 +107,7 @@ class TestEvolutionStep:
         s0 = empty_slice(grid)
         y = np.arange(16) * (2.0 * math.pi / 16)
         s0.values[0] = eps * np.sin(y)[None, :, None]
-        s = _Stepper(wave_canon, grid).evolve(s0)
+        s, _ = _Stepper(wave_canon, grid).evolve(s0)
         dy = 2.0 * math.pi / 16
         centered = (np.roll(eps * np.sin(y), -1) - np.roll(eps * np.sin(y), 1)) / (2 * dy)
         expected_q2 = grid.dx * R2 * centered
@@ -189,6 +190,15 @@ class TestMarch:
         for a, b in zip(t1.slices, t2.slices):
             assert np.array_equal(a.values, b.values)
         assert t1.diagnostics == t2.diagnostics
+
+    def test_diagnostics_are_max_abs_of_each_slice(self, wave_canon,
+                                                   wave_report,
+                                                   manufactured_data):
+        # taken from one max and one min of the q and w blocks, exactly
+        grid = wave_grid(nx=12, cy=8, cz=4)
+        tr = cm.march(wave_canon, grid, manufactured_data, report=wave_report)
+        assert tr.diagnostics == tuple(float(np.abs(s.values).max())
+                                       for s in tr.slices)
 
     def test_linearity(self, wave_canon, wave_report):
         def scaled(data, a):
@@ -338,6 +348,26 @@ class TestMarch:
             with pytest.raises(MarchAbortError, match="non-finite"):
                 cm.march(canon, grid, plane_wave_data, report=wave_report,
                          force=True)
+
+    @pytest.mark.parametrize("block, where", [
+        ("N0", "evolution step"), ("L0", "hypersurface integration")])
+    def test_overflow_aborts_without_warning(self, block, where, wave_canon,
+                                             wave_report):
+        # a 1e300 coefficient on q2 ~ 1e10 overflows in the source of the
+        # evolution step (N0) or in the forcing of the A = 0 hypersurface
+        # pass (L0): the march must stop with its own error, not with a
+        # numpy RuntimeWarning
+        M = getattr(wave_canon, block).copy()
+        M[0, 1] = 1e300
+        canon = dataclasses.replace(wave_canon, **{block: M})
+        data = cm.DataSpec(
+            q0=((), (cm.ProfileTerm(kind="sine", amp=1e10),), ()), w0=((),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MarchAbortError,
+                               match=f"non-finite .* {where}"):
+                cm.march(canon, wave_grid(nx=16, cy=4, cz=4), data,
+                         report=wave_report, force=True)
 
 
 # --- oracle: the per-x-point Heun loop and the np.roll evolution step ------

@@ -73,6 +73,19 @@ class TestCheck:
         assert capsys.readouterr().err == \
             "error: surface u=const is not characteristic\n"
 
+    def test_totally_characteristic_gets_a_verdict(self, tmp_path, capsys):
+        # one unknown with A^t = A^x = 1 and u = t - x: B^u = 0, so every
+        # variable is null and there are no evolution rows (nq = 0)
+        path = tmp_path / "null.txt"
+        path.write_text("ncoords 2\nnunknowns 1\ncoordnames t x\n"
+                        "matrix A t\n1\nmatrix A x\n1\n"
+                        "chart\n1 -1\n0 1\n0 0\n", encoding="utf-8")
+        code = cli.main(["check", "--input", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (cli.EXIT_NOT_WELL_POSED, "")
+        assert out.startswith("verdict: NOT_WELL_POSED\n")
+        assert "Nu: ZERO\n" in out
+
     def test_missing_source_exit_one(self, capsys):
         assert cli.main(["check"]) == cli.EXIT_ERROR
 

@@ -5,6 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import charmarch as cm
 from charmarch import energymon
@@ -24,6 +27,59 @@ def wave_grid(nx, cy=4, cz=4, X=2.0):
 def two_sin_sq_integral(T):
     """int_0^T 2 sin(u)^2 du."""
     return T - math.sin(T) * math.cos(T)
+
+
+# --- the two kernels against their definitions ------------------------------
+
+def _einsum_quad_form(W, plane):
+    return np.einsum("a...,ab,b...->...", plane, W, plane)
+
+
+def _axis_cell_sum(pointwise, grid):
+    out = pointwise
+    for _ in grid.transverse:
+        out = out.sum(axis=-1)
+    return out * grid.transverse_cell_volume()
+
+
+# no magnitudes below 1e-6, so that no product of three entries underflows
+_ENTRIES = st.floats(-1e3, 1e3).map(lambda v: 0.0 if abs(v) < 1e-6 else v)
+
+
+@st.composite
+def _forms_on_planes(draw):
+    """(W, plane, cells): n in 1..5 components, nt in {0, 1, 2} transverse
+    axes, and zero or one point axis in front of them."""
+    n = draw(st.integers(1, 5))
+    nt = draw(st.sampled_from([0, 1, 2]))
+    cells = tuple(draw(st.lists(st.integers(1, 5), min_size=nt,
+                                max_size=nt)))
+    points = tuple(draw(st.lists(st.integers(1, 6), max_size=1)))
+    W = draw(arrays(float, (n, n), elements=_ENTRIES))
+    plane = draw(arrays(float, (n,) + points + cells, elements=_ENTRIES))
+    return W, plane, cells
+
+
+class TestKernels:
+    # relative to the same sums taken on absolute values, the scale of
+    # their round-off
+    @given(_forms_on_planes())
+    @settings(max_examples=150, deadline=None)
+    def test_match_their_definitions(self, case):
+        W, plane, cells = case
+        got = energymon._quad_form(W, plane)
+        want = _einsum_quad_form(W, plane)
+        assert got.shape == np.shape(want) == plane.shape[1:]
+        scale = _einsum_quad_form(np.abs(W), np.abs(plane))
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        grid = cm.GridSpec(X_total=1.0, nx=2, transverse=tuple(
+            cm.TransverseAxis(cells=c) for c in cells))
+        got = energymon._cell_sum(want, SolutionTrace(grid=grid))
+        ref = _axis_cell_sum(want, grid)
+        assert np.shape(got) == np.shape(ref) == \
+            plane.shape[1:plane.ndim - len(cells)]
+        scale = _axis_cell_sum(np.abs(want), grid)
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
 
 
 class TestDataNorms:
@@ -406,6 +462,22 @@ DAMPED_DATA = cm.DataSpec(
     w0=((cm.ProfileTerm(kind="sine", amp=1.2, k=1.0, phase=0.4),),))
 
 
+ONE_PLUS_ONE_TEXT = """ncoords 2
+nunknowns 2
+coordnames t x
+matrix A t
+1 0
+0 1
+matrix A x
+0 1
+1 0
+chart
+1 -1
+0 1
+0 0
+"""
+
+
 class TestFormTables:
     def test_damped_ladder_matches_oracle(self, damped_wave_pipeline):
         canon, cf, rep = damped_wave_pipeline
@@ -451,6 +523,28 @@ class TestFormTables:
         for system in (cf, no_R, cf):
             for k in (2, 9, 17):
                 _assert_matches_oracle(tr, system, rep, k * grid.dx)
+
+    @pytest.mark.parametrize("damped", [False, True])
+    def test_one_plus_one_ladder_matches_oracle(self, damped):
+        # A^t = I, A^x = [[0, 1], [1, 0]], u = t - x: one q, one w and no
+        # transverse axis, so every form is a plain line of x points
+        system, chart = cm.load_system(ONE_PLUS_ONE_TEXT)
+        if damped:
+            system = dataclasses.replace(system, D=-np.eye(2))
+        a = cm.analyze(system, chart)
+        assert a.report.verdict is Verdict.WELL_POSED
+        assert np.any(a.compact.R) == damped
+        grid = cm.GridSpec(X_total=0.45, nx=32)
+        data = cm.DataSpec(
+            q0=((cm.ProfileTerm(kind="sine", amp=0.8, k=2.0, phase=0.4),),),
+            w0=((cm.ProfileTerm(kind="sine", amp=1.2, k=1.0, phase=0.4),),))
+        tr = cm.march(a.canon, grid, data, report=a.report)
+        assert tr.slices[0].values.shape == (2, grid.nx + 1)
+        ladder = [k * grid.dx for k in range(1, grid.nx + 1)
+                  if k * grid.dx < a.report.T_max]
+        assert len(ladder) == grid.nx
+        for T in ladder:
+            _assert_matches_oracle(tr, a.compact, a.report, T)
 
     def test_marched_trace_cannot_change(self, damped_wave_pipeline):
         canon, cf, rep = damped_wave_pipeline
