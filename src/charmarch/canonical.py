@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from . import matkit
 from .matkit import Tolerances
@@ -145,14 +145,19 @@ def _select_evolution_rows(Bpu: np.ndarray, m: int, tol: float):
     scale = max(float(np.abs(cols).max()), np.finfo(float).tiny)
 
     def invertible(M):
-        return scipy.linalg.svdvals(M)[-1] > tol * scale
+        _, sv, _, info = lapack.dgesdd(M, compute_uv=0)
+        if info:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return sv[-1] > tol * scale
 
     rows = list(range(m, n))
     Nu = cols[rows]
     if invertible(Nu):
         return rows, Nu
-    _, _, piv = scipy.linalg.qr(cols.T, pivoting=True)
-    rows = sorted(int(p) for p in piv[:nq])
+    _, jpvt, _, _, info = lapack.dgeqp3(cols.T)
+    if info:
+        raise np.linalg.LinAlgError(f"dgeqp3 failed with info={info}")
+    rows = sorted(int(p) - 1 for p in jpvt[:nq])
     Nu = cols[rows]
     if not invertible(Nu):
         raise ReductionError("not reducible to canonical form with given chart")

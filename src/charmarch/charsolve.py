@@ -198,8 +198,9 @@ class SolutionTrace:
 
 
 def _apply(M: np.ndarray, plane: np.ndarray) -> np.ndarray:
-    """Matrix acting on the component axis of a field plane."""
-    flat = plane.reshape(plane.shape[0], -1)
+    """Matrix acting on the component axis of a field plane (which may have
+    no components: the q block of a totally characteristic system)."""
+    flat = plane.reshape(plane.shape[0], math.prod(plane.shape[1:]))
     return (M @ flat).reshape((M.shape[0],) + plane.shape[1:])
 
 

@@ -31,6 +31,7 @@ one reduction over their flattened axes.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -72,8 +73,9 @@ class EnergyReport:
 
 def _quad_form(W: np.ndarray, plane: np.ndarray) -> np.ndarray:
     """v^T W v on each grid point of a field plane (component axis first):
-    one matrix product on the (components, points) view."""
-    flat = plane.reshape(plane.shape[0], -1)
+    one matrix product on the (components, points) view, which may have no
+    components."""
+    flat = plane.reshape(plane.shape[0], math.prod(plane.shape[1:]))
     return (flat * (W @ flat)).sum(axis=0).reshape(plane.shape[1:])
 
 

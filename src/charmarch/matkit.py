@@ -1,8 +1,11 @@
 """Dense real linear-algebra kernel for small matrices (dim <= 16).
 
-Provides rank/null-space computation by column-pivoted QR, deterministic
-orthonormal completion, and symmetric definiteness classification.  All
-functions are pure; matrices and vectors are plain numpy arrays.
+Provides rank/null-space computation by column-pivoted QR (one bare LAPACK
+dgeqp3 call), deterministic orthonormal completion by classical
+Gram-Schmidt with one reorthogonalisation, a symmetry test that Frobenius
+bounds settle outside a narrow band, and symmetric definiteness
+classification with a threshold read from the spectrum.  All functions are
+pure; matrices and vectors are plain numpy arrays.
 """
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import blas, lapack, solve_triangular
 
 
 @dataclass(frozen=True)
@@ -88,12 +91,13 @@ def as_square(M) -> np.ndarray:
     return M
 
 
-def _fix_sign(v: np.ndarray, tol: float) -> np.ndarray:
-    """Flip sign so the first entry above tol is positive (determinism)."""
-    for entry in v:
-        if abs(entry) > tol:
-            return v if entry > 0 else -v
-    return v
+def _fix_signs(basis: np.ndarray, tol: float) -> np.ndarray:
+    """Flip each row so that its first entry above tol is positive
+    (determinism); a row with no entry above tol is kept."""
+    above = np.abs(basis) > tol
+    lead = basis[np.arange(len(basis)), above.argmax(axis=1)]
+    # argmax picks entry 0 of a row with none above tol, which is >= -tol
+    return np.where((lead < -tol)[:, None], -basis, basis)
 
 
 def _nullspace(M: np.ndarray, tol: float) -> np.ndarray:
@@ -106,7 +110,10 @@ def _nullspace(M: np.ndarray, tol: float) -> np.ndarray:
     scale = float(colnorms.max()) if n else 0.0
     if scale == 0.0:
         return np.eye(n)
-    r, p = scipy.linalg.qr(M, mode="r", pivoting=True)
+    qr, jpvt, _, _, info = lapack.dgeqp3(M)
+    if info:
+        raise np.linalg.LinAlgError(f"dgeqp3 failed with info={info}")
+    r, p = np.triu(qr), jpvt - 1
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > tol * scale))
     if rank == n:
@@ -114,13 +121,13 @@ def _nullspace(M: np.ndarray, tol: float) -> np.ndarray:
     if rank == 0:
         basis = np.eye(n)
     else:
-        X = scipy.linalg.solve_triangular(r[:rank, :rank], -r[:rank, rank:])
+        X = solve_triangular(r[:rank, :rank], -r[:rank, rank:])
         B = np.vstack([X, np.eye(n - rank)])
         basis = np.zeros((n, n - rank))
         basis[p, :] = B
         basis, _ = np.linalg.qr(basis)
         basis = basis.T
-    return np.array([_fix_sign(v, tol) for v in basis])
+    return _fix_signs(basis, tol)
 
 
 def rank_and_nullspaces(M, tols: Tolerances = Tolerances()):
@@ -137,47 +144,56 @@ def rank_and_nullspaces(M, tols: Tolerances = Tolerances()):
     return rank, [v for v in right], [v for v in left]
 
 
+def _fill(Q: np.ndarray, k0: int, threshold: float) -> list:
+    """Fill rows k0.. of Q by Gram-Schmidt over the trivial basis.
+
+    Candidates e_j are taken in index order, orthogonalised twice against
+    the rows accepted so far (classical Gram-Schmidt, one product per
+    pass) and accepted, normalised, when the residual norm exceeds
+    threshold.  Returns the accepted indices j."""
+    dim = Q.shape[1]
+    accepted = []
+    for j in range(dim):
+        k = k0 + len(accepted)
+        if k == dim:
+            break
+        # subtracting from e_j, not adding 1 to -(projection), keeps the
+        # exact zeros of the residual +0
+        cand = np.zeros(dim)
+        cand[j] = 1.0
+        cand -= Q[:k, j] @ Q[:k]
+        cand -= (Q[:k] @ cand) @ Q[:k]   # the reorthogonalisation
+        nrm = np.linalg.norm(cand)
+        if nrm > threshold:
+            Q[k] = cand / nrm
+            accepted.append(j)
+    return accepted
+
+
 def orthonormal_complete(vs, dim: int) -> np.ndarray:
     """Complete orthonormal vectors to a dim x dim orthogonal matrix.
 
     The first len(vs) rows are the inputs; the remaining rows are produced
-    deterministically by Gram-Schmidt over the trivial basis in index order,
-    skipping near-dependent candidates.
+    deterministically by classical Gram-Schmidt with one
+    reorthogonalisation over the trivial basis in index order (`_fill`),
+    accepting a candidate whose residual norm exceeds 0.5, or, when that
+    leaves rows missing, 1e-8.
     """
     rows = [np.asarray(v, dtype=float) for v in vs]
     if len(rows) > dim:
         raise MatrixShapeError("more vectors than the target dimension")
-    for i, vi in enumerate(rows):
-        if vi.shape != (dim,):
-            raise MatrixShapeError("vector length does not match dim")
-        for j, vj in enumerate(rows[: i + 1]):
-            want = 1.0 if i == j else 0.0
-            if abs(float(vi @ vj) - want) > 1e-9:
-                raise NotOrthonormalError("input vectors are not orthonormal")
-
-    def try_fill(threshold: float):
-        out = list(rows)
-        for j in range(dim):
-            if len(out) == dim:
-                break
-            cand = np.zeros(dim)
-            cand[j] = 1.0
-            # two Gram-Schmidt passes for stability near the threshold
-            for _ in range(2):
-                for row in out:
-                    cand = cand - (row @ cand) * row
-            nrm = np.linalg.norm(cand)
-            if nrm > threshold:
-                out.append(cand / nrm)
-        return out
-
-    out = try_fill(0.5)
-    if len(out) < dim:
-        out = try_fill(1e-8)
-    if len(out) < dim:  # cannot happen for orthonormal input, guard anyway
-        raise NotOrthonormalError("failed to complete an orthonormal basis")
-    S = np.array(out)
-    return S
+    if any(v.shape != (dim,) for v in rows):
+        raise MatrixShapeError("vector length does not match dim")
+    k0 = len(rows)
+    Q = np.zeros((dim, dim))
+    Q[:k0] = np.reshape(rows, (k0, dim))
+    if np.abs(Q[:k0] @ Q[:k0].T - np.eye(k0)).max(initial=0.0) > 1e-9:
+        raise NotOrthonormalError("input vectors are not orthonormal")
+    for threshold in (0.5, 1e-8):
+        if k0 + len(_fill(Q, k0, threshold)) == dim:
+            return Q
+    # cannot happen for orthonormal input, guard anyway
+    raise NotOrthonormalError("failed to complete an orthonormal basis")
 
 
 def _norm2(M: np.ndarray) -> float:
@@ -186,28 +202,52 @@ def _norm2(M: np.ndarray) -> float:
     return float(np.linalg.svd(M, compute_uv=False)[0]) if M.size else 0.0
 
 
+def _fro(M: np.ndarray) -> float:
+    """||M||_F by BLAS dnrm2, which scales and so neither underflows nor
+    overflows where the squares would."""
+    return float(blas.dnrm2(M.ravel()))
+
+
+# relative round-off allowed to the computed norms of the symmetry screen
+_SCREEN_SLACK = 1e-12
+
+
 def is_symmetric(M: np.ndarray, tols: Tolerances = Tolerances()) -> bool:
-    """||M - M^T||_2 <= tols.sym * ||M||_2 for a square M.  An exactly
-    symmetric M passes without an SVD."""
+    """||M - M^T||_2 <= tols.sym * ||M||_2 for a square M.
+
+    An exactly symmetric M passes without an SVD.  Otherwise, with
+    K = M - M^T, the bounds ||A||_F / sqrt(n) <= ||A||_2 <= ||A||_F on K
+    and on M decide, with a relative slack of 1e-12 for round-off; the two
+    SVDs run only when the threshold falls inside those bounds."""
     if np.array_equal(M, M.T):
         return True
-    return bool(_norm2(M - M.T) <= tols.sym * max(_norm2(M),
-                                                  np.finfo(float).tiny))
+    K = M - M.T
+    k, m = _fro(K), _fro(M)
+    root_n = math.sqrt(M.shape[0])
+    tiny = np.finfo(float).tiny
+    lo, hi = 1.0 - _SCREEN_SLACK, 1.0 + _SCREEN_SLACK
+    if k * hi <= tols.sym * max(m / root_n, tiny) * lo:
+        return True
+    if k / root_n * lo > tols.sym * max(m, tiny) * hi:
+        return False
+    return bool(_norm2(K) <= tols.sym * max(_norm2(M), tiny))
 
 
 def classify_definiteness(M, tols: Tolerances = Tolerances()
                           ) -> DefinitenessClass:
     """Classify a symmetric matrix by the signs of its eigenvalues.
 
-    Eigenvalues within tols.eig*||M|| of zero count as zero; a matrix whose
-    eigenvalues are all negligible is tagged ZERO (distinct from the
+    Eigenvalues within tols.eig * rho of zero count as zero, where rho is
+    the spectral radius of the symmetric part 0.5 * (M + M^T), read from
+    the eigenvalues themselves (it is ||M||_2 for a symmetric M); a matrix
+    whose eigenvalues are all negligible is tagged ZERO (distinct from the
     semi-definite tags).  Asymmetry beyond tols.sym*||M|| is refused.
     """
     M = as_square(M)
     if not is_symmetric(M, tols):
         raise NotSymmetricError("matrix is asymmetric beyond tolerance")
     w = np.linalg.eigvalsh(0.5 * (M + M.T))
-    thr = tols.eig * _norm2(M)
+    thr = tols.eig * max(-w[0], w[-1]) if len(w) else 0.0
     n_pos = int(np.sum(w > thr))
     n_neg = int(np.sum(w < -thr))
     n = len(w)

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import charmarch as cm
+from charmarch import canonical
 from charmarch.canonical import TransversalityError
 from charmarch.sysmodel import Chart
 
@@ -116,6 +118,39 @@ class TestSplitAndReduce:
         expected = row_op @ np.eye(4) @ np.linalg.inv(var_map)
         np.testing.assert_allclose(np.vstack([canon.N0, canon.L0]),
                                    expected, atol=1e-12)
+
+
+class TestSelectEvolutionRows:
+    def test_default_rows_when_invertible(self):
+        Bpu = np.array([[0.0, 0.0], [0.0, 3.0]])
+        rows, Nu = canonical._select_evolution_rows(Bpu, 1, 1e-10)
+        assert rows == [1] and np.array_equal(Nu, [[3.0]])
+
+    def test_fallback_takes_the_pivoted_row(self):
+        # B^u = [[0, 1], [0, 0]]: null vector e_1, left null vector e_2,
+        # so the default row 2 has a zero u-principal block
+        Bpu = np.array([[0.0, 1.0], [0.0, 0.0]])
+        rows, Nu = canonical._select_evolution_rows(Bpu, 1, 1e-10)
+        assert rows == [0] and np.array_equal(Nu, [[1.0]])
+
+    @given(st.integers(2, 12), st.integers(1, 3), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_fallback_matches_pivoted_qr(self, n, m, seed):
+        # the q columns of the last n - m rows have rank n - m - 1, so the
+        # default choice fails and column-pivoted QR on the transposed block
+        # picks the rows
+        m = min(m, n - 1)
+        nq = n - m
+        rng = np.random.default_rng(seed)
+        cols = rng.normal(size=(n, nq))
+        cols[m:] = (rng.normal(size=(nq, nq - 1))
+                    @ rng.normal(size=(nq - 1, nq)))
+        Bpu = np.hstack([np.zeros((n, m)), cols])
+        _, _, piv = scipy.linalg.qr(cols.T, pivoting=True)
+        want = sorted(int(p) for p in piv[:nq])
+        rows, Nu = canonical._select_evolution_rows(Bpu, m, 1e-10)
+        assert rows == want
+        assert np.array_equal(Nu, cols[want])
 
 
 class TestCompactForm:

@@ -15,6 +15,13 @@ from charmarch.charsolve import ProfileTerm
 import conftest
 
 
+# one unknown with A^t = A^x = 1 and u = t - x: B^u = 0, so every variable
+# is null and there are no evolution rows (nq = 0)
+TOTALLY_CHARACTERISTIC = ("ncoords 2\nnunknowns 1\ncoordnames t x\n"
+                          "matrix A t\n1\nmatrix A x\n1\n"
+                          "chart\n1 -1\n0 1\n0 0\n")
+
+
 def run_cli(argv):
     out = io.StringIO()
     args = cli.build_parser().parse_args(argv)
@@ -74,12 +81,8 @@ class TestCheck:
             "error: surface u=const is not characteristic\n"
 
     def test_totally_characteristic_gets_a_verdict(self, tmp_path, capsys):
-        # one unknown with A^t = A^x = 1 and u = t - x: B^u = 0, so every
-        # variable is null and there are no evolution rows (nq = 0)
         path = tmp_path / "null.txt"
-        path.write_text("ncoords 2\nnunknowns 1\ncoordnames t x\n"
-                        "matrix A t\n1\nmatrix A x\n1\n"
-                        "chart\n1 -1\n0 1\n0 0\n", encoding="utf-8")
+        path.write_text(TOTALLY_CHARACTERISTIC, encoding="utf-8")
         code = cli.main(["check", "--input", str(path)])
         out, err = capsys.readouterr()
         assert (code, err) == (cli.EXIT_NOT_WELL_POSED, "")
@@ -249,6 +252,23 @@ class TestSolve:
                          "--cells", "4,4", "--out", str(out)])
         assert code == cli.EXIT_OK
         assert out.read_text().startswith("u,x_extent,max_abs_v")
+
+    @pytest.mark.parametrize("w0, amp", [(None, 0.0), ("sine:amp=1,k=1", 1.0)],
+                             ids=["zero", "sine"])
+    def test_forced_march_without_q_block(self, w0, amp, tmp_path, capsys):
+        # nq = 0: the march carries w alone, and w = w0(u) on every row
+        path = tmp_path / "null.txt"
+        path.write_text(TOTALLY_CHARACTERISTIC, encoding="utf-8")
+        argv = ["solve", "--input", str(path), "--force", "--nx", "4"]
+        code = cli.main(argv + (["--w0", w0] if w0 else []))
+        out, err = capsys.readouterr()
+        assert (code, err) == (cli.EXIT_OK, "")
+        lines = out.strip().splitlines()
+        assert lines[0] == "u,x_extent,max_abs_v" and len(lines) == 1 + 5
+        for k, line in enumerate(lines[1:]):
+            u, extent, vmax = (float(v) for v in line.split(","))
+            assert (u, extent) == (0.5 * k, 5 - k)
+            assert abs(vmax - amp * abs(math.sin(u))) < 1e-15
 
     @pytest.mark.parametrize("argv, code", [
         (["solve", "--example", "wave3d", "--cells", "8,4,9"],

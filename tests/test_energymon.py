@@ -48,9 +48,10 @@ _ENTRIES = st.floats(-1e3, 1e3).map(lambda v: 0.0 if abs(v) < 1e-6 else v)
 
 @st.composite
 def _forms_on_planes(draw):
-    """(W, plane, cells): n in 1..5 components, nt in {0, 1, 2} transverse
-    axes, and zero or one point axis in front of them."""
-    n = draw(st.integers(1, 5))
+    """(W, plane, cells): n in 0..5 components (0 is the q block of a
+    totally characteristic system), nt in {0, 1, 2} transverse axes, and
+    zero or one point axis in front of them."""
+    n = draw(st.integers(0, 5))
     nt = draw(st.sampled_from([0, 1, 2]))
     cells = tuple(draw(st.lists(st.integers(1, 5), min_size=nt,
                                 max_size=nt)))

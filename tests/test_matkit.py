@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -183,8 +184,8 @@ SYM_TOLS = st.sampled_from([1e-14, 1e-10, 1e-6, 1e-2]).map(
 
 
 class TestFastPathsBitExact:
-    """_norm2, is_symmetric and the R-only QR in _nullspace give bit for bit
-    what the calls they replace gave."""
+    """_norm2, is_symmetric, the bare LAPACK calls and the vectorised sign
+    fix give bit for bit what the calls they replace gave."""
 
     @given(st.integers(0, 16), st.integers(0, 10**6))
     @settings(max_examples=100, deadline=None)
@@ -233,23 +234,281 @@ class TestFastPathsBitExact:
         assert matkit.is_symmetric(M + 0.9 * eps * A, tols)
         assert not matkit.is_symmetric(M + 1.1 * eps * A, tols)
 
+    @given(st.integers(1, 16), st.integers(1, 16), st.integers(0, 16),
+           st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_dgeqp3_is_the_pivoted_qr(self, rows, cols, rank, seed):
+        # square for _nullspace, wide for the row selection of canonical
+        rng = np.random.default_rng(seed)
+        rank = min(rank, rows, cols)
+        M = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+        r, p = scipy.linalg.qr(M, mode="r", pivoting=True)
+        qr, jpvt, _, _, info = lapack.dgeqp3(M)
+        assert info == 0
+        assert np.array_equal(np.triu(qr), r)
+        assert np.array_equal(jpvt - 1, p)
+
     @given(st.integers(1, 16), st.integers(0, 16), st.integers(0, 10**6))
     @settings(max_examples=100, deadline=None)
-    def test_nullspace_matches_full_q(self, n, rank, seed):
+    def test_dgesdd_is_svdvals(self, n, rank, seed):
         rng = np.random.default_rng(seed)
         rank = min(rank, n)
         M = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, n))
-        qr = scipy.linalg.qr
+        _, sv, _, info = lapack.dgesdd(M, compute_uv=0)
+        assert info == 0
+        assert np.array_equal(sv, scipy.linalg.svdvals(M))
 
-        def full_q(A, mode="full", pivoting=False):
-            _, r, p = qr(A, pivoting=True)
-            return r, p
-
-        r, p = qr(M, mode="r", pivoting=True)
-        _, r_full, p_full = qr(M, pivoting=True)
-        assert np.array_equal(r, r_full) and np.array_equal(p, p_full)
+    @given(st.integers(1, 16), st.integers(0, 16), st.integers(0, 10**6),
+           st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_nullspace_matches_wrapper_version(self, n, rank, seed, ints):
+        rng = np.random.default_rng(seed)
+        rank = min(rank, n)
+        if ints:   # exact zeros and ties in the basis
+            M = (rng.integers(-2, 3, size=(n, rank))
+                 @ rng.integers(-2, 3, size=(rank, n))).astype(float)
+        else:
+            M = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, n))
         got = matkit._nullspace(M, 1e-10)
-        with mock.patch.object(scipy.linalg, "qr", full_q):
-            want = matkit._nullspace(M, 1e-10)
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, wrapper_nullspace(M, 1e-10))
         assert rank_and_nullspaces(M)[0] == n - len(got)
+
+    @given(st.integers(0, 6), st.integers(1, 6), st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_sign_fix_is_row_by_row(self, rows, cols, seed):
+        # entries from {0, -0, +-tol/2, +-tol, +-2 tol, +-1}: rows with no
+        # entry above tol, and leads just at and above it
+        tol = 1e-10
+        rng = np.random.default_rng(seed)
+        values = np.array([0.0, -0.0, tol / 2, tol, 2 * tol, 1.0])
+        basis = (values[rng.integers(0, 6, size=(rows, cols))]
+                 * rng.choice([-1.0, 1.0], size=(rows, cols)))
+        got = matkit._fix_signs(basis, tol)
+        want = np.array([fix_sign_row(v, tol) for v in basis]).reshape(
+            rows, cols)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def wrapper_nullspace(M, tol):
+    """matkit._nullspace as it was written on scipy.linalg.qr, with the
+    per-row sign fix."""
+    n = M.shape[1]
+    colnorms = np.linalg.norm(M, axis=0)
+    scale = float(colnorms.max()) if n else 0.0
+    if scale == 0.0:
+        return np.eye(n)
+    r, p = scipy.linalg.qr(M, mode="r", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.sum(diag > tol * scale))
+    if rank == n:
+        return np.zeros((0, n))
+    if rank == 0:
+        basis = np.eye(n)
+    else:
+        X = scipy.linalg.solve_triangular(r[:rank, :rank], -r[:rank, rank:])
+        B = np.vstack([X, np.eye(n - rank)])
+        basis = np.zeros((n, n - rank))
+        basis[p, :] = B
+        basis, _ = np.linalg.qr(basis)
+        basis = basis.T
+    return np.array([fix_sign_row(v, tol) for v in basis])
+
+
+def fix_sign_row(v, tol):
+    """Flip sign so the first entry above tol is positive."""
+    for entry in v:
+        if abs(entry) > tol:
+            return v if entry > 0 else -v
+    return v
+
+
+def mgs2_fill(rows, dim, threshold):
+    """The completion as it was written: modified Gram-Schmidt, two passes
+    row by row.  Returns the completed rows and the accepted indices."""
+    out, accepted = list(rows), []
+    for j in range(dim):
+        if len(out) == dim:
+            break
+        cand = np.zeros(dim)
+        cand[j] = 1.0
+        for _ in range(2):
+            for row in out:
+                cand = cand - (row @ cand) * row
+        nrm = np.linalg.norm(cand)
+        if nrm > threshold:
+            out.append(cand / nrm)
+            accepted.append(j)
+    return out, accepted
+
+
+def sparse_orthonormal(rng, dim, nvec):
+    """Orthonormal rows with exact zeros: +-(e_i +- e_j)/sqrt(2) on
+    disjoint pairs, or +-e_i."""
+    idx = rng.permutation(dim)
+    rows, k = [], 0
+    while len(rows) < nvec:
+        v = np.zeros(dim)
+        room = dim - k - (nvec - len(rows) - 1)   # for one e_i per rest
+        if room >= 2 and rng.random() < 0.7:
+            v[idx[k]] = rng.choice([-1.0, 1.0]) / math.sqrt(2.0)
+            v[idx[k + 1]] = rng.choice([-1.0, 1.0]) / math.sqrt(2.0)
+            k += 2
+        else:
+            v[idx[k]] = rng.choice([-1.0, 1.0])
+            k += 1
+        rows.append(v)
+    return rows
+
+
+class TestCompletionAgainstMGS2:
+    """The CGS2 completion picks the candidates that the MGS2 one picked and
+    agrees with it at round-off."""
+
+    def check(self, vs, dim):
+        k0 = len(vs)
+        for threshold in (0.5, 1e-8):
+            Q = np.zeros((dim, dim))
+            Q[:k0] = np.reshape(vs, (k0, dim))
+            accepted = matkit._fill(Q, k0, threshold)
+            assert accepted == mgs2_fill(vs, dim, threshold)[1]
+        S = orthonormal_complete(vs, dim)
+        out, _ = mgs2_fill(vs, dim, 0.5)
+        if len(out) < dim:
+            out, _ = mgs2_fill(vs, dim, 1e-8)
+        want = np.array(out).reshape(dim, dim)
+        np.testing.assert_allclose(S, want, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(S @ S.T, np.eye(dim), rtol=0, atol=1e-14)
+        plus_zero = (want == 0.0) & ~np.signbit(want)
+        assert not np.signbit(S[plus_zero]).any()
+
+    @given(st.integers(0, 10**6), st.integers(1, 16), st.integers(0, 4),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_mgs2(self, seed, dim, nvec, sparse):
+        nvec = min(nvec, dim)
+        rng = np.random.default_rng(seed)
+        if sparse:
+            vs = sparse_orthonormal(rng, dim, nvec)
+        else:
+            Q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+            vs = [Q[:, j] for j in range(nvec)]
+        self.check(vs, dim)
+
+    def test_tie_at_the_threshold(self):
+        # the residual of e_0 against z is exactly 0.5: not above it, so
+        # e_0 is skipped and e_1 taken
+        z = np.array([math.sqrt(3.0) / 2.0, 0.5])
+        assert mgs2_fill([z], 2, 0.5)[1] == [1]
+        self.check([z], 2)
+
+    def test_small_residual_in_the_second_pass(self):
+        # the inputs span the complement of v, whose entries are all below
+        # 0.5: no candidate passes 0.5, and at 1e-8 e_0 is taken with the
+        # residual |v_0| = 1e-6, where one Gram-Schmidt pass loses
+        # orthogonality
+        v = np.array([1e-6, 0.5, 0.5, 0.5, 0.5])
+        v /= np.linalg.norm(v)
+        rng = np.random.default_rng(0)
+        Q, _ = np.linalg.qr(np.column_stack([v, rng.normal(size=(5, 4))]))
+        vs = [Q[:, j] for j in range(1, 5)]
+        assert mgs2_fill(vs, 5, 0.5)[1] == []
+        assert mgs2_fill(vs, 5, 1e-8)[1] == [0]
+        self.check(vs, 5)
+
+    def test_wave_rotation_zeros(self):
+        z = np.array([1.0, -1.0, 0.0, 0.0]) / math.sqrt(2.0)
+        self.check([z], 4)
+
+
+def old_classify_tag(M, tols):
+    """classify_definiteness's tag with the threshold tols.eig * ||M||_2."""
+    w = np.linalg.eigvalsh(0.5 * (M + M.T))
+    thr = tols.eig * np.linalg.norm(M, 2)
+    n_pos, n_neg = int(np.sum(w > thr)), int(np.sum(w < -thr))
+    if n_pos == 0 and n_neg == 0:
+        return Definiteness.ZERO
+    if n_neg == 0:
+        return (Definiteness.POSITIVE_DEFINITE if n_pos == len(w)
+                else Definiteness.POSITIVE_SEMI)
+    if n_pos == 0:
+        return (Definiteness.NEGATIVE_DEFINITE if n_neg == len(w)
+                else Definiteness.NEGATIVE_SEMI)
+    return Definiteness.INDEFINITE
+
+
+class TestScreens:
+    """The symmetry screen and the spectral threshold decide as the SVD
+    definitions did."""
+
+    @given(st.integers(1, 16), st.integers(0, 10**6),
+           st.sampled_from([1e-10, 1e-6, 1e-3, 1e-1]),
+           st.lists(st.sampled_from([-1.0, 1.0, 0.0]), min_size=1,
+                    max_size=16),
+           st.sampled_from([1 - 1e-6, 1 + 1e-6]))
+    @settings(max_examples=200, deadline=None)
+    def test_spectral_threshold_tag(self, n, seed, eig, signs, factor):
+        # one eigenvalue of modulus L sets the threshold; the others sit
+        # at +-eig * L * factor, just inside or outside it, or at 0
+        rng = np.random.default_rng(seed)
+        L = rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0])
+        w = [L] + [s * eig * abs(L) * factor for s in (signs * n)[:n - 1]]
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        M = (Q * w) @ Q.T
+        M = 0.5 * (M + M.T)
+        tols = Tolerances(eig=eig)
+        assert classify_definiteness(M, tols).tag is old_classify_tag(M, tols)
+
+    @pytest.mark.parametrize("diag", [(), (0.0,), (1.0, -1e-11), (-3.0, 2.0)])
+    def test_spectral_threshold_small_cases(self, diag):
+        M = np.diag(np.array(diag, dtype=float))
+        assert classify_definiteness(M).tag is old_classify_tag(M, Tolerances())
+
+    @given(st.integers(2, 16), st.integers(0, 10**6), SYM_TOLS,
+           st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-0.25, 1.25)),
+           st.floats(1 - 1e-6, 1 + 1e-6),
+           st.sampled_from([1.0, 1e-150, 1e150]),
+           st.sampled_from(["random", "orthogonal", "rank1"]),
+           st.sampled_from(["random", "rank2", "flat"]))
+    @settings(max_examples=400, deadline=None)
+    def test_screen_across_the_band(self, n, seed, tols, where, factor,
+                                    scale, kind_m, kind_k):
+        # ||K||_F = sym * ||M||_F * n^(where - 1/2): where = 0 is the edge
+        # of "surely symmetric", where = 1 the edge of "surely not".  The
+        # bounds on M are tight for an orthogonal M (||M||_2 =
+        # ||M||_F / sqrt(n)) and a rank-1 M (||M||_2 = ||M||_F); those on
+        # K for a rank-2 K (||K||_2 = ||K||_F / sqrt(2), the most a skew K
+        # reaches) and a flat one, all singular values equal (n even)
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        if kind_m == "orthogonal":
+            M = (Q * rng.choice([-1.0, 1.0], size=n)) @ Q.T
+        elif kind_m == "rank1":
+            M = np.outer(Q[0], Q[0])
+        else:
+            M = rng.normal(size=(n, n))
+        M = 0.5 * (M + M.T)
+        if kind_k == "rank2":
+            A = np.outer(*rng.normal(size=(2, n)))
+        elif kind_k == "flat":
+            J = np.zeros((n, n))
+            J[np.arange(1, n, 2), np.arange(0, n - 1, 2)] = 1.0
+            A = Q @ J @ Q.T
+        else:
+            A = rng.normal(size=(n, n))
+        A = A - A.T
+        target = tols.sym * np.linalg.norm(M) * n ** (where - 0.5) * factor
+        P = (M + target / np.linalg.norm(A - A.T) * A) * scale
+        assert matkit.is_symmetric(P, tols) is old_is_symmetric(P, tols)
+
+    def test_screen_skips_the_svds(self):
+        # round-off asymmetry and plain asymmetry are settled by the
+        # Frobenius bounds alone
+        rng = np.random.default_rng(5)
+        B = rng.normal(size=(6, 6))
+        M = B + B.T
+        M[0, 1] += 1e-15
+        with mock.patch.object(matkit, "_norm2") as norm2:
+            assert matkit.is_symmetric(M)
+            assert not matkit.is_symmetric(B)
+        norm2.assert_not_called()
