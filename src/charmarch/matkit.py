@@ -1,11 +1,20 @@
 """Dense real linear-algebra kernel for small matrices (dim <= 16).
 
-Provides rank/null-space computation by column-pivoted QR (one bare LAPACK
-dgeqp3 call), deterministic orthonormal completion by classical
-Gram-Schmidt with one reorthogonalisation, a symmetry test that Frobenius
-bounds settle outside a narrow band, and symmetric definiteness
-classification with a threshold read from the spectrum.  All functions are
-pure; matrices and vectors are plain numpy arrays.
+Provides rank/null-space computation by column-pivoted QR, deterministic
+orthonormal completion by classical Gram-Schmidt with one
+reorthogonalisation, a symmetry test that Frobenius bounds settle outside a
+narrow band, and symmetric definiteness classification with a threshold
+read from the spectrum.  All functions are pure; matrices and vectors are
+plain numpy arrays.
+
+LAPACK is called bare where that is bit-identical to the wrapper it
+replaces: dgeqp3 (scipy.linalg.qr with pivoting), dtrtrs with the
+transposed lower solve (scipy.linalg.solve_triangular on a triangle that
+is not F-contiguous), dgeqrf + dorgqr (np.linalg.qr) and dsyevd with
+lower=1 (np.linalg.eigvalsh).  dorgqr returns Q in F order; a null basis
+is the transpose of Q converted to C order, as np.linalg.qr's Q is, so its
+rows are strided views: the BLAS dot products that later read them sum in
+another order on unit-stride rows.
 """
 from __future__ import annotations
 
@@ -14,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack, solve_triangular
+from scipy.linalg import blas, lapack
 
 
 @dataclass(frozen=True)
@@ -100,33 +109,55 @@ def _fix_signs(basis: np.ndarray, tol: float) -> np.ndarray:
     return np.where((lead < -tol)[:, None], -basis, basis)
 
 
-def _nullspace(M: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis (as rows) of {z : M z = 0} via column-pivoted QR.
-
-    Rank threshold is tol times the largest column norm of M.
-    """
+def _pivoted_qr(M: np.ndarray, tol: float):
+    """Column-pivoted QR of M by one bare LAPACK dgeqp3 call, and the rank
+    it reveals: the number of |R_kk| above tol times the largest column
+    norm of M.  Returns (qr, p, rank) with R the upper triangle of qr and p
+    the 0-based column pivots; a zero M has rank 0 and is not factorised
+    (qr and p are None)."""
     n = M.shape[1]
     colnorms = np.linalg.norm(M, axis=0)
     scale = float(colnorms.max()) if n else 0.0
     if scale == 0.0:
-        return np.eye(n)
+        return None, None, 0
     qr, jpvt, _, _, info = lapack.dgeqp3(M)
     if info:
         raise np.linalg.LinAlgError(f"dgeqp3 failed with info={info}")
-    r, p = np.triu(qr), jpvt - 1
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > tol * scale))
+    rank = int(np.sum(np.abs(np.diag(qr)) > tol * scale))
+    return qr, jpvt - 1, rank
+
+
+def _nullspace(M: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal basis (as rows) of {z : M z = 0} via column-pivoted QR.
+
+    Rank threshold is tol times the largest column norm of M.  A basis
+    solved from R keeps np.linalg.qr's layout (see the module docstring).
+    """
+    n = M.shape[1]
+    qr, p, rank = _pivoted_qr(M, tol)
     if rank == n:
         return np.zeros((0, n))
     if rank == 0:
         basis = np.eye(n)
     else:
-        X = solve_triangular(r[:rank, :rank], -r[:rank, rank:])
+        # R11 X = -R12 as R11^T's transpose solve: what solve_triangular
+        # calls for an R11 that is not F-contiguous; dtrtrs reads only the
+        # upper triangle of qr
+        X, info = lapack.dtrtrs(qr[:rank, :rank].T, -qr[:rank, rank:],
+                                lower=1, trans=1)
+        if info:
+            raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
         B = np.vstack([X, np.eye(n - rank)])
         basis = np.zeros((n, n - rank))
         basis[p, :] = B
-        basis, _ = np.linalg.qr(basis)
-        basis = basis.T
+        # np.linalg.qr's Q: dgeqrf then dorgqr
+        qf, tau, _, info = lapack.dgeqrf(basis)
+        if info:
+            raise np.linalg.LinAlgError(f"dgeqrf failed with info={info}")
+        Q, _, info = lapack.dorgqr(qf, tau)
+        if info:
+            raise np.linalg.LinAlgError(f"dorgqr failed with info={info}")
+        basis = np.ascontiguousarray(Q).T
     return _fix_signs(basis, tol)
 
 
@@ -233,6 +264,18 @@ def is_symmetric(M: np.ndarray, tols: Tolerances = Tolerances()) -> bool:
     return bool(_norm2(K) <= tols.sym * max(_norm2(M), tiny))
 
 
+def _eigvalsh(S: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric S read from its lower triangle:
+    the LAPACK call of np.linalg.eigvalsh (dsyevd, no vectors, lower), and
+    an empty array for an empty S."""
+    if not len(S):
+        return np.zeros(0)
+    w, _, info = lapack.dsyevd(S, compute_v=0, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dsyevd failed with info={info}")
+    return w
+
+
 def classify_definiteness(M, tols: Tolerances = Tolerances()
                           ) -> DefinitenessClass:
     """Classify a symmetric matrix by the signs of its eigenvalues.
@@ -246,7 +289,7 @@ def classify_definiteness(M, tols: Tolerances = Tolerances()
     M = as_square(M)
     if not is_symmetric(M, tols):
         raise NotSymmetricError("matrix is asymmetric beyond tolerance")
-    w = np.linalg.eigvalsh(0.5 * (M + M.T))
+    w = _eigvalsh(0.5 * (M + M.T))
     thr = tols.eig * max(-w[0], w[-1]) if len(w) else 0.0
     n_pos = int(np.sum(w > thr))
     n_neg = int(np.sum(w < -thr))

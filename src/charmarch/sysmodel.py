@@ -27,6 +27,11 @@ class NotCharacteristicError(ValueError):
     """det B^u != 0: the surface u = const is not characteristic."""
 
 
+def _require_finite(M, what: str):
+    if not np.all(np.isfinite(M)):
+        raise ValueError(f"{what} has non-finite entries")
+
+
 @dataclass(frozen=True)
 class FirstOrderSystem:
     n_coords: int
@@ -45,8 +50,10 @@ class FirstOrderSystem:
         for name, M in self.A.items():
             if M.shape != (self.n_unknowns, self.n_unknowns):
                 raise ValueError(f"matrix A {name} has wrong shape")
+            _require_finite(M, f"matrix A {name}")
         if self.D.shape != (self.n_unknowns, self.n_unknowns):
             raise ValueError("matrix D has wrong shape")
+        _require_finite(self.D, "matrix D")
 
 
 @dataclass(frozen=True)
@@ -54,7 +61,9 @@ class Chart:
     """Affine coordinate change: new coords = J y + offsets.
 
     Row 0 of J is the gradient of u, row 1 of x, rows 2.. of the transverse
-    coordinates.
+    coordinates.  J must be invertible: its rank is read, at the default
+    rank tolerance, from the column-pivoted QR that
+    matkit.rank_and_nullspaces uses, and no null space is built.
     """
     J: np.ndarray
     offsets: np.ndarray
@@ -66,9 +75,10 @@ class Chart:
             raise ValueError("chart Jacobian must be square")
         if self.offsets.shape != (n,):
             raise ValueError("offsets length must match n_coords")
+        _require_finite(J, "chart Jacobian")
+        _require_finite(self.offsets, "chart offsets")
         # built before any tolerance is known: the default rank tolerance
-        rank, _, _ = matkit.rank_and_nullspaces(J)
-        if rank < n:
+        if matkit._pivoted_qr(J, matkit.Tolerances.rank)[2] < n:
             raise SingularChartError("singular chart: Jacobian is not invertible")
 
     def new_names(self, coord_names) -> tuple:
@@ -100,26 +110,56 @@ class SideMatrices:
 
 def _read_matrix(lines, start, nrows, ncols, what):
     """Read nrows rows of ncols floats starting at lines[start]; returns
-    (M, next)."""
-    rows = []
+    (M, next).
+
+    Each line's token count is checked as it is read; the tokens of the
+    block are then converted by one np.array(..., dtype=float), which
+    accepts what float() accepts and gives the same bits.  An invalid
+    number is located by converting row by row, and a non-finite one
+    (nan, inf, or a literal beyond the float range) is refused with the
+    block's name and its line."""
+    tokens, linenos = [], []
     idx = start
-    while len(rows) < nrows:
+    pending = None
+    while len(linenos) < nrows:
         if idx >= len(lines):
-            raise ParseError(f"unexpected end of file inside {what}", len(lines))
+            pending = ParseError(f"unexpected end of file inside {what}",
+                                 len(lines))
+            break
         lineno, text = lines[idx]
         idx += 1
         parts = text.split()
         if not parts:
             continue
         if len(parts) != ncols:
-            raise ParseError(
+            pending = ParseError(
                 f"{what}: expected {ncols} values per row, got {len(parts)}",
                 lineno)
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise ParseError(f"{what}: invalid number", lineno) from None
-    return np.array(rows), idx
+            break
+        tokens += parts
+        linenos.append(lineno)
+    try:
+        M = np.array(tokens, dtype=float).reshape(len(linenos), ncols)
+    except ValueError:
+        for k, lineno in enumerate(linenos):
+            try:
+                [float(p) for p in tokens[k * ncols:(k + 1) * ncols]]
+            except ValueError:
+                raise ParseError(f"{what}: invalid number", lineno) from None
+        raise
+    finite = np.isfinite(M).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{what}: non-finite number",
+                         linenos[int(finite.argmin())])
+    if pending is not None:
+        raise pending
+    return M, idx
+
+
+def _is_count(token: str) -> bool:
+    """ASCII digits only: str.isdigit alone also accepts superscripts such
+    as '²', which int() refuses."""
+    return token.isascii() and token.isdigit()
 
 
 def load_system(text) -> tuple:
@@ -160,11 +200,11 @@ def load_system(text) -> tuple:
             continue
         key = parts[0]
         if key == "ncoords":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not _is_count(parts[1]):
                 raise ParseError("ncoords expects one integer", lineno)
             n_coords = int(parts[1])
         elif key == "nunknowns":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not _is_count(parts[1]):
                 raise ParseError("nunknowns expects one integer", lineno)
             n_unknowns = int(parts[1])
         elif key == "coordnames":

@@ -78,7 +78,7 @@ def _growth(cf: CompactSystem, cls_R: DefinitenessClass):
     """(r, c, T_max, growth exponent) of the bound e^{(r/c)T}, T < c/r;
     T_max = 0 and the exponent infinite when c <= 0 (no norm on Sigma_T)."""
     r = float(np.abs(cf.R).max()) if cf.R.size else 0.0
-    c = float(np.linalg.eigvalsh(_sym(cf.C["u"] + cf.C["x"]))[0])
+    c = float(matkit._eigvalsh(_sym(cf.C["u"] + cf.C["x"]))[0])
     if cls_R.is_nonnegative() or r == 0.0:
         return r, c, math.inf, 0.0
     if c > 0.0:

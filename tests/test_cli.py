@@ -22,6 +22,14 @@ TOTALLY_CHARACTERISTIC = ("ncoords 2\nnunknowns 1\ncoordnames t x\n"
                           "chart\n1 -1\n0 1\n0 0\n")
 
 
+# a 2x2 system in three coordinates, WELL_POSED; the parser tests put a
+# non-finite number or a bad count into it
+NONFINITE_BASE = ("ncoords 3\nnunknowns 2\ncoordnames t x y\n"
+                  "matrix A t\n1 0\n0 1\nmatrix A x\n0 1\n1 0\n"
+                  "matrix A y\n0 0\n0 0\nmatrix D\n0 0\n0 0\n"
+                  "chart\n1 -1 0\n0 1 0\n0 0 1\n0 0 0\n")
+
+
 def run_cli(argv):
     out = io.StringIO()
     args = cli.build_parser().parse_args(argv)
@@ -71,6 +79,32 @@ class TestCheck:
         path.write_text("ncoords 2\nbogus 3\n", encoding="utf-8")
         assert cli.main(["check", "--input", str(path)]) == cli.EXIT_ERROR
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, err", [
+        # each got past the parser: "SVD did not converge", two
+        # RuntimeWarnings and an unlocated message, the unlocated message,
+        # and a WELL_POSED verdict with exit 0
+        ("matrix A y\n0 0", "matrix A y\nnan 0",
+         "line 11: matrix A y: non-finite number"),
+        ("matrix D\n0 0", "matrix D\ninf 0",
+         "line 14: matrix D: non-finite number"),
+        ("matrix A x\n0 1", "matrix A x\n1e400 1",
+         "line 8: matrix A x: non-finite number"),
+        ("0 0 1\n0 0 0", "0 0 1\n0 nan inf",
+         "line 20: chart offsets: non-finite number"),
+        ("ncoords 3", "ncoords \u00b2", "line 1: ncoords expects one integer"),
+    ])
+    def test_refused_by_the_parser(self, old, new, err, tmp_path, capsys):
+        path = tmp_path / "system.txt"
+        path.write_text(NONFINITE_BASE.replace(old, new), encoding="utf-8")
+        assert cli.main(["check", "--input", str(path)]) == cli.EXIT_ERROR
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+    def test_nonfinite_base_is_well_posed(self, tmp_path, capsys):
+        path = tmp_path / "system.txt"
+        path.write_text(NONFINITE_BASE, encoding="utf-8")
+        assert cli.main(["check", "--input", str(path)]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith("verdict: WELL_POSED\n")
 
     def test_not_characteristic_exit_one(self, tmp_path, capsys):
         path = tmp_path / "u_equals_t.txt"

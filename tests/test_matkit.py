@@ -9,7 +9,7 @@ from scipy.linalg import lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charmarch import matkit
+from charmarch import matkit, sysmodel
 from charmarch.matkit import (Definiteness, MatrixShapeError,
                               NotOrthonormalError, NotSymmetricError,
                               Tolerances, classify_definiteness,
@@ -273,6 +273,120 @@ class TestFastPathsBitExact:
         assert np.array_equal(got, wrapper_nullspace(M, 1e-10))
         assert rank_and_nullspaces(M)[0] == n - len(got)
 
+    @given(st.integers(1, 16), st.integers(0, 16), st.integers(0, 10**6),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_transposed_dtrtrs_is_solve_triangular(self, n, rank, seed, ints):
+        # R11 X = -R12 of _nullspace at the numerical rank; a full-rank M
+        # is cut at n - 1, so its leading block is solved too
+        M = draw(n, rank, seed, ints)
+        k = matkit._pivoted_qr(M, 1e-10)[2]
+        if k == n:
+            k = n - 1
+        if k == 0:   # a zero M, or n = 1
+            return
+        qr = lapack.dgeqp3(M)[0]
+        r = np.triu(qr)
+        want = scipy.linalg.solve_triangular(r[:k, :k], -r[:k, k:])
+        got, info = lapack.dtrtrs(qr[:k, :k].T, -qr[:k, k:], lower=1,
+                                  trans=1)
+        assert info == 0
+        assert np.array_equal(got, want)
+
+    @given(st.integers(1, 16), st.integers(1, 16), st.integers(0, 10**6),
+           st.booleans(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_dgeqrf_dorgqr_is_numpy_qr(self, rows, cols, seed, ints, basis):
+        # random tall matrices, and the [X; I] bases that _nullspace
+        # orthonormalises, rows permuted
+        rng = np.random.default_rng(seed)
+        cols = min(cols, rows)
+        shape = (rows - cols, cols) if basis else (rows, cols)
+        A = (rng.integers(-2, 3, size=shape).astype(float) if ints
+             else rng.normal(size=shape))
+        if basis:
+            A = np.vstack([A, np.eye(cols)])[rng.permutation(rows)]
+        qf, tau, _, info = lapack.dgeqrf(A)
+        assert info == 0
+        Q, _, info = lapack.dorgqr(qf, tau)
+        assert info == 0
+        assert np.array_equal(Q, np.linalg.qr(A)[0])
+
+    @given(st.integers(0, 16), st.integers(0, 16), st.integers(0, 10**6),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_dsyevd_is_eigvalsh(self, n, rank, seed, ints):
+        M = draw(n, min(rank, n), seed, ints)
+        S = 0.5 * (M + M.T)
+        got = matkit._eigvalsh(S)
+        assert got.shape == (n,)
+        assert np.array_equal(got, np.linalg.eigvalsh(S))
+
+    @given(st.integers(1, 16), st.integers(0, 16), st.integers(0, 10**6),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_rank_helper_is_rank_and_nullspaces(self, n, rank, seed, ints):
+        M = draw(n, min(rank, n), seed, ints)
+        for tol in (1e-10, 1e-3):
+            assert matkit._pivoted_qr(M, tol)[2] == \
+                rank_and_nullspaces(M, Tolerances(rank=tol))[0]
+        # Chart reads the rank alone, at the default tolerance
+        if rank_and_nullspaces(M)[0] < n:
+            with pytest.raises(sysmodel.SingularChartError):
+                sysmodel.Chart(J=M, offsets=np.zeros(n))
+        else:
+            sysmodel.Chart(J=M, offsets=np.zeros(n))
+
+    @given(st.integers(1, 16), st.integers(1, 16), st.integers(0, 10**6),
+           st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_nullspace_rows_keep_the_qr_layout(self, n, rank, seed, ints):
+        # the layout hazard: a basis orthonormalised through dorgqr must be
+        # the transpose of a C-ordered Q (np.linalg.qr's layout), so that a
+        # null row is a strided view.  Q.T of dorgqr's F-ordered Q gives
+        # C-contiguous rows with the same values, but the BLAS dot products
+        # of canonical.transversality_check then sum in another order: r
+        # moved in 71 of the 1500 systems of the seed-1 check-batch corpus,
+        # and 873 of its analyze outputs changed
+        M = draw(n, min(rank, n - 1), seed, ints)
+        basis = matkit._nullspace(M, 1e-10)
+        if 0 < n - len(basis) < n:
+            assert basis.flags.f_contiguous
+            k = len(basis)
+            assert all(v.strides == (8 * k,) for v in basis)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=12, max_size=12),
+           st.sampled_from(["%.17g", "%r", "%.6g"]))
+    @settings(max_examples=200, deadline=None)
+    def test_parsed_values_are_float(self, values, fmt):
+        lines = [(10 + k, " ".join(fmt % x for x in values[3 * k:3 * k + 3]))
+                 for k in range(4)]
+        M, _ = sysmodel._read_matrix(lines, 0, 4, 3, "matrix D")
+        want = np.array([[float(t) for t in text.split()]
+                         for _, text in lines])
+        assert np.array_equal(M.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("token", [
+        "1_000.25", "\u0661\u0662", "+.5", "-0", "1e-320", "4.9e-324",
+        "2.2250738585072014e-308", "1.7976931348623157e308", "0.1", "1E5"])
+    def test_parsed_tokens_are_float(self, token):
+        M, _ = sysmodel._read_matrix([(1, f"{token} 1")], 0, 1, 2, "chart")
+        assert M[0, 0].view(np.uint64) == np.float64(float(token)).view(
+            np.uint64)
+
+    @given(st.integers(0, 3), st.integers(0, 2),
+           st.sampled_from(["0x10", "1d3", "1,5", "one", "--1", "1e", "_1"]))
+    @settings(max_examples=50, deadline=None)
+    def test_invalid_token_reports_its_line(self, row, col, token):
+        rows = [["1", "2", "3"] for _ in range(4)]
+        rows[row][col] = token
+        lines = [(10 + 2 * k, " ".join(r)) for k, r in enumerate(rows)]
+        with pytest.raises(sysmodel.ParseError,
+                           match="matrix D: invalid number") as exc:
+            sysmodel._read_matrix(lines, 0, 4, 3, "matrix D")
+        assert exc.value.line == 10 + 2 * row
+
     @given(st.integers(0, 6), st.integers(1, 6), st.integers(0, 10**6))
     @settings(max_examples=100, deadline=None)
     def test_sign_fix_is_row_by_row(self, rows, cols, seed):
@@ -288,6 +402,16 @@ class TestFastPathsBitExact:
             rows, cols)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def draw(n, rank, seed, ints):
+    """An n x n matrix of the given rank: a product of normal factors, or
+    of small integer ones (exact zeros and ties)."""
+    rng = np.random.default_rng(seed)
+    if ints:
+        return (rng.integers(-2, 3, size=(n, rank))
+                @ rng.integers(-2, 3, size=(rank, n))).astype(float)
+    return rng.normal(size=(n, rank)) @ rng.normal(size=(rank, n))
 
 
 def wrapper_nullspace(M, tol):

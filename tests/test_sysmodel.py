@@ -38,6 +38,32 @@ class TestLoadSystem:
         with pytest.raises(SingularChartError):
             cm.load_system(text)
 
+    @pytest.mark.parametrize("token", ["²", "٣", "3.0", "-2", "+2"])
+    @pytest.mark.parametrize("key", ["ncoords", "nunknowns"])
+    def test_count_must_be_ascii_digits(self, key, token):
+        # str.isdigit accepts '²', which int() refuses
+        text = f"ncoords 2\nnunknowns 1\n{key} {token}\n"
+        with pytest.raises(ParseError, match=f"{key} expects one integer") \
+                as exc:
+            cm.load_system(text)
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("what, where", [
+        ("matrix A x", "A"), ("matrix D", "D"), ("chart Jacobian", "J"),
+        ("chart offsets", "offsets")])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_arrays_refused_by_name(self, what, where, value):
+        A = {"t": np.eye(2), "x": np.zeros((2, 2))}
+        D = np.zeros((2, 2))
+        J, offsets = np.eye(2), np.zeros(2)
+        target = {"A": A["x"], "D": D, "J": J, "offsets": offsets}[where]
+        target.flat[-1] = value
+        with pytest.raises(ValueError,
+                           match=f"^{what} has non-finite entries$"):
+            cm.FirstOrderSystem(n_coords=2, n_unknowns=2,
+                                coord_names=("t", "x"), A=A, D=D)
+            Chart(J=J, offsets=offsets)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ParseError):
             cm.load_system("ncoords 2\nbogus 3\n")
