@@ -22,16 +22,29 @@ the transverse Fourier modes of a real FFT, with the symbol
 M0 + i sum_j M_j sin(theta_j) / h_j of the centred differences, and the
 scan runs mode by mode.  The operators (Nu^-1 Nx, Nu^-1 N^i, Nu^-1 N0,
 the hypersurface blocks and the powers G^(2^s)) are built once per march,
-after one CFL check, and periodic differences are taken from slices of
-the plane.
+after one CFL check.  They are row-sparse: one stacked product over M0
+and the nonzero rows of each transverse M_j, each periodic difference,
+taken from slices of the plane, written straight into its output row, and
+the x term of Lax-Friedrichs only on the nonzero block of Nu^-1 Nx.
+
+Memory: the march owns it.  The slices of one march are consecutive views
+of one packed store (x extents nx + 1 down to 1) on an anonymous mapping,
+advised to use huge pages where the platform has them.  When the last
+view dies, the mapping returns to a pool that keeps the largest one
+released, so the next march of that size reuses mapped pages whatever the
+allocator's thresholds.  The step temporaries are views of one work buffer
+of the stepper, sized once by the widest slice.
 
 `march` is the one public way into the scheme, so its guards (grid and data
 against the system, the verdict, the CFL check) hold for every step taken.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
 import numbers
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,20 +217,19 @@ def _apply(M: np.ndarray, plane: np.ndarray) -> np.ndarray:
     return (M @ flat).reshape((M.shape[0],) + plane.shape[1:])
 
 
-def _periodic_difference(plane: np.ndarray, axis: int) -> np.ndarray:
-    """f[j+1] - f[j-1] along one periodic axis, built from slices of the
-    plane."""
+def _centred_difference(plane: np.ndarray, axis: int,
+                        out: np.ndarray) -> None:
+    """out = f[j+1] - f[j-1] along one periodic axis of at least 3 cells,
+    built from slices of the plane.  Each component row of `plane` and of
+    `out` must be contiguous; the rows need not be adjacent."""
     axis %= plane.ndim
-    n = plane.shape[axis]
-    if n < 3:   # the periodic neighbours coincide: the difference vanishes
-        return np.zeros(plane.shape)
-    out = np.empty(plane.shape)   # C order, so that its flat view is a view
-    # neighbours along the axis lie `stride` apart in the flat array: one
-    # contiguous pass is right for 0 < j < n-1 ...
+    rows, size = plane.shape[0], math.prod(plane.shape[1:])
+    # neighbours along the axis lie `stride` apart in a flat row: one
+    # contiguous pass per row is right for 0 < j < n-1 ...
     stride = math.prod(plane.shape[axis + 1:])
-    flat = plane.reshape(-1)
-    np.subtract(flat[2 * stride:], flat[:-2 * stride],
-                out=out.reshape(-1)[stride:-stride])
+    flat = plane.reshape(rows, size)
+    np.subtract(flat[:, 2 * stride:], flat[:, :-2 * stride],
+                out=out.reshape(rows, size)[:, stride:-stride])
 
     # ... and the wrap-around at j = 0 and j = n-1 is written over it
     def at(lo, hi):
@@ -225,15 +237,43 @@ def _periodic_difference(plane: np.ndarray, axis: int) -> np.ndarray:
 
     np.subtract(plane[at(1, 2)], plane[at(-1, None)], out=out[at(None, 1)])
     np.subtract(plane[at(None, 1)], plane[at(-2, -1)], out=out[at(-1, None)])
-    return out
+
+
+def _progressions(rows) -> list:
+    """Sorted row indices as slices of constant step, grown greedily."""
+    runs = []
+    for r in map(int, rows):
+        if runs and (len(runs[-1]) == 1
+                     or r - runs[-1][-1] == runs[-1][1] - runs[-1][0]):
+            runs[-1].append(r)
+        else:
+            runs.append([r])
+    return [slice(run[0], run[-1] + 1, run[-1] - run[-2] if len(run) > 1
+                  else 1) for run in runs]
 
 
 class _FieldOperator:
     """v -> M0 v + sum_j M_j d_j v on a field plane whose trailing axes are
     the transverse ones; d_j is the centred periodic difference along
-    transverse axis j.  Zero matrices are dropped."""
+    transverse axis j.  Zero matrices are dropped.
 
-    def __init__(self, M0, Mt, grid: GridSpec):
+    A call is one stacked product of the plane with M0 and with the
+    nonzero rows of each M_j, into work buffers sized once for planes of
+    up to `width` x points.  M0's rows of the product are the result;
+    without M0 each difference is written straight into its output row,
+    through a difference buffer only where the row already holds another
+    term, and rows that no term touches are set to zero.  The result is a
+    view of the buffers, valid until the next call.
+
+    Each entry is the sum that M0 v + sum_j d_j (M_j v) makes, in the same
+    order, and so the same bits, as long as every product keeps its BLAS
+    path: a row of a matrix product (gemm) rounds alike whatever rows are
+    stacked with it, but a one-row product takes numpy's vector path.  So
+    a lone stacked row is padded to two, and the terms of a one-row
+    operator keep a product each.
+    """
+
+    def __init__(self, M0, Mt, grid: GridSpec, width: int):
         self.rows, self.cols = M0.shape
         self.M0 = M0 if np.any(M0) else None
         self.cells = tuple(t.cells for t in grid.transverse)
@@ -241,6 +281,41 @@ class _FieldOperator:
         self.terms = [(M / (2.0 * t.h), j - nt)
                       for j, (M, t) in enumerate(zip(Mt, grid.transverse))
                       if np.any(M)]
+        # (axis, rows of the product, output rows, added) per difference;
+        # along fewer than 3 cells the difference vanishes
+        blocks = [] if self.M0 is None else [self.M0]
+        touched = np.full(self.rows, self.M0 is not None)
+        self._steps = []
+        for M, axis in self.terms:
+            if self.cells[axis] < 3:
+                continue
+            nonzero = np.flatnonzero(M.any(axis=1))
+            for added in (False, True):
+                for rows in _progressions(
+                        nonzero[touched[nonzero] == added]):
+                    k = sum(map(len, blocks))
+                    blocks.append(M[rows])
+                    self._steps.append(
+                        (axis, slice(k, k + len(blocks[-1])), rows, added))
+            touched[nonzero] = True
+        self._zero = _progressions(np.flatnonzero(~touched))
+        S = np.vstack(blocks) if blocks else np.zeros((0, self.cols))
+        if self.rows == 1:
+            self._products = [(S[i:i + 1], slice(i, i + 1))
+                              for i in range(len(S))]
+        else:
+            if len(S) == 1:
+                S = np.vstack([S, np.zeros_like(S)])
+            self._products = [(S, slice(0, len(S)))] if len(S) else []
+        # work: the product, the result when it is not M0's rows, and the
+        # difference buffer, each (rows, *plane.shape[1:])
+        self._k = len(S)
+        out_rows = 0 if self.M0 is not None else self.rows
+        diff_rows = max((p.stop - p.start for _, p, _, added in self._steps
+                         if added), default=0)
+        ends = np.cumsum([0, self._k, out_rows, diff_rows])
+        self._regions = tuple(zip(ends[:-1], ends[1:]))
+        self.work = int(ends[-1]) * width * math.prod(self.cells)
 
     @property
     def is_zero(self) -> bool:
@@ -252,7 +327,7 @@ class _FieldOperator:
 
         The centred difference f[j+1] - f[j-1] of mode theta is
         2i sin(theta) f, and sin(theta) is exactly 0 at theta = 0 and pi,
-        where `_periodic_difference` cancels exactly."""
+        where the difference of the plane cancels exactly."""
         modes = self.cells[:-1] + (self.cells[-1] // 2 + 1,)
         nt = len(modes)
         out = np.zeros(modes + (self.rows, self.cols), dtype=complex)
@@ -268,15 +343,71 @@ class _FieldOperator:
             out += 2j * sin.reshape(shape) * M
         return out
 
-    def __call__(self, plane: np.ndarray) -> np.ndarray:
-        out = None if self.M0 is None else _apply(self.M0, plane)
-        for M, axis in self.terms:
-            d = _periodic_difference(_apply(M, plane), axis)
-            if out is None:
-                out = d
+    def __call__(self, plane: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """The operator on `plane`, computed in `work` (at least `self.work`
+        entries for the widest plane); the result is a view of `work`."""
+        shape = plane.shape[1:]
+        size = math.prod(shape)
+        stack, out, diff = (work[a * size:b * size].reshape((b - a,) + shape)
+                            for a, b in self._regions)
+        if self._products:
+            flat = plane.reshape(self.cols, size)
+            product = stack.reshape(self._k, size)
+            for S, rows in self._products:
+                np.matmul(S, flat, out=product[rows])
+        if self.M0 is not None:
+            out = stack[:self.rows]
+        for axis, product_rows, rows, added in self._steps:
+            if added:
+                d = diff[:product_rows.stop - product_rows.start]
+                _centred_difference(stack[product_rows], axis, d)
+                out[rows] += d
             else:
-                out += d
-        return np.zeros((self.rows,) + plane.shape[1:]) if out is None else out
+                _centred_difference(stack[product_rows], axis, out[rows])
+        for rows in self._zero:
+            out[rows] = 0.0
+        return out
+
+
+class _SpreadCorrection:
+    """inner -= P (q[:, 2:] - q[:, :-2]), the centred x term of
+    Lax-Friedrichs, taken only on the block of P's nonzero rows and
+    columns, in work buffers of `self.work` entries for planes of up to
+    `width` x points.
+
+    The rows and columns outside the block add exact zeros to the dense
+    product, so the block gives its bits, as long as the product keeps its
+    BLAS path (see `_FieldOperator`): a one-row block of several columns
+    is padded to two rows, and a one-point plane, which takes numpy's
+    matrix-vector path, gets the whole of P."""
+
+    def __init__(self, P: np.ndarray, width: int, cells: tuple):
+        rows = np.flatnonzero(P.any(axis=1))
+        cols = np.flatnonzero(P.any(axis=0))
+        self.P, self.whole, self.work = None, P, 0
+        if not rows.size:
+            return
+        r0, r1, c0, c1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+        if r1 - r0 == 1 and c1 - c0 > 1:
+            r0, r1 = (r0, r1 + 1) if r1 < len(P) else (r0 - 1, r1)
+        self.rows, self.cols = slice(r0, r1), slice(c0, c1)
+        self.P = P[self.rows, self.cols]
+        self.work = int(r1 - r0 + c1 - c0) * width * math.prod(cells)
+
+    def __call__(self, q: np.ndarray, inner: np.ndarray,
+                 work: np.ndarray) -> None:
+        if self.P is None:
+            return
+        (nr, nc), shape = self.P.shape, inner.shape[1:]
+        size = math.prod(shape)
+        if size == 1:
+            inner -= _apply(self.whole, q[:, 2:] - q[:, :-2])
+            return
+        d = work[:nc * size].reshape((nc,) + shape)
+        np.subtract(q[self.cols, 2:], q[self.cols, :-2], out=d)
+        product = work[nc * size:(nc + nr) * size].reshape(nr, size)
+        np.matmul(self.P, d.reshape(nc, size), out=product)
+        inner[self.rows] -= product.reshape((nr,) + shape)
 
 
 def _abs_max(arr) -> float:
@@ -310,23 +441,43 @@ class _Stepper:
     slice uses: real m x m matrices when A is pointwise, one per transverse
     Fourier mode when it is not, none when A = 0.  Evolution by one step
     du = dx: Nu^-1 Nx, and the source operator dx Nu^-1 (N0 v + N^i d_i v).
+
+    The stepper writes into slices it is given and owns its temporaries:
+    the operators and the spread correction compute in views of one work
+    buffer, sized once for the widest slice, which the hypersurface pass
+    and the evolution step share; only the spectral scan allocates (its
+    FFTs).
     """
 
     def __init__(self, canon: CanonicalSystem, grid: GridSpec):
         nq = canon.nq
         names = canon.transverse_names
+        width = grid.nx + 1
         self.nq, self.n, self.dx = nq, canon.n_unknowns, grid.dx
         self.forcing = _FieldOperator(
-            -canon.L0[:, :nq], [-canon.Li[k][:, :nq] for k in names], grid)
+            -canon.L0[:, :nq], [-canon.Li[k][:, :nq] for k in names], grid,
+            width)
         self.coupling = _FieldOperator(
-            -canon.L0[:, nq:], [-canon.Li[k][:, nq:] for k in names], grid)
+            -canon.L0[:, nq:], [-canon.Li[k][:, nq:] for k in names], grid,
+            width)
         Nui = np.linalg.inv(canon.Nu) if nq else np.zeros((0, 0))
         self.NuiNx = Nui @ canon.Nx
         self.source = _FieldOperator(
             grid.dx * Nui @ canon.N0,
-            [grid.dx * Nui @ canon.Ni[k] for k in names], grid)
+            [grid.dx * Nui @ canon.Ni[k] for k in names], grid, width)
+        cells = tuple(t.cells for t in grid.transverse)
+        self.spread = _SpreadCorrection(0.5 * self.NuiNx, width - 2, cells)
         self.powers = [] if self.coupling.is_zero else \
-            self._propagator_powers(grid.nx + 1)
+            self._propagator_powers(width)
+        # the step temporaries: those of the hypersurface pass (the
+        # forcing, then the coupling of it, or the pointwise scan's
+        # G^d w[:-d]) and those of the evolution step (the source, then the
+        # spread correction) share one buffer
+        scan = 0 if self.coupling.terms or not self.powers else \
+            canon.m * width * math.prod(cells)
+        self._work = np.empty(max(
+            self.forcing.work + self.coupling.work, scan,
+            self.source.work + self.spread.work))
 
     def _propagator_powers(self, x_extent: int) -> list:
         """G^(2^s) for every 2^s < x_extent; an overflow is an abort."""
@@ -371,14 +522,17 @@ class _Stepper:
             raise MarchAbortError(
                 "non-finite boundary data for the null variables")
         with np.errstate(over="ignore", invalid="ignore"):
-            f = self.forcing(vals[:nq])
+            f = self.forcing(vals[:nq], self._work)
             w[:, 0] = wb
             np.add(f[:, :-1], f[:, 1:], out=w[:, 1:])
             if self.coupling.is_zero:
                 w[:, 1:] *= 0.5 * dx
                 np.cumsum(w, axis=1, out=w)
             else:
-                w[:, 1:] += dx * self.coupling(f[:, :-1])
+                Af = self.coupling(f, self._work[self.forcing.work:])
+                Af = Af[:, :-1]
+                Af *= dx
+                w[:, 1:] += Af
                 w[:, 1:] *= 0.5 * dx
                 self._scan(w)
         return _check_finite(_abs_max(w), slice_.u_level,
@@ -393,14 +547,18 @@ class _Stepper:
             d = 2 ** s
             if d >= w.shape[1]:
                 break
-            z[:, d:] += np.einsum("...ab,bx...->ax...", P, z[:, :-d])
+            head = z[:, :-d]
+            product = None if spectral else \
+                self._work[:head.size].reshape(head.shape)
+            z[:, d:] += np.einsum("...ab,bx...->ax...", P, head, out=product)
         if spectral:
             w[...] = np.fft.irfftn(z, s=w.shape[2:], axes=axes)
 
-    def evolve(self, slice_: SliceState) -> tuple:
-        """Lax-Friedrichs step of q onto a one-cell-narrower slice; returns
-        that slice and max |q| on it.  The source is evaluated only on the
-        x points the update reads; an overflow aborts the march."""
+    def evolve(self, slice_: SliceState, new: np.ndarray) -> tuple:
+        """Lax-Friedrichs step of q onto the one-cell-narrower slice whose
+        values are `new` (its q rows are written, its w rows are left to
+        `fill_null`); returns that slice and max |q| on it.  An overflow
+        aborts the march."""
         nq = self.nq
         vals = slice_.values
         npts = slice_.x_extent
@@ -408,23 +566,75 @@ class _Stepper:
             raise ValueError("slice too narrow to advance")
         q = vals[:nq]
         with np.errstate(over="ignore", invalid="ignore"):
-            # the source before the new slice, which the trace keeps:
-            # allocated the other way round, the freed temporaries are
-            # paged in again on every step (march-wide, nx = 256: 102k
-            # against 66k minor page faults per march)
-            src = self.source(vals[:, :-1])
-            new = np.zeros((self.n, npts - 1) + vals.shape[2:])
+            # on the whole contiguous slice: its last x point is not read
+            src = self.source(vals, self._work)
             if npts > 2:
                 inner = new[:nq, 1:]
                 np.add(q[:, :-2], q[:, 2:], out=inner)
                 inner *= 0.5
-                inner -= _apply(0.5 * self.NuiNx, q[:, 2:] - q[:, :-2])
-                inner -= src[:, 1:]
+                self.spread(q, inner, self._work[self.source.work:])
+                inner -= src[:, 1:-1]
             new[:nq, 0] = (q[:, 0] - _apply(self.NuiNx, q[:, 1] - q[:, 0])
                            - src[:, 0])
         out = SliceState(u_level=slice_.u_level + self.dx, values=new)
         return out, _check_finite(_abs_max(new[:nq]), out.u_level,
                                   "evolution step")
+
+
+# At most one released trace mapping, the largest: a later march of that
+# size or smaller takes it back with its pages already mapped in.  It is
+# process-wide, as the allocator it replaces is.  Only single list
+# operations touch it, and finalizers run in any thread, so a race can at
+# worst drop a larger mapping for a smaller one.
+_POOL = []
+# private anonymous memory (mmap's default is shared, which the kernel
+# backs with shmem and no transparent huge pages); Windows has no flags
+_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") \
+    else {}
+
+
+def _release(mapping: mmap.mmap) -> None:
+    pooled = _POOL[:1]
+    if not pooled or len(mapping) > len(pooled[0]):
+        _POOL[:] = [mapping]
+
+
+def _store(size: int) -> np.ndarray:
+    """`size` float64 entries, not zeroed, on an anonymous mapping: the
+    pooled one when it is large enough, else a new one advised to use huge
+    pages where the platform has them.
+
+    Every view of the returned array has it as `.base`, so it dies with
+    the last slice of its trace, and its finalizer returns the mapping to
+    the pool."""
+    nbytes = 8 * size
+    try:
+        mapping = _POOL.pop()
+    except IndexError:
+        mapping = None
+    if mapping is not None and len(mapping) < nbytes:
+        _release(mapping)
+        mapping = None
+    if mapping is None:
+        mapping = mmap.mmap(-1, nbytes, **_PRIVATE)
+        if hasattr(mmap, "MADV_HUGEPAGE"):
+            with contextlib.suppress(OSError):
+                mapping.madvise(mmap.MADV_HUGEPAGE)
+    store = np.frombuffer(mapping, dtype=float, count=size)
+    weakref.finalize(store, _release, mapping).atexit = False
+    return store
+
+
+def _packed_slices(n: int, nx: int, cells: tuple):
+    """The values of the slices of one march, x extents nx + 1 down to 1,
+    as consecutive views of one store."""
+    per_x = n * math.prod(cells)
+    store = _store(per_x * (nx + 1) * (nx + 2) // 2)
+    start = 0
+    for width in range(nx + 1, 0, -1):
+        stop = start + per_x * width
+        yield store[start:stop].reshape((n, width) + cells)
+        start = stop
 
 
 def _validate(canon: CanonicalSystem, grid: GridSpec, data: DataSpec):
@@ -476,8 +686,10 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
     x = np.arange(grid.nx + 1) * grid.dx
     nq, m, n = canon.nq, canon.m, canon.n_unknowns
 
+    views = _packed_slices(n, grid.nx, cells)
+
     def q_initial():
-        vals = np.zeros((n, grid.nx + 1) + cells)
+        vals = next(views)
         xs = x.reshape((grid.nx + 1,) + (1,) * len(cells))
         for a in range(nq):
             vals[a] = evaluate_profile(data.q0[a], xs, tmeshes)
@@ -500,5 +712,5 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
         diagnostics.append(max(q_top, w_top))
         if cur.x_extent < 2:
             break
-        cur, q_top = stepper.evolve(cur)
+        cur, q_top = stepper.evolve(cur, next(views))
     return SolutionTrace(grid=grid, slices=slices, diagnostics=diagnostics)

@@ -114,16 +114,25 @@ def _pivoted_qr(M: np.ndarray, tol: float):
     it reveals: the number of |R_kk| above tol times the largest column
     norm of M.  Returns (qr, p, rank) with R the upper triangle of qr and p
     the 0-based column pivots; a zero M has rank 0 and is not factorised
-    (qr and p are None)."""
-    n = M.shape[1]
-    colnorms = np.linalg.norm(M, axis=0)
-    scale = float(colnorms.max()) if n else 0.0
-    if scale == 0.0:
+    (qr and p are None).
+
+    The norms and the comparison are taken on M and R scaled by s, the
+    power of two that brings max |M| into [1/2, 1): the squares cannot
+    overflow, and the scaling is exact, so in range the rank is the one
+    of the unscaled comparison."""
+    flat = M.reshape(-1)
+    top = abs(float(flat[blas.idamax(flat)])) if flat.size else 0.0
+    if top == 0.0:
         return None, None, 0
+    s = math.ldexp(1.0, -math.frexp(top)[1])
+    Ms = M * s
+    # np.linalg.norm(Ms, axis=0).max(): sqrt is monotone and correctly
+    # rounded, so it is taken once, on the largest sum of squares
+    scale = math.sqrt(float((Ms * Ms).sum(axis=0).max()))
     qr, jpvt, _, _, info = lapack.dgeqp3(M)
     if info:
         raise np.linalg.LinAlgError(f"dgeqp3 failed with info={info}")
-    rank = int(np.sum(np.abs(np.diag(qr)) > tol * scale))
+    rank = int(np.sum(np.abs(np.diag(qr)) * s > tol * scale))
     return qr, jpvt - 1, rank
 
 

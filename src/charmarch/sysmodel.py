@@ -293,16 +293,26 @@ def serialize_system(sys: FirstOrderSystem, chart: Chart) -> str:
 
 
 def side_matrices(sys: FirstOrderSystem, chart: Chart) -> SideMatrices:
-    """Assemble B^a = sum_b A^b J[a, b] for the chart coordinates."""
+    """Assemble B^a = sum_b A^b J[a, b] for the chart coordinates.
+
+    Raises OverflowError, naming B^a and the term, when an entry leaves
+    the float range."""
     names = chart.new_names(sys.coord_names)
     B = {}
-    for a, name in enumerate(names):
-        M = np.zeros((sys.n_unknowns, sys.n_unknowns))
-        for b, orig in enumerate(sys.coord_names):
-            jab = chart.J[a, b]
-            if jab != 0.0:
-                M = M + sys.A[orig] * jab
-        B[name] = M
+    with np.errstate(over="raise"):
+        for a, name in enumerate(names):
+            M = np.zeros((sys.n_unknowns, sys.n_unknowns))
+            for b, orig in enumerate(sys.coord_names):
+                jab = chart.J[a, b]
+                if jab != 0.0:
+                    try:
+                        M = M + sys.A[orig] * jab
+                    except FloatingPointError:
+                        raise OverflowError(
+                            f"side matrix B^{name} overflows at its "
+                            f"A^{orig} term (chart entry {jab:g}): an entry "
+                            f"exceeds the float range") from None
+            B[name] = M
     return SideMatrices(names=names, B=B)
 
 

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +12,8 @@ from hypothesis.extra.numpy import arrays
 
 import charmarch as cm
 from charmarch.charsolve import (CFLError, DataSpecError, MarchAbortError,
-                                 NotWellPosedError, SliceState, _Stepper,
+                                 NotWellPosedError, SliceState, _FieldOperator,
+                                 _SpreadCorrection, _Stepper,
                                  _spectral_radius)
 from charmarch.wellposed import Verdict
 
@@ -30,8 +33,14 @@ def empty_slice(grid, n=4, u=0.0):
     return SliceState(u_level=u, values=np.zeros((n, grid.nx + 1) + cells))
 
 
+def evolve(stepper, s):
+    """One evolution step onto a zeroed slice one x point narrower."""
+    new = np.zeros((s.values.shape[0], s.x_extent - 1) + s.values.shape[2:])
+    return stepper.evolve(s, new)
+
+
 # The single steps run through _Stepper, the object that march drives;
-# fill_null works in place on the slice.
+# fill_null works in place on the slice, evolve writes the next one.
 class TestHypersurfaceIntegrate:
     def test_constant_boundary_zero_q(self, wave_canon):
         grid = wave_grid()
@@ -85,7 +94,7 @@ class TestHypersurfaceIntegrate:
 class TestEvolutionStep:
     def test_zero_slice_stays_zero(self, wave_canon):
         grid = wave_grid()
-        s, top = _Stepper(wave_canon, grid).evolve(empty_slice(grid))
+        s, top = evolve(_Stepper(wave_canon, grid), empty_slice(grid))
         assert s.x_extent == grid.nx
         assert not np.any(s.values)
         assert s.u_level == grid.dx
@@ -95,7 +104,7 @@ class TestEvolutionStep:
         grid = wave_grid()
         s0 = empty_slice(grid)
         s0.values[3] = 0.37  # w constant on the slice
-        s, _ = _Stepper(wave_canon, grid).evolve(s0)
+        s, _ = evolve(_Stepper(wave_canon, grid), s0)
         np.testing.assert_allclose(s.values[:3], 0.0, atol=1e-15)
 
     def test_single_mode_hand_computation(self, wave_canon):
@@ -107,7 +116,7 @@ class TestEvolutionStep:
         s0 = empty_slice(grid)
         y = np.arange(16) * (2.0 * math.pi / 16)
         s0.values[0] = eps * np.sin(y)[None, :, None]
-        s, _ = _Stepper(wave_canon, grid).evolve(s0)
+        s, _ = evolve(_Stepper(wave_canon, grid), s0)
         dy = 2.0 * math.pi / 16
         centered = (np.roll(eps * np.sin(y), -1) - np.roll(eps * np.sin(y), 1)) / (2 * dy)
         expected_q2 = grid.dx * R2 * centered
@@ -503,3 +512,225 @@ class TestMarchMatchesOracle:
                     for s, v in zip(trace.slices, expected))
         assert scale > 0.1
         assert worst <= 1e-13 * scale
+
+
+# --- oracle: the dense operators, one product per matrix -------------------
+
+def _dense_apply(M, plane):
+    flat = plane.reshape(plane.shape[0], math.prod(plane.shape[1:]))
+    return (M @ flat).reshape((M.shape[0],) + plane.shape[1:])
+
+
+def _dense_difference(plane, axis):
+    """f[j+1] - f[j-1] along one periodic axis, by the stride trick on the
+    flat plane."""
+    axis %= plane.ndim
+    n = plane.shape[axis]
+    if n < 3:
+        return np.zeros(plane.shape)
+    out = np.empty(plane.shape)
+    stride = math.prod(plane.shape[axis + 1:])
+    flat = plane.reshape(-1)
+    np.subtract(flat[2 * stride:], flat[:-2 * stride],
+                out=out.reshape(-1)[stride:-stride])
+
+    def at(lo, hi):
+        return (slice(None),) * axis + (slice(lo, hi),)
+
+    np.subtract(plane[at(1, 2)], plane[at(-1, None)], out=out[at(None, 1)])
+    np.subtract(plane[at(None, 1)], plane[at(-2, -1)], out=out[at(-1, None)])
+    return out
+
+
+def _dense_operator(M0, Mt, grid, plane):
+    """M0 v + sum_j d_j (M_j v), each matrix applied whole."""
+    nt = len(grid.transverse)
+    out = _dense_apply(M0, plane) if np.any(M0) else None
+    for j, (M, t) in enumerate(zip(Mt, grid.transverse)):
+        if np.any(M):
+            d = _dense_difference(_dense_apply(M / (2.0 * t.h), plane),
+                                  j - nt)
+            out = d if out is None else out + d
+    return np.zeros((M0.shape[0],) + plane.shape[1:]) if out is None else out
+
+
+# sparse matrices: most entries zero, so that rows, columns and whole
+# matrices vanish; the others inexact in products, where BLAS paths differ
+_entries = st.one_of(st.just(0.0), st.just(0.0),
+                     st.floats(-3.0, 3.0, allow_subnormal=False))
+
+
+@st.composite
+def _operator_case(draw):
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    cells = tuple(draw(st.lists(st.integers(1, 6), max_size=2)))
+    npts = draw(st.integers(2, 5))
+    matrix = arrays(float, (rows, cols), elements=_entries)
+    M0 = draw(st.one_of(st.just(np.zeros((rows, cols))), matrix))
+    Mt = [draw(matrix) for _ in cells]
+    return M0, Mt, cells, npts, draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestRowSparseOperators:
+    """The stacked row-sparse operator and the block spread correction
+    give the dense products' bits."""
+
+    @given(_operator_case(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_operator_matches_dense_bit_for_bit(self, case, narrower):
+        M0, Mt, cells, npts, seed = case
+        grid = cm.GridSpec(X_total=1.0, nx=4, transverse=tuple(
+            cm.TransverseAxis(cells=c) for c in cells))
+        op = _FieldOperator(M0, Mt, grid, width=5)
+        # the work buffer holds old values: nothing may read them
+        work = np.full(op.work, np.nan)
+        rng = np.random.default_rng(seed)
+        for width in (npts, npts - 1) if narrower else (npts,):
+            plane = rng.standard_normal((M0.shape[1], width) + cells)
+            got = op(plane, work)
+            expected = _dense_operator(M0, Mt, grid, plane)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    @given(st.integers(1, 4).flatmap(lambda nq: arrays(
+               float, (nq, nq), elements=_entries)),
+           st.lists(st.integers(1, 5), max_size=2), st.integers(3, 6),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_spread_correction_matches_dense_bit_for_bit(self, P, cells,
+                                                         npts, seed):
+        cells = tuple(cells)
+        spread = _SpreadCorrection(P, width=4, cells=cells)
+        rng = np.random.default_rng(seed)
+        q = rng.standard_normal((len(P), npts) + cells)
+        inner = rng.standard_normal((len(P), npts - 2) + cells)
+        expected = inner - _dense_apply(P, q[:, 2:] - q[:, :-2])
+        spread(q, inner, np.full(spread.work, np.nan))
+        assert inner.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("M0, Mt", [
+        # the one stacked row of a two-row operator is padded to two rows
+        (np.zeros((2, 3)), [np.array([[0.0, 0.0, 0.0], [0.37, -1.3, 2.1]])]),
+        # a one-row operator keeps a product per term
+        (np.array([[0.37, -1.3, 2.1]]), [np.array([[1.7, 0.0, -0.9]])]),
+    ])
+    def test_products_keep_their_blas_path(self, M0, Mt):
+        # the matrix-matrix and vector paths round these rows differently
+        grid = cm.GridSpec(X_total=1.0, nx=8,
+                           transverse=(cm.TransverseAxis(cells=7),))
+        op = _FieldOperator(M0, Mt, grid, width=9)
+        plane = np.random.default_rng(0).standard_normal((3, 9, 7))
+        assert op(plane, np.empty(op.work)).tobytes() == \
+            _dense_operator(M0, Mt, grid, plane).tobytes()
+
+    def test_empty_blocks(self):
+        # nq = 0 (no q rows, or a forcing with no columns) and a grid with
+        # no transverse axes
+        grid = cm.GridSpec(X_total=1.0, nx=4)
+        for shape in ((0, 2), (2, 0), (0, 0)):
+            op = _FieldOperator(np.zeros(shape), [], grid, width=5)
+            out = op(np.ones((shape[1], 5)), np.empty(op.work))
+            assert out.shape == (shape[0], 5) and not np.any(out)
+        spread = _SpreadCorrection(np.zeros((0, 0)), width=3, cells=())
+        spread(np.zeros((0, 5)), np.zeros((0, 3)), np.empty(spread.work))
+
+
+class TestTraceStore:
+    """A trace's slices are views of one store that it owns: no later march
+    writes into it while any slice is alive, and a dropped store is
+    reused."""
+
+    def _march(self, wave_canon, wave_report, manufactured_data, amp=1.0,
+               nx=16):
+        data = dataclasses.replace(
+            manufactured_data,
+            w0=tuple(tuple(dataclasses.replace(t, amp=amp * t.amp)
+                           for t in p) for p in manufactured_data.w0))
+        return cm.march(wave_canon, wave_grid(nx=nx, cy=8, cz=4), data,
+                        report=wave_report)
+
+    def test_slices_are_views_of_one_store(self, wave_canon, wave_report,
+                                           manufactured_data):
+        tr = self._march(wave_canon, wave_report, manufactured_data)
+        store = tr.slices[0].values.base
+        assert all(s.values.base is store for s in tr.slices)
+
+    def test_held_trace_and_held_slice_survive_later_marches(
+            self, wave_canon, wave_report, manufactured_data):
+        a = self._march(wave_canon, wave_report, manufactured_data)
+        kept = [s.values.copy() for s in a.slices]
+        self._march(wave_canon, wave_report, manufactured_data, amp=-3.0)
+        assert all(np.array_equal(s.values, v)
+                   for s, v in zip(a.slices, kept))
+        one = a.slices[5]
+        del a
+        gc.collect()
+        b = self._march(wave_canon, wave_report, manufactured_data,
+                        amp=7.0)
+        assert np.array_equal(one.values, kept[5])
+        assert b.slices[5].values.base is not one.values.base
+
+    def test_dropped_store_is_reused(self, wave_canon, wave_report,
+                                     manufactured_data):
+        def mapping(trace):
+            # the np.frombuffer store's buffer is a memoryview of the mapping
+            return trace.slices[0].values.base.base.obj
+
+        a = self._march(wave_canon, wave_report, manufactured_data,
+                        amp=-3.0)
+        first = mapping(a)
+        del a
+        gc.collect()
+        b = self._march(wave_canon, wave_report, manufactured_data,
+                        amp=2.0)
+        assert mapping(b) is first
+        # the old values of a reused store do not leak into the new trace
+        fresh = self._march(wave_canon, wave_report, manufactured_data,
+                            amp=2.0)
+        assert mapping(fresh) is not first
+        assert all(np.array_equal(s.values, t.values)
+                   for s, t in zip(b.slices, fresh.slices))
+
+    @pytest.mark.parametrize("damped", [False, True])
+    def test_step_allocations_do_not_grow_with_nx(
+            self, damped, wave_canon, wave_report, damped_wave_pipeline,
+            manufactured_data, monkeypatch):
+        # traced memory each step allocates above what it started with:
+        # the physical-space steps take their temporaries from the
+        # stepper's work buffer and allocate only per-column arrays (the
+        # spectral scan of a transverse null coupling still allocates its
+        # FFTs).  numpy's ufunc iteration buffers (up to bufsize elements
+        # per operand) are cut to 64 elements, so that they cannot hide
+        # a slice-sized allocation.
+        canon = damped_wave_pipeline[0] if damped else wave_canon
+        peaks = []
+
+        def traced(step):
+            def wrapper(*args):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                result = step(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+                return result
+            return wrapper
+
+        monkeypatch.setattr(_Stepper, "fill_null",
+                            traced(_Stepper.fill_null))
+        monkeypatch.setattr(_Stepper, "evolve", traced(_Stepper.evolve))
+
+        def worst_step(nx):
+            peaks.clear()
+            bufsize = np.getbufsize()
+            np.setbufsize(64)
+            tracemalloc.start()
+            try:
+                self._march(canon, wave_report, manufactured_data, nx=nx)
+            finally:
+                tracemalloc.stop()
+                np.setbufsize(bufsize)
+            return max(peaks)
+
+        small, large = worst_step(16), worst_step(128)
+        one_slice = 4 * 129 * 8 * 4 * 8   # bytes of the widest slice
+        assert large <= small + 1024
+        assert large < one_slice / 20

@@ -100,6 +100,24 @@ class TestCheck:
         assert cli.main(["check", "--input", str(path)]) == cli.EXIT_ERROR
         assert capsys.readouterr() == ("", f"error: {err}\n")
 
+    @pytest.mark.parametrize("entry, chart_row, err", [
+        # each printed a RuntimeWarning first: the rank scale overflowed,
+        # so B^u had rank 0 and the verdict read NOT_WELL_POSED with
+        # Nu: ZERO; B^u overflowed, and the message did not say where
+        ("1e300", "1 -1 0", "surface x=const not transverse: hypersurface "
+         "equations unsolvable for d_x w"),
+        ("1e308", "1 -2 0", "side matrix B^u overflows at its A^x term "
+         "(chart entry -2): an entry exceeds the float range"),
+    ])
+    def test_huge_entries_end_in_a_typed_error(self, entry, chart_row, err,
+                                               tmp_path, capsys):
+        path = tmp_path / "system.txt"
+        path.write_text(NONFINITE_BASE.replace(
+            "matrix A x\n0 1", f"matrix A x\n{entry} 1").replace(
+            "chart\n1 -1 0", f"chart\n{chart_row}"), encoding="utf-8")
+        assert cli.main(["check", "--input", str(path)]) == cli.EXIT_ERROR
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
     def test_nonfinite_base_is_well_posed(self, tmp_path, capsys):
         path = tmp_path / "system.txt"
         path.write_text(NONFINITE_BASE, encoding="utf-8")

@@ -337,6 +337,24 @@ class TestFastPathsBitExact:
         else:
             sysmodel.Chart(J=M, offsets=np.zeros(n))
 
+    @given(st.integers(1, 16), st.integers(0, 16), st.integers(0, 10**6),
+           st.booleans(), st.sampled_from([-900, 0, 500, 1000]))
+    @settings(max_examples=150, deadline=None)
+    def test_rank_scale_is_exact_and_cannot_overflow(self, n, rank, seed,
+                                                     ints, e):
+        # in range, the scaled norms give the rank of the unscaled
+        # threshold; M * 2**e has the rank of M, also where the squares of
+        # its entries overflow (e = 500, 1000) or underflow (e = -900)
+        M = draw(n, min(rank, n), seed, ints)
+        qr = lapack.dgeqp3(M)[0]
+        for tol in (1e-10, 1e-3):
+            scale = np.linalg.norm(M, axis=0).max()
+            old = int(np.sum(np.abs(np.diag(qr)) > tol * scale)) \
+                if scale else 0
+            assert matkit._pivoted_qr(M, tol)[2] == old
+            with np.errstate(all="raise"):
+                assert matkit._pivoted_qr(M * 2.0 ** e, tol)[2] == old
+
     @given(st.integers(1, 16), st.integers(1, 16), st.integers(0, 10**6),
            st.booleans())
     @settings(max_examples=100, deadline=None)

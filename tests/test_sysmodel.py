@@ -140,6 +140,18 @@ class TestSideMatrices:
             np.testing.assert_allclose(c, alpha * a + beta * b, atol=1e-10)
 
 
+    def test_overflow_names_the_side_matrix(self):
+        # every entry is finite, but B^u = A^t - 2 A^x is not
+        text = ("ncoords 3\nnunknowns 2\ncoordnames t x y\n"
+                "matrix A t\n1 0\n0 1\nmatrix A x\n1e308 1\n1 0\n"
+                "matrix A y\n0 0\n0 0\nchart\n1 -2 0\n0 1 0\n0 0 1\n"
+                "0 0 0\n")
+        sys_, chart = cm.load_system(text)
+        with pytest.raises(OverflowError, match=r"^side matrix B\^u "
+                           r"overflows at its A\^x term \(chart entry -2\)"):
+            cm.side_matrices(sys_, chart)
+
+
 class TestVerifyCharacteristic:
     def test_wave_multiplicity(self, wave_analysis):
         assert cm.verify_characteristic(wave_analysis.B) == 1
