@@ -3,11 +3,13 @@
 The domain is {u >= 0, x >= 0, u + x <= X_total} with periodic transverse
 directions.  Each u-slice is completed by integrating the hypersurface
 equations outward from x = 0 (Heun), then the normal variables are advanced
-to the next slice with Lax-Friedrichs in x and centered periodic transverse
-differences.  The march steps du = dx, which meets the CFL condition for
-every WELL_POSED system: Nu > 0, Nx <= 0 and Nu + Nx > 0 put the
-eigenvalues of Nu^-1 Nx in (-1, 0].  One x-cell is trimmed per step, so no
-outer-x boundary condition is needed.
+to the next slice with the one-sided (upwind) difference
+q'[i] = q[i] - Nu^-1 Nx (q[i+1] - q[i]) - src[i] in x and centered periodic
+transverse differences.  The march steps du = dx, which meets the CFL
+condition of that scheme for every WELL_POSED system: Nu > 0, Nx <= 0 and
+Nu + Nx > 0 put the eigenvalues of Nu^-1 Nx in (-1, 0], where the step is
+Friedrichs' positive scheme, exact for the speeds 0 and -1.  One x-cell is
+trimmed per step, so no outer-x boundary condition is needed.
 
 The hypersurface right-hand side is linear in v = (q, w) and q is known on
 the slice, so d_x w = f + A w with the q-driven forcing f evaluated over
@@ -22,10 +24,10 @@ the transverse Fourier modes of a real FFT, with the symbol
 M0 + i sum_j M_j sin(theta_j) / h_j of the centred differences, and the
 scan runs mode by mode.  The operators (Nu^-1 Nx, Nu^-1 N^i, Nu^-1 N0,
 the hypersurface blocks and the powers G^(2^s)) are built once per march,
-after one CFL check.  They are row-sparse: one stacked product over M0
-and the nonzero rows of each transverse M_j, each periodic difference,
-taken from slices of the plane, written straight into its output row, and
-the x term of Lax-Friedrichs only on the nonzero block of Nu^-1 Nx.
+after one CFL check.  The field operators are row-sparse: one stacked
+product over M0 and the nonzero rows of each transverse M_j, and each
+periodic difference, taken from slices of the plane, written straight
+into its output row.
 
 Memory: the march owns it.  The slices of one march are consecutive views
 of one packed store (x extents nx + 1 down to 1) on an anonymous mapping,
@@ -54,7 +56,8 @@ from .wellposed import Verdict, WellPosednessReport
 
 
 class CFLError(ValueError):
-    """Spectral radius of Nu^-1 Nx exceeds 1 (never when WELL_POSED)."""
+    """An eigenvalue of Nu^-1 Nx is not real or lies outside [-1, 0], so the
+    upwind step du = dx is unstable (never when WELL_POSED)."""
 
 
 class NotWellPosedError(RuntimeError):
@@ -210,13 +213,6 @@ class SolutionTrace:
         return len(self.slices)
 
 
-def _apply(M: np.ndarray, plane: np.ndarray) -> np.ndarray:
-    """Matrix acting on the component axis of a field plane (which may have
-    no components: the q block of a totally characteristic system)."""
-    flat = plane.reshape(plane.shape[0], math.prod(plane.shape[1:]))
-    return (M @ flat).reshape((M.shape[0],) + plane.shape[1:])
-
-
 def _centred_difference(plane: np.ndarray, axis: int,
                         out: np.ndarray) -> None:
     """out = f[j+1] - f[j-1] along one periodic axis of at least 3 cells,
@@ -369,47 +365,6 @@ class _FieldOperator:
         return out
 
 
-class _SpreadCorrection:
-    """inner -= P (q[:, 2:] - q[:, :-2]), the centred x term of
-    Lax-Friedrichs, taken only on the block of P's nonzero rows and
-    columns, in work buffers of `self.work` entries for planes of up to
-    `width` x points.
-
-    The rows and columns outside the block add exact zeros to the dense
-    product, so the block gives its bits, as long as the product keeps its
-    BLAS path (see `_FieldOperator`): a one-row block of several columns
-    is padded to two rows, and a one-point plane, which takes numpy's
-    matrix-vector path, gets the whole of P."""
-
-    def __init__(self, P: np.ndarray, width: int, cells: tuple):
-        rows = np.flatnonzero(P.any(axis=1))
-        cols = np.flatnonzero(P.any(axis=0))
-        self.P, self.whole, self.work = None, P, 0
-        if not rows.size:
-            return
-        r0, r1, c0, c1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
-        if r1 - r0 == 1 and c1 - c0 > 1:
-            r0, r1 = (r0, r1 + 1) if r1 < len(P) else (r0 - 1, r1)
-        self.rows, self.cols = slice(r0, r1), slice(c0, c1)
-        self.P = P[self.rows, self.cols]
-        self.work = int(r1 - r0 + c1 - c0) * width * math.prod(cells)
-
-    def __call__(self, q: np.ndarray, inner: np.ndarray,
-                 work: np.ndarray) -> None:
-        if self.P is None:
-            return
-        (nr, nc), shape = self.P.shape, inner.shape[1:]
-        size = math.prod(shape)
-        if size == 1:
-            inner -= _apply(self.whole, q[:, 2:] - q[:, :-2])
-            return
-        d = work[:nc * size].reshape((nc,) + shape)
-        np.subtract(q[self.cols, 2:], q[self.cols, :-2], out=d)
-        product = work[nc * size:(nc + nr) * size].reshape(nr, size)
-        np.matmul(self.P, d.reshape(nc, size), out=product)
-        inner[self.rows] -= product.reshape((nr,) + shape)
-
-
 def _abs_max(arr) -> float:
     """max |arr| from one max and one min, without a temporary; inf and
     NaN carry through.  0.0 for an empty array."""
@@ -424,11 +379,16 @@ def _check_finite(top: float, u_level, what) -> float:
     return top
 
 
-def _spectral_radius(canon: CanonicalSystem) -> float:
+def _check_cfl(canon: CanonicalSystem) -> None:
+    """The upwind x step with du = dx is stable only when every eigenvalue
+    of Nu^-1 Nx is real and in [-1, 0]; CFLError names the first that is
+    not."""
     if canon.nq == 0:
-        return 0.0
-    A = np.linalg.solve(canon.Nu, canon.Nx)
-    return float(np.abs(np.linalg.eigvals(A)).max())
+        return
+    for lam in np.linalg.eigvals(np.linalg.solve(canon.Nu, canon.Nx)):
+        if abs(lam.imag) > 1e-12 or not -1.0 - 1e-12 <= lam.real <= 1e-12:
+            raise CFLError(f"eigenvalue {lam:.6g} of Nu^-1 Nx is outside "
+                           f"[-1, 0]: the upwind step du = dx is unstable")
 
 
 class _Stepper:
@@ -443,7 +403,7 @@ class _Stepper:
     du = dx: Nu^-1 Nx, and the source operator dx Nu^-1 (N0 v + N^i d_i v).
 
     The stepper writes into slices it is given and owns its temporaries:
-    the operators and the spread correction compute in views of one work
+    the operators and the x difference of q compute in views of one work
     buffer, sized once for the widest slice, which the hypersurface pass
     and the evolution step share; only the spectral scan allocates (its
     FFTs).
@@ -466,18 +426,17 @@ class _Stepper:
             grid.dx * Nui @ canon.N0,
             [grid.dx * Nui @ canon.Ni[k] for k in names], grid, width)
         cells = tuple(t.cells for t in grid.transverse)
-        self.spread = _SpreadCorrection(0.5 * self.NuiNx, width - 2, cells)
         self.powers = [] if self.coupling.is_zero else \
             self._propagator_powers(width)
         # the step temporaries: those of the hypersurface pass (the
         # forcing, then the coupling of it, or the pointwise scan's
         # G^d w[:-d]) and those of the evolution step (the source, then the
-        # spread correction) share one buffer
+        # x difference of q) share one buffer
         scan = 0 if self.coupling.terms or not self.powers else \
             canon.m * width * math.prod(cells)
         self._work = np.empty(max(
             self.forcing.work + self.coupling.work, scan,
-            self.source.work + self.spread.work))
+            self.source.work + nq * width * math.prod(cells)))
 
     def _propagator_powers(self, x_extent: int) -> list:
         """G^(2^s) for every 2^s < x_extent; an overflow is an abort."""
@@ -555,29 +514,29 @@ class _Stepper:
             w[...] = np.fft.irfftn(z, s=w.shape[2:], axes=axes)
 
     def evolve(self, slice_: SliceState, new: np.ndarray) -> tuple:
-        """Lax-Friedrichs step of q onto the one-cell-narrower slice whose
-        values are `new` (its q rows are written, its w rows are left to
-        `fill_null`); returns that slice and max |q| on it.  An overflow
+        """Upwind step of q onto the one-cell-narrower slice whose values
+        are `new` (its q rows are written, its w rows are left to
+        `fill_null`): q'[i] = q[i] - Nu^-1 Nx (q[i+1] - q[i]) - src[i] at
+        every x point.  Returns that slice and max |q| on it.  An overflow
         aborts the march."""
         nq = self.nq
-        vals = slice_.values
-        npts = slice_.x_extent
-        if npts < 2:
+        q = slice_.values[:nq]
+        if slice_.x_extent < 2:
             raise ValueError("slice too narrow to advance")
-        q = vals[:nq]
+        head = new[:nq]
+        size = math.prod(head.shape[1:])
         with np.errstate(over="ignore", invalid="ignore"):
             # on the whole contiguous slice: its last x point is not read
-            src = self.source(vals, self._work)
-            if npts > 2:
-                inner = new[:nq, 1:]
-                np.add(q[:, :-2], q[:, 2:], out=inner)
-                inner *= 0.5
-                self.spread(q, inner, self._work[self.source.work:])
-                inner -= src[:, 1:-1]
-            new[:nq, 0] = (q[:, 0] - _apply(self.NuiNx, q[:, 1] - q[:, 0])
-                           - src[:, 0])
+            src = self.source(slice_.values, self._work)
+            start = self.source.work
+            d = self._work[start:start + head.size].reshape(head.shape)
+            np.subtract(q[:, 1:], q[:, :-1], out=d)
+            np.matmul(self.NuiNx, d.reshape(nq, size),
+                      out=head.reshape(nq, size))
+            np.subtract(q[:, :-1], head, out=head)
+            head -= src[:, :-1]
         out = SliceState(u_level=slice_.u_level + self.dx, values=new)
-        return out, _check_finite(_abs_max(new[:nq]), out.u_level,
+        return out, _check_finite(_abs_max(head), out.u_level,
                                   "evolution step")
 
 
@@ -676,9 +635,7 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
     if report.verdict is not Verdict.WELL_POSED and not force:
         raise NotWellPosedError(
             f"verdict is {report.verdict.value}; pass force=True to march anyway")
-    # du = dx is stable in x only when rho(Nu^-1 Nx) <= 1
-    if _spectral_radius(canon) > 1.0 + 1e-12:
-        raise CFLError("spectral_radius(Nu^-1 Nx) exceeds 1")
+    _check_cfl(canon)
     stepper = _Stepper(canon, grid)
 
     tmeshes = grid.transverse_meshes()

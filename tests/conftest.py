@@ -85,6 +85,15 @@ def reversed_x_chart_text():
                         "chart\n1 -1 0 0\n0 -1 0 0")
 
 
+def asymmetric_y_text():
+    """wave3d definition with entry (3, 1) of A y set to -2: C^y is not
+    symmetric, so the verdict is NOT_WELL_POSED, while the eigenvalues of
+    Nu^-1 Nx stay -0.5, 0, 0, which the upwind step takes."""
+    text = builtin.example_text("wave3d")
+    return text.replace("matrix A y\n0 0 -1 0\n0 0 0 0\n-1 0 0 0\n",
+                        "matrix A y\n0 0 -1 0\n0 0 0 0\n-2 0 0 0\n")
+
+
 def psi_equals_y_chart_text():
     """wave3d definition with x = y as the transverse-surface coordinate."""
     text = builtin.example_text("wave3d")

@@ -13,8 +13,7 @@ from hypothesis.extra.numpy import arrays
 import charmarch as cm
 from charmarch.charsolve import (CFLError, DataSpecError, MarchAbortError,
                                  NotWellPosedError, SliceState, _FieldOperator,
-                                 _SpreadCorrection, _Stepper,
-                                 _spectral_radius)
+                                 _Stepper)
 from charmarch.wellposed import Verdict
 
 import conftest
@@ -144,7 +143,8 @@ class TestEvolutionStep:
                                                  wave_report, A, B, shift,
                                                  s):
         # Nu > 0, Nx <= 0 and Nu + Nx > 0 put the eigenvalues of
-        # Nu^-1 Nx in (-1, 0], so the one step du = dx never trips CFLError.
+        # Nu^-1 Nx in (-1, 0], so the upwind step du = dx never trips
+        # CFLError.
         # Nx = -s lambda_min(Nu) / lambda_max(B B^T) B B^T with s < 1 gives
         # Nu + Nx >= (1 - s) lambda_min(Nu) > 0: the draws are WELL_POSED
         # by construction.
@@ -158,7 +158,9 @@ class TestEvolutionStep:
         canon = dataclasses.replace(wave_canon, Nu=Nu, Nx=Nx)
         report = cm.check_criteria(cm.compact_form(canon))
         assume(report.verdict is Verdict.WELL_POSED)
-        assert _spectral_radius(canon) < 1.0
+        lam = np.linalg.eigvals(np.linalg.solve(Nu, Nx))
+        assert np.all(np.abs(lam.imag) <= 1e-12)
+        assert np.all(lam.real > -1.0) and np.all(lam.real <= 1e-12)
         data = cm.DataSpec(
             q0=((cm.ProfileTerm(kind="sine", k=2.0),), (), ()),
             w0=((cm.ProfileTerm(kind="sine", amp=1.2, k=1.0),),))
@@ -239,7 +241,8 @@ class TestMarch:
                 sc_.values, alpha * s1.values + beta * s2.values, atol=1e-12)
 
     def test_refuses_not_well_posed(self):
-        a = cm.analyze(*cm.load_system(conftest.reversed_x_chart_text()))
+        a = cm.analyze(*cm.load_system(conftest.asymmetric_y_text()))
+        assert a.report.verdict is Verdict.NOT_WELL_POSED
         grid = wave_grid(nx=8, cy=4, cz=4)
         data = cm.DataSpec(q0=((), (), ()), w0=((),))
         with pytest.raises(NotWellPosedError):
@@ -247,6 +250,16 @@ class TestMarch:
         # zero data still runs
         tr = cm.march(a.canon, grid, data, report=a.report, force=True)
         assert tr.n_slices == grid.nx + 1
+
+    def test_force_does_not_lift_the_cfl_guard(self):
+        # the reversed chart gives Nu^-1 Nx the eigenvalue +0.5, where the
+        # upwind step grows without bound
+        a = cm.analyze(*cm.load_system(conftest.reversed_x_chart_text()))
+        data = cm.DataSpec(q0=((cm.ProfileTerm(kind="sine"),), (), ()),
+                           w0=((),))
+        with pytest.raises(CFLError, match="eigenvalue 0.5 of Nu"):
+            cm.march(a.canon, wave_grid(nx=16, cy=4, cz=4), data,
+                     report=a.report, force=True)
 
     def test_marched_slices_are_read_only(self, wave_canon, wave_report,
                                           plane_wave_data):
@@ -379,7 +392,7 @@ class TestMarch:
                          report=wave_report, force=True)
 
 
-# --- oracle: the per-x-point Heun loop and the np.roll evolution step ------
+# --- oracle: the per-x-point Heun loop and the upwind evolution step ---------
 
 def _oracle_apply(M, plane):
     return np.einsum("ab,b...->a...", M, plane)
@@ -418,6 +431,7 @@ def _oracle_hypersurface(canon, vals, wb, grid):
 
 
 def _oracle_evolution(canon, vals, grid):
+    """The upwind step, point by point along x."""
     nq, du, dx = canon.nq, grid.dx, grid.dx
     lam = du / dx
     Nui = np.linalg.inv(canon.Nu)
@@ -430,12 +444,9 @@ def _oracle_evolution(canon, vals, grid):
     q = vals[:nq]
     npts = vals.shape[1]
     new = np.zeros((canon.n_unknowns, npts - 1) + vals.shape[2:])
-    if npts > 2:
-        new[:nq, 1:] = (0.5 * (q[:, :-2] + q[:, 2:])
-                        - 0.5 * lam * _oracle_apply(A, q[:, 2:] - q[:, :-2])
-                        - du * src[:, 1:-1])
-    new[:nq, 0] = (q[:, 0] - lam * _oracle_apply(A, q[:, 1] - q[:, 0])
-                   - du * src[:, 0])
+    for i in range(npts - 1):
+        new[:nq, i] = (q[:, i] - lam * _oracle_apply(A, q[:, i + 1] - q[:, i])
+                       - du * src[:, i])
     return new
 
 
@@ -572,8 +583,7 @@ def _operator_case(draw):
 
 
 class TestRowSparseOperators:
-    """The stacked row-sparse operator and the block spread correction
-    give the dense products' bits."""
+    """The stacked row-sparse operator gives the dense products' bits."""
 
     @given(_operator_case(), st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -591,22 +601,6 @@ class TestRowSparseOperators:
             expected = _dense_operator(M0, Mt, grid, plane)
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
-
-    @given(st.integers(1, 4).flatmap(lambda nq: arrays(
-               float, (nq, nq), elements=_entries)),
-           st.lists(st.integers(1, 5), max_size=2), st.integers(3, 6),
-           st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_spread_correction_matches_dense_bit_for_bit(self, P, cells,
-                                                         npts, seed):
-        cells = tuple(cells)
-        spread = _SpreadCorrection(P, width=4, cells=cells)
-        rng = np.random.default_rng(seed)
-        q = rng.standard_normal((len(P), npts) + cells)
-        inner = rng.standard_normal((len(P), npts - 2) + cells)
-        expected = inner - _dense_apply(P, q[:, 2:] - q[:, :-2])
-        spread(q, inner, np.full(spread.work, np.nan))
-        assert inner.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("M0, Mt", [
         # the one stacked row of a two-row operator is padded to two rows
@@ -631,8 +625,6 @@ class TestRowSparseOperators:
             op = _FieldOperator(np.zeros(shape), [], grid, width=5)
             out = op(np.ones((shape[1], 5)), np.empty(op.work))
             assert out.shape == (shape[0], 5) and not np.any(out)
-        spread = _SpreadCorrection(np.zeros((0, 0)), width=3, cells=())
-        spread(np.zeros((0, 5)), np.zeros((0, 3)), np.empty(spread.work))
 
 
 class TestTraceStore:

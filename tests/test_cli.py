@@ -326,9 +326,13 @@ class TestSolve:
         (["solve", "--example", "wave3d", "--cells", "8,4,9"],
          cli.EXIT_ERROR),
         (["solve", "--input", "REVERSED", "--nx", "8"], cli.EXIT_ERROR),
+        # the reversed chart puts +0.5 in the spectrum of Nu^-1 Nx
+        (["solve", "--input", "REVERSED", "--nx", "8", "--force"],
+         cli.EXIT_ERROR),
         (["verify-estimate", "--input", "REVERSED", "--nx", "8",
           "--cells", "4,4"], cli.EXIT_NOT_WELL_POSED),
-    ], ids=["usage-error", "not-well-posed", "estimate-refused"])
+    ], ids=["usage-error", "not-well-posed", "cfl-refused",
+            "estimate-refused"])
     def test_failed_command_leaves_out_file(self, argv, code, tmp_path):
         path = tmp_path / "reversed.txt"
         path.write_text(conftest.reversed_x_chart_text(), encoding="utf-8")
@@ -364,8 +368,8 @@ class TestSolve:
         assert out.read_text().startswith("verdict: NOT_WELL_POSED\n")
 
     def test_refuses_not_well_posed_without_force(self, tmp_path, capsys):
-        path = tmp_path / "reversed.txt"
-        path.write_text(conftest.reversed_x_chart_text(), encoding="utf-8")
+        path = tmp_path / "asymmetric.txt"
+        path.write_text(conftest.asymmetric_y_text(), encoding="utf-8")
         argv = ["solve", "--input", str(path), "--nx", "8", "--cells", "4,4"]
         assert cli.main(argv) == cli.EXIT_ERROR
         assert "force" in capsys.readouterr().err
