@@ -29,7 +29,7 @@ class ReductionError(ValueError):
     """No evolution-row selection yields an invertible u-principal block."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharacteristicStructure:
     """Null structure of B^u and the rotated system.
 
@@ -45,7 +45,7 @@ class CharacteristicStructure:
     Dprime: np.ndarray = field(repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalSystem:
     """Almost-canonical system.
 
@@ -75,7 +75,7 @@ class CanonicalSystem:
         return self.n_unknowns - self.m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompactSystem:
     """Conservation-law form C^a d_a v + Dc v = 0 with R = 2 Dc."""
     m: int

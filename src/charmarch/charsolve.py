@@ -24,10 +24,12 @@ the transverse Fourier modes of a real FFT, with the symbol
 M0 + i sum_j M_j sin(theta_j) / h_j of the centred differences, and the
 scan runs mode by mode.  The operators (Nu^-1 Nx, Nu^-1 N^i, Nu^-1 N0,
 the hypersurface blocks and the powers G^(2^s)) are built once per march,
-after one CFL check.  The field operators are row-sparse: one stacked
-product over M0 and the nonzero rows of each transverse M_j, and each
-periodic difference, taken from slices of the plane, written straight
-into its output row.
+and the CFL check reads the eigenvalues of the Nu^-1 Nx that the step
+multiplies by.  Slice j holds nx + 1 - j x points, and its u is j dx,
+taken from that index, not summed.  The field operators are row-sparse:
+one stacked product over M0 and the nonzero rows of each transverse M_j,
+and each periodic difference, taken from slices of the plane, written
+straight into its output row.
 
 Memory: the march owns it.  The slices of one march are consecutive views
 of one packed store (x extents nx + 1 down to 1) on an anonymous mapping,
@@ -47,7 +49,7 @@ import math
 import mmap
 import numbers
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -119,13 +121,18 @@ class GridSpec:
         return math.prod((t.h for t in self.transverse), start=1.0)
 
 
+# the shape fields that each kind of profile does not read
+_UNREAD = {"sine": ("center", "width"), "gauss": ("k", "phase")}
+
+
 @dataclass(frozen=True)
 class ProfileTerm:
     """One separable data term: amp * base(s) * prod_i cos(k_i theta_i + p_i).
 
-    base is sin(k s + phase) for kind='sine' and a Gaussian bump for
-    kind='gauss'.  s is x for normal data and u for null data; a zero
-    profile is the empty tuple of terms.
+    base is sin(k s + phase) for kind='sine' and a Gaussian bump
+    exp(-((s - center) / width)^2) for kind='gauss'; a field that the
+    kind does not read must keep its default.  s is x for normal data and
+    u for null data; a zero profile is the empty tuple of terms.
     """
     kind: str
     amp: float = 1.0
@@ -138,6 +145,11 @@ class ProfileTerm:
     def __post_init__(self):
         if self.kind not in ("sine", "gauss"):
             raise DataSpecError(f"unknown profile kind '{self.kind}'")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _UNREAD[self.kind] and value != f.default:
+                raise DataSpecError(f"profile kind '{self.kind}' does not "
+                                    f"take {f.name}, got {value!r}")
         for name in ("amp", "k", "phase", "center"):
             if not math.isfinite(getattr(self, name)):
                 raise DataSpecError(f"profile {name} must be finite, "
@@ -182,7 +194,7 @@ class DataSpec:
     w0: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SliceState:
     u_level: float
     values: np.ndarray   # (n_unknowns, x_extent, *cells), order (q, w)
@@ -192,7 +204,7 @@ class SliceState:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionTrace:
     """The slices of one march: slice j lies at u = j dx and holds
     nx + 1 - j x points.  A trace cannot change: slices and diagnostics
@@ -201,8 +213,7 @@ class SolutionTrace:
     slices: tuple = ()
     diagnostics: tuple = ()   # per-slice max |v|
     # energymon's per-slice forms, one record per compact system
-    _forms: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    _forms: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "slices", tuple(self.slices))
@@ -379,18 +390,6 @@ def _check_finite(top: float, u_level, what) -> float:
     return top
 
 
-def _check_cfl(canon: CanonicalSystem) -> None:
-    """The upwind x step with du = dx is stable only when every eigenvalue
-    of Nu^-1 Nx is real and in [-1, 0]; CFLError names the first that is
-    not."""
-    if canon.nq == 0:
-        return
-    for lam in np.linalg.eigvals(np.linalg.solve(canon.Nu, canon.Nx)):
-        if abs(lam.imag) > 1e-12 or not -1.0 - 1e-12 <= lam.real <= 1e-12:
-            raise CFLError(f"eigenvalue {lam:.6g} of Nu^-1 Nx is outside "
-                           f"[-1, 0]: the upwind step du = dx is unstable")
-
-
 class _Stepper:
     """The operators of the march for one system and grid, built once.
 
@@ -400,7 +399,9 @@ class _Stepper:
     propagator G = I + dx A + dx^2 A^2 / 2 that the scan of the widest
     slice uses: real m x m matrices when A is pointwise, one per transverse
     Fourier mode when it is not, none when A = 0.  Evolution by one step
-    du = dx: Nu^-1 Nx, and the source operator dx Nu^-1 (N0 v + N^i d_i v).
+    du = dx: Nu^-1 Nx, checked here for the CFL condition before anything
+    else is built from it, and the source operator
+    dx Nu^-1 (N0 v + N^i d_i v).
 
     The stepper writes into slices it is given and owns its temporaries:
     the operators and the x difference of q compute in views of one work
@@ -413,7 +414,7 @@ class _Stepper:
         nq = canon.nq
         names = canon.transverse_names
         width = grid.nx + 1
-        self.nq, self.n, self.dx = nq, canon.n_unknowns, grid.dx
+        self.nq, self.nx, self.dx = nq, grid.nx, grid.dx
         self.forcing = _FieldOperator(
             -canon.L0[:, :nq], [-canon.Li[k][:, :nq] for k in names], grid,
             width)
@@ -422,6 +423,13 @@ class _Stepper:
             width)
         Nui = np.linalg.inv(canon.Nu) if nq else np.zeros((0, 0))
         self.NuiNx = Nui @ canon.Nx
+        # the upwind x step with du = dx is stable only when every
+        # eigenvalue of the P = Nu^-1 Nx it multiplies by is real and in
+        # [-1, 0]; CFLError names the first that is not
+        for lam in np.linalg.eigvals(self.NuiNx):
+            if abs(lam.imag) > 1e-12 or not -1.0 - 1e-12 <= lam.real <= 1e-12:
+                raise CFLError(f"eigenvalue {lam:.6g} of Nu^-1 Nx is outside "
+                               f"[-1, 0]: the upwind step du = dx is unstable")
         self.source = _FieldOperator(
             grid.dx * Nui @ canon.N0,
             [grid.dx * Nui @ canon.Ni[k] for k in names], grid, width)
@@ -535,7 +543,9 @@ class _Stepper:
                       out=head.reshape(nq, size))
             np.subtract(q[:, :-1], head, out=head)
             head -= src[:, :-1]
-        out = SliceState(u_level=slice_.u_level + self.dx, values=new)
+        # slice j holds nx + 1 - j x points and lies at u = j dx
+        out = SliceState(u_level=(self.nx + 1 - new.shape[1]) * self.dx,
+                         values=new)
         return out, _check_finite(_abs_max(head), out.u_level,
                                   "evolution step")
 
@@ -635,7 +645,6 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
     if report.verdict is not Verdict.WELL_POSED and not force:
         raise NotWellPosedError(
             f"verdict is {report.verdict.value}; pass force=True to march anyway")
-    _check_cfl(canon)
     stepper = _Stepper(canon, grid)
 
     tmeshes = grid.transverse_meshes()

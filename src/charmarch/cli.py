@@ -261,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="null-data presets, one per variable")
 
     p = sub.add_parser("analyze", help="print the canonicalization pipeline")
-    common(p)
+    # analyze prints no verdict, so only rank changes what it prints
+    common(p, tol_keys=("rank",))
     p = sub.add_parser("check", help="well-posedness report")
     common(p)
     p = sub.add_parser("solve", help="march and write trace diagnostics")

@@ -13,9 +13,11 @@ and off-grid T is snapped to it with one warning.
 norms, sigma, the bound and the balance residual.  A trace cannot change,
 so the per-slice forms of a compact system are built in one pass on its
 first call and kept on the trace as one record, keyed by the content of
-C^u, C^x and R and by nq: the Nu and C^u forms cell-summed over x on
-slice 0, the |w|^2 and C^x forms on one stack of the x = 0 column, and
-the volume term as a prefix sum.  The volume cell (j, i), between slices
+C^u, C^x and R and by nq: the Nu form cell-summed over x on slice 0, the
+|w|^2 and C^x forms on one stack of the x = 0 column, and the volume term
+as a prefix sum.  C^u = blockdiag(Nu, 0), so the C^u flux through u = 0
+in the energy identity is ||q0||^2_Nu itself, and the balance reads it
+from the q0 norm.  The volume cell (j, i), between slices
 j - 1 and j at x from i dx to (i + 1) dx, carries the corner average of
 the R form and lies below level K when j + i < K; the corner averages
 are summed along each anti-diagonal j + i and then accumulated, so the
@@ -127,7 +129,6 @@ def _row(trace: SolutionTrace, W: np.ndarray, j: int) -> np.ndarray:
 class _Forms:
     """The per-slice forms of one compact system on one trace."""
     q0: np.ndarray      # Nu form at each x point of u = 0
-    north: np.ndarray   # C^u form at each x point of u = 0
     w0: np.ndarray      # |w|^2 at x = 0 of each slice
     column: np.ndarray  # C^x form at x = 0 of each slice
     volume: np.ndarray  # corner-averaged R form summed over the cells
@@ -152,7 +153,7 @@ def _forms(trace: SolutionTrace, cf: CompactSystem) -> _Forms:
                     0.25 * (gl[:n] + gl[1:n + 1] + gh[:n] + gh[1:n + 1])
         volume = np.concatenate(([0.0], np.cumsum(diagonal)))
         trace._forms[key] = _Forms(
-            q0=_row(trace, cf.Nu, 0), north=_row(trace, cf.C["u"], 0),
+            q0=_row(trace, cf.Nu, 0),
             w0=_cell_sum((col[cf.nq:] ** 2).sum(axis=0), trace),
             column=_cell_sum(_quad_form(cf.C["x"], col), trace),
             volume=volume)
@@ -202,10 +203,10 @@ def verify_estimate(trace: SolutionTrace, cf: CompactSystem,
     bound = report.bound_factor(K * dx) * (nq_sq + nw_sq)
     margin = bound - sig
     tol_h = report.tols.ctol * dx * (nq_sq + nw_sq)
-    # balance: | int_Sigma v(Cu+Cx)v - int_N vCuv - int_T vCxv + int_V vRv |
+    # balance: | int_Sigma v(Cu+Cx)v - int_N vCuv - int_T vCxv + int_V vRv |,
+    # where int_N vCuv = ||q0||^2_Nu since C^u = blockdiag(Nu, 0)
     intV = float(forms.volume[K]) * dx * dx
-    residual = abs(sig - _line_integral(forms.north, dx, K)
-                   - _line_integral(forms.column, dx, K) + intV)
+    residual = abs(sig - nq_sq - _line_integral(forms.column, dx, K) + intV)
     return EnergyReport(
         T=T, norm_q0_sq=nq_sq, norm_w0_sq=nw_sq, sigma_norm_sq=sig,
         bound=bound, margin=margin, balance_residual=residual,

@@ -32,8 +32,9 @@ def _require_finite(M, what: str):
         raise ValueError(f"{what} has non-finite entries")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FirstOrderSystem:
+    """The matrices are kept as the float arrays that were validated."""
     n_coords: int
     n_unknowns: int
     coord_names: tuple
@@ -47,36 +48,44 @@ class FirstOrderSystem:
             raise ValueError("n_unknowns must be between 1 and 16")
         if len(self.coord_names) != self.n_coords:
             raise ValueError("coord_names length must equal n_coords")
-        for name, M in self.A.items():
+        A = {name: np.asarray(M, dtype=float) for name, M in self.A.items()}
+        D = np.asarray(self.D, dtype=float)
+        for name, M in A.items():
             if M.shape != (self.n_unknowns, self.n_unknowns):
                 raise ValueError(f"matrix A {name} has wrong shape")
             _require_finite(M, f"matrix A {name}")
-        if self.D.shape != (self.n_unknowns, self.n_unknowns):
+        if D.shape != (self.n_unknowns, self.n_unknowns):
             raise ValueError("matrix D has wrong shape")
-        _require_finite(self.D, "matrix D")
+        _require_finite(D, "matrix D")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "D", D)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Chart:
     """Affine coordinate change: new coords = J y + offsets.
 
     Row 0 of J is the gradient of u, row 1 of x, rows 2.. of the transverse
     coordinates.  J must be invertible: its rank is read, at the default
     rank tolerance, from the column-pivoted QR that
-    matkit.rank_and_nullspaces uses, and no null space is built.
+    matkit.rank_and_nullspaces uses, and no null space is built.  J and
+    offsets are kept as the float arrays that were validated.
     """
     J: np.ndarray
     offsets: np.ndarray
 
     def __post_init__(self):
         J = np.asarray(self.J, dtype=float)
+        offsets = np.asarray(self.offsets, dtype=float)
         n = J.shape[0]
         if J.shape != (n, n):
             raise ValueError("chart Jacobian must be square")
-        if self.offsets.shape != (n,):
+        if offsets.shape != (n,):
             raise ValueError("offsets length must match n_coords")
         _require_finite(J, "chart Jacobian")
-        _require_finite(self.offsets, "chart offsets")
+        _require_finite(offsets, "chart offsets")
+        object.__setattr__(self, "J", J)
+        object.__setattr__(self, "offsets", offsets)
         # built before any tolerance is known: the default rank tolerance
         if matkit._pivoted_qr(J, matkit.Tolerances.rank)[2] < n:
             raise SingularChartError("singular chart: Jacobian is not invertible")
@@ -97,7 +106,7 @@ class Chart:
         return tuple(names)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SideMatrices:
     """B^a = A^b J[a, b] keyed by the new coordinate names (u, x, ...)."""
     names: tuple

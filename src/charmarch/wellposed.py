@@ -132,7 +132,7 @@ def growth_parameters(cf: CompactSystem, tols: Tolerances = Tolerances()):
     return r, c, T_max, functools.partial(_bound_factor, growth)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Analysis:
     """Every stage of the reduction of one system in one chart."""
     B: sysmodel.SideMatrices

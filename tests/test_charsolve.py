@@ -193,6 +193,14 @@ class TestMarch:
         assert extents[-1] == 1
         assert tr.n_slices == grid.nx + 1
 
+    def test_u_level_is_index_times_dx(self, wave_canon, wave_report,
+                                       plane_wave_data):
+        # dx = 2/72 is inexact, so a running sum of dx drifts off j dx
+        grid = wave_grid(nx=72, cy=4, cz=4)
+        tr = cm.march(wave_canon, grid, plane_wave_data, report=wave_report)
+        assert [s.u_level for s in tr.slices] == \
+            [j * grid.dx for j in range(grid.nx + 1)]
+
     def test_determinism_bit_identical(self, wave_canon, wave_report,
                                        manufactured_data):
         grid = wave_grid(nx=12, cy=8, cz=4)
@@ -316,6 +324,11 @@ class TestMarch:
         ({"kind": "sine", "trans": ((0.0, math.nan),)},
          r"trans\[0\] must be a finite"),
         ({"kind": "sine", "trans": ((1.0,),)}, r"trans\[0\] must be a finite"),
+        # a field the kind does not read would change nothing
+        ({"kind": "sine", "center": 5.0}, "'sine' does not take center"),
+        ({"kind": "sine", "width": 0.2}, "'sine' does not take width"),
+        ({"kind": "gauss", "k": 3.0}, "'gauss' does not take k"),
+        ({"kind": "gauss", "phase": math.nan}, "'gauss' does not take phase"),
     ])
     def test_bad_profile_numbers_rejected(self, kwargs, cause):
         # refused by name where the term is built, not by a non-finite
@@ -533,24 +546,9 @@ def _dense_apply(M, plane):
 
 
 def _dense_difference(plane, axis):
-    """f[j+1] - f[j-1] along one periodic axis, by the stride trick on the
-    flat plane."""
-    axis %= plane.ndim
-    n = plane.shape[axis]
-    if n < 3:
-        return np.zeros(plane.shape)
-    out = np.empty(plane.shape)
-    stride = math.prod(plane.shape[axis + 1:])
-    flat = plane.reshape(-1)
-    np.subtract(flat[2 * stride:], flat[:-2 * stride],
-                out=out.reshape(-1)[stride:-stride])
-
-    def at(lo, hi):
-        return (slice(None),) * axis + (slice(lo, hi),)
-
-    np.subtract(plane[at(1, 2)], plane[at(-1, None)], out=out[at(None, 1)])
-    np.subtract(plane[at(None, 1)], plane[at(-2, -1)], out=out[at(-1, None)])
-    return out
+    """f[j+1] - f[j-1] along one periodic axis, from whole rolled copies;
+    exactly zero along fewer than 3 cells, where f[j+1] is f[j-1]."""
+    return np.roll(plane, -1, axis) - np.roll(plane, 1, axis)
 
 
 def _dense_operator(M0, Mt, grid, plane):

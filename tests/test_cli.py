@@ -161,9 +161,19 @@ class TestCheck:
         assert out == ""
         assert "unknown tolerance key 'ctol'" in err
         assert cli.main([command, "--help"]) == cli.EXIT_OK
-        assert "(rank, sym, eig)" in capsys.readouterr().out
+        keys = "(rank)" if command == "analyze" else "(rank, sym, eig)"
+        assert keys in capsys.readouterr().out
         assert cli.main(["verify-estimate", "--help"]) == cli.EXIT_OK
         assert "(rank, sym, eig, ctol)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["sym", "eig"])
+    def test_analyze_takes_only_rank(self, key, capsys):
+        # analyze prints no verdict, so sym and eig would change nothing
+        argv = ["analyze", "--example", "wave3d", "--tol", f"{key}=1e-3"]
+        assert cli.main(argv) == cli.EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unknown tolerance key '{key}'" in err
 
 
 class TestUsageErrors:

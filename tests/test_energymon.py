@@ -630,8 +630,10 @@ class TestFormTables:
         # the R form of each slice the volume term reaches, once
         r_calls = per_plane(cf.R)
         assert 1 < len(r_calls) <= tr.n_slices and set(r_calls) == {1}
-        # the N-side, the q0 norm and the T-side column, once per trace
-        for W in (cf.C["u"], cf.Nu, cf.C["x"]):
+        # the q0 norm, which is also the N-side, and the T-side column,
+        # once per trace; C^u alone is never formed
+        for W in (cf.Nu, cf.C["x"]):
             assert per_plane(W) == [1]
+        assert per_plane(cf.C["u"]) == []
         sigma_calls = per_plane(cf.C["u"] + cf.C["x"])
         assert sum(sigma_calls) == 2 * len(ladder)

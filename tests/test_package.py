@@ -1,8 +1,10 @@
 """The public names of the package, pinned: a name added or dropped is a
 change of the API and must show up here."""
+import dataclasses
 import inspect
 
 import charmarch as cm
+from charmarch import builtin
 
 PUBLIC = {
     "Analysis", "CanonicalSystem", "CharacteristicStructure", "CompactSystem",
@@ -46,3 +48,24 @@ def test_tolerances_is_the_one_way_to_set_a_tolerance():
     assert all(functions[name]["tols"].default == cm.Tolerances()
                for name in takes_tols)
     assert not [name for name in dir(cm.matkit) if name.startswith("TOL")]
+
+
+def test_array_records_compare_by_identity():
+    # value equality of a record that holds arrays would ask numpy for the
+    # truth value of an array; these compare and hash by identity instead
+    system, chart = cm.load_system(builtin.example_text("wave3d"))
+    a = cm.analyze(system, chart)
+    grid = cm.GridSpec(X_total=1.0, nx=4, transverse=(
+        cm.TransverseAxis(cells=4), cm.TransverseAxis(cells=4)))
+    trace = cm.march(a.canon, grid, cm.DataSpec(q0=((), (), ()), w0=((),)),
+                     report=a.report)
+    records = (system, chart, a, a.B, a.structure, a.canon, a.compact,
+               trace, trace.slices[0])
+    assert len({type(r) for r in records}) == len(records) == 9
+    for record in records:
+        twin = dataclasses.replace(record)
+        assert record == record and record != twin
+        assert record in [twin, record] and twin not in [record]
+        assert len({record, twin, record}) == 2
+    # the report holds no arrays and keeps value equality
+    assert dataclasses.replace(a.report) == a.report

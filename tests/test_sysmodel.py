@@ -64,6 +64,20 @@ class TestLoadSystem:
                                 coord_names=("t", "x"), A=A, D=D)
             Chart(J=J, offsets=offsets)
 
+    def test_lists_are_kept_as_the_float_arrays_validated(self):
+        # integer lists in; float arrays kept, and the reduction runs on them
+        sys_ = cm.FirstOrderSystem(
+            n_coords=2, n_unknowns=2, coord_names=("t", "x"),
+            A={"t": [[1, 0], [0, 1]], "x": [[0, 1], [1, 0]]},
+            D=[[0, 0], [0, 0]])
+        chart = Chart(J=[[1, -1], [0, 1]], offsets=[0, 0])
+        for M in (*sys_.A.values(), sys_.D, chart.J, chart.offsets):
+            assert isinstance(M, np.ndarray) and M.dtype == float
+        B = cm.side_matrices(sys_, chart)
+        np.testing.assert_array_equal(B.B["u"], [[1, -1], [-1, 1]])
+        a = cm.analyze(sys_, chart)
+        assert a.report.verdict is cm.Verdict.WELL_POSED
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ParseError):
             cm.load_system("ncoords 2\nbogus 3\n")
