@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import matkit
 from .matkit import Tolerances
@@ -109,7 +108,6 @@ def null_structure(B: SideMatrices, D: np.ndarray,
     m = len(right)
     if m == 0:
         raise NotCharacteristicError("surface u=const is not characteristic")
-    left = [v / np.linalg.norm(v) for v in left]
     S = matkit.orthonormal_complete(right, n)
     Bprime = {name: S @ M @ S.T for name, M in B.B.items()}
     Dprime = S @ D @ S.T
@@ -131,37 +129,27 @@ def transversality_check(cs: CharacteristicStructure, B: SideMatrices,
 
 
 def _select_evolution_rows(Bpu: np.ndarray, m: int, tol: float):
-    """Rows of the rotated system whose u-principal block is invertible.
+    """Rows of the rotated system whose u-principal block is invertible,
+    each rank read from matkit's column-pivoted QR.
 
     Default choice: rows m..N-1 (works whenever B^u is symmetric).  Fallback:
-    column-pivoted QR on the q-column block transposed, which greedily picks
-    well-conditioned rows.
+    the first N-m pivots of the QR of the q-column block transposed, which
+    greedily picks well-conditioned rows; there are none when that block
+    has rank below N-m.
     """
     n = Bpu.shape[0]
     nq = n - m
     if nq == 0:
         return [], np.zeros((0, 0))
     cols = Bpu[:, m:]
-    scale = max(float(np.abs(cols).max()), np.finfo(float).tiny)
-
-    def invertible(M):
-        _, sv, _, info = lapack.dgesdd(M, compute_uv=0)
-        if info:
-            raise np.linalg.LinAlgError("SVD did not converge")
-        return sv[-1] > tol * scale
-
     rows = list(range(m, n))
-    Nu = cols[rows]
-    if invertible(Nu):
-        return rows, Nu
-    _, jpvt, _, _, info = lapack.dgeqp3(cols.T)
-    if info:
-        raise np.linalg.LinAlgError(f"dgeqp3 failed with info={info}")
-    rows = sorted(int(p) - 1 for p in jpvt[:nq])
-    Nu = cols[rows]
-    if not invertible(Nu):
-        raise ReductionError("not reducible to canonical form with given chart")
-    return rows, Nu
+    if matkit._pivoted_qr(cols[rows], tol)[2] < nq:
+        _, p, rank, _ = matkit._pivoted_qr(cols.T, tol)
+        if rank < nq:
+            raise ReductionError(
+                "not reducible to canonical form with given chart")
+        rows = sorted(int(k) for k in p[:nq])
+    return rows, cols[rows]
 
 
 def split_and_reduce(cs: CharacteristicStructure, B: SideMatrices,

@@ -8,13 +8,13 @@ read from the spectrum.  All functions are pure; matrices and vectors are
 plain numpy arrays.
 
 LAPACK is called bare where that is bit-identical to the wrapper it
-replaces: dgeqp3 (scipy.linalg.qr with pivoting), dtrtrs with the
-transposed lower solve (scipy.linalg.solve_triangular on a triangle that
-is not F-contiguous), dgeqrf + dorgqr (np.linalg.qr) and dsyevd with
-lower=1 (np.linalg.eigvalsh).  dorgqr returns Q in F order; a null basis
-is the transpose of Q converted to C order, as np.linalg.qr's Q is, so its
-rows are strided views: the BLAS dot products that later read them sum in
-another order on unit-stride rows.
+replaces: dgeqp3 (scipy.linalg.qr with pivoting, Q by dorgqr), dtrtrs
+with the transposed lower solve (scipy.linalg.solve_triangular on a
+triangle that is not F-contiguous), dgeqrf + dorgqr (np.linalg.qr) and
+dsyevd with lower=1 (np.linalg.eigvalsh).  dorgqr returns Q in F order; a
+right null basis is the transpose of Q converted to C order, as
+np.linalg.qr's Q is, so its rows are strided views: the BLAS dot products
+that later read them sum in another order on unit-stride rows.
 """
 from __future__ import annotations
 
@@ -110,11 +110,12 @@ def _fix_signs(basis: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _pivoted_qr(M: np.ndarray, tol: float):
-    """Column-pivoted QR of M by one bare LAPACK dgeqp3 call, and the rank
-    it reveals: the number of |R_kk| above tol times the largest column
-    norm of M.  Returns (qr, p, rank) with R the upper triangle of qr and p
-    the 0-based column pivots; a zero M has rank 0 and is not factorised
-    (qr and p are None).
+    """Column-pivoted QR, M P = Q R, by one bare LAPACK dgeqp3 call, and
+    the rank it reveals: the number of |R_kk| above tol times the largest
+    column norm of M.  Returns (qr, p, rank, tau) with R the upper triangle
+    of qr, p the 0-based column pivots and tau the scalars of the
+    reflectors that dorgqr turns into Q; a zero M has rank 0 and is not
+    factorised (qr, p and tau are None).
 
     The norms and the comparison are taken on M and R scaled by s, the
     power of two that brings max |M| into [1/2, 1): the squares cannot
@@ -123,65 +124,65 @@ def _pivoted_qr(M: np.ndarray, tol: float):
     flat = M.reshape(-1)
     top = abs(float(flat[blas.idamax(flat)])) if flat.size else 0.0
     if top == 0.0:
-        return None, None, 0
+        return None, None, 0, None
     s = math.ldexp(1.0, -math.frexp(top)[1])
     Ms = M * s
     # np.linalg.norm(Ms, axis=0).max(): sqrt is monotone and correctly
     # rounded, so it is taken once, on the largest sum of squares
     scale = math.sqrt(float((Ms * Ms).sum(axis=0).max()))
-    qr, jpvt, _, _, info = lapack.dgeqp3(M)
+    qr, jpvt, tau, _, info = lapack.dgeqp3(M)
     if info:
         raise np.linalg.LinAlgError(f"dgeqp3 failed with info={info}")
     rank = int(np.sum(np.abs(np.diag(qr)) * s > tol * scale))
-    return qr, jpvt - 1, rank
+    return qr, jpvt - 1, rank, tau
 
 
-def _nullspace(M: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis (as rows) of {z : M z = 0} via column-pivoted QR.
-
-    Rank threshold is tol times the largest column norm of M.  A basis
-    solved from R keeps np.linalg.qr's layout (see the module docstring).
-    """
-    n = M.shape[1]
-    qr, p, rank = _pivoted_qr(M, tol)
+def _null_bases(M: np.ndarray, tol: float):
+    """(rank, right, left) of a square M from one column-pivoted QR,
+    M P = Q R (`_pivoted_qr`): orthonormal bases, as rows, of {z : M z = 0}
+    and {z : z M = 0}, each with n - rank rows.  The right basis is solved
+    from R and keeps np.linalg.qr's layout (see the module docstring); the
+    left one is Q's last n - rank columns, orthogonal to range(M) but for
+    the rows of R that the rank drops."""
+    n = M.shape[0]
+    qr, p, rank, tau = _pivoted_qr(M, tol)
     if rank == n:
-        return np.zeros((0, n))
+        return n, np.zeros((0, n)), np.zeros((0, n))
     if rank == 0:
-        basis = np.eye(n)
-    else:
-        # R11 X = -R12 as R11^T's transpose solve: what solve_triangular
-        # calls for an R11 that is not F-contiguous; dtrtrs reads only the
-        # upper triangle of qr
-        X, info = lapack.dtrtrs(qr[:rank, :rank].T, -qr[:rank, rank:],
-                                lower=1, trans=1)
-        if info:
-            raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
-        B = np.vstack([X, np.eye(n - rank)])
-        basis = np.zeros((n, n - rank))
-        basis[p, :] = B
-        # np.linalg.qr's Q: dgeqrf then dorgqr
-        qf, tau, _, info = lapack.dgeqrf(basis)
-        if info:
-            raise np.linalg.LinAlgError(f"dgeqrf failed with info={info}")
-        Q, _, info = lapack.dorgqr(qf, tau)
-        if info:
-            raise np.linalg.LinAlgError(f"dorgqr failed with info={info}")
-        basis = np.ascontiguousarray(Q).T
-    return _fix_signs(basis, tol)
+        return 0, np.eye(n), np.eye(n)
+    # R11 X = -R12 as R11^T's transpose solve: what solve_triangular
+    # calls for an R11 that is not F-contiguous; dtrtrs reads only the
+    # upper triangle of qr
+    X, info = lapack.dtrtrs(qr[:rank, :rank].T, -qr[:rank, rank:],
+                            lower=1, trans=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
+    B = np.vstack([X, np.eye(n - rank)])
+    basis = np.zeros((n, n - rank))
+    basis[p, :] = B
+    # np.linalg.qr's Q: dgeqrf then dorgqr
+    qf, tau_b, _, info = lapack.dgeqrf(basis)
+    if info:
+        raise np.linalg.LinAlgError(f"dgeqrf failed with info={info}")
+    Q, _, info = lapack.dorgqr(qf, tau_b)
+    if info:
+        raise np.linalg.LinAlgError(f"dorgqr failed with info={info}")
+    right = np.ascontiguousarray(Q).T
+    Q, _, info = lapack.dorgqr(qr, tau)
+    if info:
+        raise np.linalg.LinAlgError(f"dorgqr failed with info={info}")
+    return rank, _fix_signs(right, tol), _fix_signs(Q[:, rank:].T, tol)
 
 
 def rank_and_nullspaces(M, tols: Tolerances = Tolerances()):
     """Rank plus orthonormal right and left null bases of a square matrix.
 
     Returns (rank, right_null, left_null) where the null bases are lists of
-    1-D arrays, the right basis orthonormal, and
-    rank + len(right_null) == dim.
+    1-D arrays, both orthonormal and both read from one factorisation, so
+    rank + len(right_null) == rank + len(left_null) == dim.
     """
-    M = as_square(M)
-    right = _nullspace(M, tols.rank)
-    left = _nullspace(M.T, tols.rank)
-    rank = M.shape[0] - right.shape[0]
-    return rank, [v for v in right], [v for v in left]
+    rank, right, left = _null_bases(as_square(M), tols.rank)
+    return rank, list(right), list(left)
 
 
 def _fill(Q: np.ndarray, k0: int, threshold: float) -> list:

@@ -34,7 +34,10 @@ def _require_finite(M, what: str):
 
 @dataclass(frozen=True, eq=False)
 class FirstOrderSystem:
-    """The matrices are kept as the float arrays that were validated."""
+    """The matrices are kept as the float arrays that were validated.  The
+    coordinate names must differ, every key of A must name a coordinate,
+    and a coordinate with no A matrix gets a zero one, as in the file
+    format."""
     n_coords: int
     n_unknowns: int
     coord_names: tuple
@@ -48,7 +51,17 @@ class FirstOrderSystem:
             raise ValueError("n_unknowns must be between 1 and 16")
         if len(self.coord_names) != self.n_coords:
             raise ValueError("coord_names length must equal n_coords")
-        A = {name: np.asarray(M, dtype=float) for name, M in self.A.items()}
+        if _repeated(self.coord_names):
+            raise ValueError("repeated coordinate name "
+                             + _repeated(self.coord_names))
+        unknown = [f"'{name}'" for name in self.A
+                   if name not in self.coord_names]
+        if unknown:
+            raise ValueError("matrix A for unknown coordinate "
+                             + ", ".join(unknown))
+        A = {name: np.asarray(self.A[name], dtype=float) if name in self.A
+             else np.zeros((self.n_unknowns, self.n_unknowns))
+             for name in self.coord_names}
         D = np.asarray(self.D, dtype=float)
         for name, M in A.items():
             if M.shape != (self.n_unknowns, self.n_unknowns):
@@ -77,9 +90,9 @@ class Chart:
     def __post_init__(self):
         J = np.asarray(self.J, dtype=float)
         offsets = np.asarray(self.offsets, dtype=float)
-        n = J.shape[0]
-        if J.shape != (n, n):
+        if J.ndim != 2 or J.shape[0] != J.shape[1]:
             raise ValueError("chart Jacobian must be square")
+        n = J.shape[0]
         if offsets.shape != (n,):
             raise ValueError("offsets length must match n_coords")
         _require_finite(J, "chart Jacobian")
@@ -165,6 +178,12 @@ def _read_matrix(lines, start, nrows, ncols, what):
     return M, idx
 
 
+def _repeated(names) -> str:
+    """The names that occur more than once, each quoted once."""
+    return ", ".join(f"'{name}'" for name in dict.fromkeys(
+        name for k, name in enumerate(names) if name in names[:k]))
+
+
 def _is_count(token: str) -> bool:
     """ASCII digits only: str.isdigit alone also accepts superscripts such
     as '²', which int() refuses."""
@@ -222,6 +241,9 @@ def load_system(text) -> tuple:
             if len(parts) != 1 + n_coords:
                 raise ParseError(f"expected {n_coords} coordinate names", lineno)
             coord_names = tuple(parts[1:])
+            if _repeated(coord_names):
+                raise ParseError("repeated coordinate name "
+                                 + _repeated(coord_names), lineno)
         elif key == "matrix":
             if n_unknowns is None:
                 raise ParseError("matrix before nunknowns", lineno)
@@ -263,8 +285,6 @@ def load_system(text) -> tuple:
         raise ParseError("missing chart", last)
     if D is None:
         D = np.zeros((n_unknowns, n_unknowns))
-    for name in coord_names:
-        A.setdefault(name, np.zeros((n_unknowns, n_unknowns)))
 
     sys = FirstOrderSystem(n_coords=n_coords, n_unknowns=n_unknowns,
                            coord_names=coord_names, A=A, D=D)
@@ -327,11 +347,10 @@ def side_matrices(sys: FirstOrderSystem, chart: Chart) -> SideMatrices:
 
 def verify_characteristic(B: SideMatrices,
                           tols: matkit.Tolerances = matkit.Tolerances()) -> int:
-    """Multiplicity m = dim null(B^u); raises if u = const is not
-    characteristic (m = 0)."""
-    Bu = B.B["u"]
-    rank, right, _ = matkit.rank_and_nullspaces(Bu, tols)
-    m = len(right)
+    """Multiplicity m = dim null(B^u), read from the rank alone as Chart
+    reads it; raises if u = const is not characteristic (m = 0)."""
+    Bu = matkit.as_square(B.B["u"])
+    m = len(Bu) - matkit._pivoted_qr(Bu, tols.rank)[2]
     if m == 0:
         raise NotCharacteristicError("surface u=const is not characteristic")
     return m

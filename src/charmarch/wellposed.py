@@ -10,7 +10,6 @@ is non-negative.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -74,11 +73,13 @@ def _classify(M: np.ndarray, tols: Tolerances) -> DefinitenessClass:
     return matkit.classify_definiteness(_sym(M), tols)
 
 
-def _growth(cf: CompactSystem, cls_R: DefinitenessClass):
+def _growth(cf: CompactSystem, cls_sum: DefinitenessClass,
+            cls_R: DefinitenessClass):
     """(r, c, T_max, growth exponent) of the bound e^{(r/c)T}, T < c/r;
-    T_max = 0 and the exponent infinite when c <= 0 (no norm on Sigma_T)."""
+    T_max = 0 and the exponent infinite when c <= 0 (no norm on Sigma_T).
+    c = min(eig(Nu + Nx), 1), as C^u + C^x = blockdiag(Nu + Nx, I_m)."""
     r = float(np.abs(cf.R).max()) if cf.R.size else 0.0
-    c = float(matkit._eigvalsh(_sym(cf.C["u"] + cf.C["x"]))[0])
+    c = min(cls_sum.eigenvalues + ((1.0,) if cf.m else ()))
     if cls_R.is_nonnegative() or r == 0.0:
         return r, c, math.inf, 0.0
     if c > 0.0:
@@ -110,7 +111,7 @@ def check_criteria(cf: CompactSystem,
     else:
         verdict = Verdict.NOT_WELL_POSED
 
-    r, c, T_max, growth = _growth(cf, cls_R)
+    r, c, T_max, growth = _growth(cf, cls_sum, cls_R)
     return WellPosednessReport(
         symmetric_Ca=symmetric, class_Nu=cls_Nu, class_Nx=cls_Nx,
         class_NuPlusNx=cls_sum, class_R=cls_R, verdict=verdict,
@@ -119,17 +120,17 @@ def check_criteria(cf: CompactSystem,
 
 
 def growth_parameters(cf: CompactSystem, tols: Tolerances = Tolerances()):
-    """(r, c, T_max, factor) entering the a priori bound.
+    """(r, c, T_max, factor) entering the a priori bound: check_criteria's
+    r, c, T_max and bound_factor.
 
     factor(T) = 1 identically when R is non-negative (so T_max = inf),
     otherwise e^{(r/c)T} with the bound guaranteed only for T < T_max = c/r.
     Raises NormUndefinedError unless C^u + C^x is positive definite.
     """
-    if _classify(cf.C["u"] + cf.C["x"], tols).tag \
-            is not Definiteness.POSITIVE_DEFINITE:
+    rep = check_criteria(cf, tols)
+    if not rep.time_function_ok:
         raise NormUndefinedError("no norm on Sigma_T: criterion ii violated")
-    r, c, T_max, growth = _growth(cf, _classify(cf.R, tols))
-    return r, c, T_max, functools.partial(_bound_factor, growth)
+    return rep.r, rep.c, rep.T_max, rep.bound_factor
 
 
 @dataclass(frozen=True, eq=False)

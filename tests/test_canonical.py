@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -151,6 +153,23 @@ class TestSelectEvolutionRows:
         rows, Nu = canonical._select_evolution_rows(Bpu, m, 1e-10)
         assert rows == want
         assert np.array_equal(Nu, cols[want])
+
+    def test_rank_deficient_block_refused(self):
+        # the q columns have rank 1 < nq = 2: no choice of rows works
+        Bpu = np.array([[0.0, 1.0, 1.0], [0.0, 2.0, 2.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(canonical.ReductionError):
+            canonical._select_evolution_rows(Bpu, 1, 1e-10)
+
+    def test_no_lapack_of_its_own(self):
+        # every rank on the reduction path is decided in matkit
+        tree = ast.parse(inspect.getsource(canonical))
+        imported = [alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names]
+        imported += [node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module]
+        assert not any("scipy" in name or "lapack" in name
+                       for name in imported)
 
 
 class TestCompactForm:

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import io
 import math
@@ -6,8 +7,10 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import charmarch as cm
 import charmarch.cli as cli
 from charmarch import builtin, charsolve
 from charmarch.charsolve import ProfileTerm
@@ -143,6 +146,28 @@ class TestCheck:
 
     def test_missing_source_exit_one(self, capsys):
         assert cli.main(["check"]) == cli.EXIT_ERROR
+
+    def test_near_singular_bu_gets_a_verdict(self, tmp_path, capsys):
+        # B^u = [[1, 0], [1, 1.5e-10]] has one right and one left null
+        # vector at one rank decision; with two decisions there was no left
+        # one, and check failed with numpy's "1-dimensional array given"
+        path = tmp_path / "near_singular.txt"
+        path.write_text("ncoords 2\nnunknowns 2\ncoordnames t x\n"
+                        "matrix A t\n1 0\n1 1.5e-10\nmatrix A x\n1 0\n0 -1\n"
+                        "chart\n1 0\n0 1\n0 0\n", encoding="utf-8")
+        code = cli.main(["check", "--input", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (cli.EXIT_NOT_WELL_POSED, "")
+        assert out.startswith("verdict: NOT_WELL_POSED\n")
+
+    def test_repeated_coordinate_name_refused(self, tmp_path, capsys):
+        path = tmp_path / "t_twice.txt"
+        path.write_text(TOTALLY_CHARACTERISTIC.replace("coordnames t x",
+                                                       "coordnames t t"),
+                        encoding="utf-8")
+        assert cli.main(["check", "--input", str(path)]) == cli.EXIT_ERROR
+        assert capsys.readouterr() == (
+            "", "error: line 3: repeated coordinate name 't'\n")
 
     def test_orth_override_rejected(self, capsys):
         # no call site takes an orthogonality tolerance, so the key is
@@ -409,6 +434,29 @@ class TestVerifyEstimate:
         assert all(line.endswith(",true")
                    for line in text.strip().splitlines()[1:])
 
+
+    def test_horizon_skips_the_surfaces_beyond_c_over_r(self, tmp_path,
+                                                        capsys):
+        # wave3d with D = -I: R = -2I, c = 1, so T_max = c/r = 0.5 and
+        # the ladder's surfaces from T = 2/3 on are reported and skipped
+        sys_, chart = cm.load_system(builtin.example_text("wave3d"))
+        path = tmp_path / "damped.txt"
+        path.write_text(cm.serialize_system(
+            dataclasses.replace(sys_, D=-np.eye(4)), chart), encoding="utf-8")
+        code = cli.main(["verify-estimate", "--input", str(path),
+                         "--nx", "36", "--cells", "8,4",
+                         "--w0", "sine:amp=1.2,k=1"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_OK
+        rows = out.strip().splitlines()
+        assert rows[0] == cm.EnergyReport.CSV_HEADER
+        assert [float(row.split(",")[0]) for row in rows[1:]] == \
+            pytest.approx([2 / 9, 4 / 9], rel=1e-15)
+        assert all(row.endswith(",true") for row in rows[1:])
+        assert err.splitlines() == [
+            f"skipping T={T}: estimate not guaranteed for T >= c/r = 0.5"
+            for T in ("0.666667", "0.888889", "1.11111", "1.33333",
+                      "1.55556", "1.77778")]
 
     def test_not_well_posed_refused_before_march(self, tmp_path, capsys,
                                                  monkeypatch):

@@ -92,6 +92,41 @@ class TestRankAndNullspaces:
                                        np.eye(len(right)), atol=1e-12)
 
 
+    def test_near_singular_rows_give_one_null_vector_each_side(self):
+        # factored apart, M and M^T gave 1 right and 0 left null vectors:
+        # R_22 of M is 1.06e-10 < 1e-10 * sqrt(2), that of M^T 1.5e-10 > 1e-10
+        M = np.array([[1.0, 0.0], [1.0, 1.5e-10]])
+        rank, right, left = rank_and_nullspaces(M)
+        assert rank == 1 and len(right) == len(left) == 1
+        assert abs(np.linalg.norm(left[0]) - 1.0) < 1e-15
+        assert np.abs(left[0] @ M).max() <= 1e-10 * np.linalg.norm(M)
+
+    @given(st.integers(1, 16), st.integers(0, 16), st.integers(0, 10**6),
+           st.booleans(), st.sampled_from([0.0, 1e-11, 1e-10, 1e-9]))
+    @settings(max_examples=150, deadline=None)
+    def test_right_and_left_nullity_agree(self, n, rank, seed, ints, eps):
+        # rank-deficient draws, perturbed to about the rank threshold
+        M = draw(n, min(rank, n), seed, ints)
+        M = M + eps * max(np.abs(M).max(), 1.0) \
+            * np.random.default_rng(seed + 1).normal(size=(n, n))
+        for tol in (1e-10, 1e-3):
+            k, right, left = rank_and_nullspaces(M, Tolerances(rank=tol))
+            assert len(right) == len(left) == n - k
+            if left:
+                L = np.array(left)
+                np.testing.assert_allclose(L @ L.T, np.eye(len(left)),
+                                           atol=1e-13)
+
+    def test_one_pivoted_qr_per_matrix(self):
+        rng = np.random.default_rng(5)
+        M = rng.normal(size=(6, 3)) @ rng.normal(size=(3, 6))
+        with mock.patch.object(lapack, "dgeqp3",
+                               wraps=lapack.dgeqp3) as dgeqp3:
+            rank, right, left = rank_and_nullspaces(M)
+        assert dgeqp3.call_count == 1
+        assert rank == 3 and len(right) == len(left) == 3
+
+
 class TestTolerances:
     @pytest.mark.parametrize("field, value", [
         ("rank", math.nan), ("sym", 0.0), ("eig", -1.0), ("eig", math.inf),
@@ -269,9 +304,21 @@ class TestFastPathsBitExact:
                  @ rng.integers(-2, 3, size=(rank, n))).astype(float)
         else:
             M = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, n))
-        got = matkit._nullspace(M, 1e-10)
+        got = matkit._null_bases(M, 1e-10)[1]
         assert np.array_equal(got, wrapper_nullspace(M, 1e-10))
         assert rank_and_nullspaces(M)[0] == n - len(got)
+
+    @given(st.integers(1, 16), st.integers(0, 16), st.integers(0, 10**6),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_left_basis_is_scipys_pivoted_q(self, n, rank, seed, ints):
+        # the trailing n - rank columns of Q in M P = Q R, sign-fixed
+        M = draw(n, min(rank, n), seed, ints)
+        k, _, left = matkit._null_bases(M, 1e-10)
+        if 0 < k < n:
+            Q = scipy.linalg.qr(M, pivoting=True)[0]
+            want = np.array([fix_sign_row(v, 1e-10) for v in Q[:, k:].T])
+            assert np.array_equal(left, want)
 
     @given(st.integers(1, 16), st.integers(0, 16), st.integers(0, 10**6),
            st.booleans())
@@ -367,7 +414,7 @@ class TestFastPathsBitExact:
         # moved in 71 of the 1500 systems of the seed-1 check-batch corpus,
         # and 873 of its analyze outputs changed
         M = draw(n, min(rank, n - 1), seed, ints)
-        basis = matkit._nullspace(M, 1e-10)
+        basis = matkit._null_bases(M, 1e-10)[1]
         if 0 < n - len(basis) < n:
             assert basis.flags.f_contiguous
             k = len(basis)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 import charmarch as cm
 from charmarch import builtin, matkit
@@ -77,6 +78,42 @@ class TestLoadSystem:
         np.testing.assert_array_equal(B.B["u"], [[1, -1], [-1, 1]])
         a = cm.analyze(sys_, chart)
         assert a.report.verdict is cm.Verdict.WELL_POSED
+
+    def test_unknown_a_key_refused_by_name(self):
+        with pytest.raises(ValueError,
+                           match="^matrix A for unknown coordinate 'q'$"):
+            cm.FirstOrderSystem(n_coords=2, n_unknowns=1,
+                                coord_names=("t", "x"),
+                                A={"t": [[1.0]], "q": [[1.0]]}, D=[[0.0]])
+
+    def test_repeated_coordinate_refused_by_name(self):
+        with pytest.raises(ValueError,
+                           match="^repeated coordinate name 't'$"):
+            cm.FirstOrderSystem(n_coords=2, n_unknowns=1,
+                                coord_names=("t", "t"),
+                                A={"t": [[1.0]]}, D=[[0.0]])
+        text = ("ncoords 2\nnunknowns 1\n# one name twice\ncoordnames t t\n"
+                "matrix A t\n1\nchart\n1 -1\n0 1\n0 0\n")
+        with pytest.raises(ParseError,
+                           match="^line 4: repeated coordinate name 't'$"):
+            cm.load_system(text)
+
+    def test_coordinate_without_matrix_gets_zeros(self):
+        sys_ = cm.FirstOrderSystem(n_coords=3, n_unknowns=2,
+                                   coord_names=("t", "x", "y"),
+                                   A={"x": np.eye(2), "t": np.eye(2)},
+                                   D=np.zeros((2, 2)))
+        assert tuple(sys_.A) == ("t", "x", "y")
+        np.testing.assert_array_equal(sys_.A["y"], np.zeros((2, 2)))
+        chart = Chart(J=[[1.0, -1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                      offsets=np.zeros(3))
+        np.testing.assert_array_equal(cm.side_matrices(sys_, chart).B["y"],
+                                      np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("J", [2.0, [1.0, 0.0], [[[1.0]]]])
+    def test_chart_jacobian_must_be_a_matrix(self, J):
+        with pytest.raises(ValueError, match="chart Jacobian must be square"):
+            Chart(J=J, offsets=[0.0])
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ParseError):
@@ -193,3 +230,12 @@ class TestVerifyCharacteristic:
         m = cm.verify_characteristic(wave_analysis.B)
         rank, _, _ = matkit.rank_and_nullspaces(wave_analysis.B.B["u"])
         assert m + rank == 4
+
+    def test_reads_the_rank_alone(self, wave_analysis, monkeypatch):
+        # dgeqp3 alone: no null basis is solved (dtrtrs) or formed (dorgqr)
+        def no_basis(*args, **kwargs):
+            raise AssertionError("null basis built")
+
+        for name in ("dtrtrs", "dgeqrf", "dorgqr"):
+            monkeypatch.setattr(lapack, name, no_basis)
+        assert cm.verify_characteristic(wave_analysis.B) == 1

@@ -146,6 +146,27 @@ class TestGrowthParameters:
         with pytest.raises(NormUndefinedError):
             cm.growth_parameters(cf)
 
+    def test_small_norm_is_the_reports(self):
+        # Nu + Nx = 1e-12: positive definite on its own scale, as the
+        # criteria judge it, so c = 1e-12 and no NormUndefinedError
+        cf = make_compact([[2e-12]], [[-1e-12]], m=1, Dc=-0.25 * np.eye(2))
+        rep = cm.check_criteria(cf)
+        assert rep.verdict is Verdict.WELL_POSED and rep.c == 1e-12
+        r, c, T_max, factor = cm.growth_parameters(cf)
+        assert (r, c, T_max) == (rep.r, rep.c, rep.T_max) == (0.5, 1e-12, 2e-12)
+        assert factor(1e-12) == rep.bound_factor(1e-12)
+
+    @pytest.mark.parametrize("nq, m", [(1, 1), (2, 1), (1, 3), (0, 2)])
+    def test_c_is_the_least_eigenvalue_of_cu_plus_cx(self, nq, m):
+        # C^u + C^x = blockdiag(Nu + Nx, I), so its least eigenvalue is
+        # min(eig(Nu + Nx), 1): above and below 1 here
+        for scale in (0.25, 4.0):
+            Nu = scale * np.diag(np.arange(2.0, nq + 2.0))
+            cf = make_compact(Nu.reshape(nq, nq), np.zeros((nq, nq)), m)
+            W = cf.C["u"] + cf.C["x"]
+            want = np.linalg.eigvalsh(0.5 * (W + W.T))[0]
+            assert abs(cm.check_criteria(cf).c - want) <= 1e-15 * abs(want)
+
     def test_nonnegative_r_keeps_factor_one(self):
         cf = make_compact(np.eye(1), [[0.0]], m=1, Dc=0.5 * np.eye(2))
         r, c, T_max, factor = cm.growth_parameters(cf)
