@@ -132,10 +132,12 @@ def _select_evolution_rows(Bpu: np.ndarray, m: int, tol: float):
     """Rows of the rotated system whose u-principal block is invertible,
     each rank read from matkit's column-pivoted QR.
 
-    Default choice: rows m..N-1 (works whenever B^u is symmetric).  Fallback:
-    the first N-m pivots of the QR of the q-column block transposed, which
-    greedily picks well-conditioned rows; there are none when that block
-    has rank below N-m.
+    Default choice: rows m..N-1 (works whenever B^u is symmetric), whose
+    rank is measured on the scale of the whole q-column block, so that a
+    block tiny next to the other rows is not kept.  Fallback: the first N-m
+    pivots of the QR of the q-column block transposed, which greedily picks
+    well-conditioned rows; there are none when that block has rank below
+    N-m.
     """
     n = Bpu.shape[0]
     nq = n - m
@@ -143,13 +145,15 @@ def _select_evolution_rows(Bpu: np.ndarray, m: int, tol: float):
         return [], np.zeros((0, 0))
     cols = Bpu[:, m:]
     rows = list(range(m, n))
-    if matkit._pivoted_qr(cols[rows], tol)[2] < nq:
+    Nu = cols[rows]
+    if matkit._pivoted_qr(Nu, tol, cols)[2] < nq:
         _, p, rank, _ = matkit._pivoted_qr(cols.T, tol)
         if rank < nq:
             raise ReductionError(
                 "not reducible to canonical form with given chart")
         rows = sorted(int(k) for k in p[:nq])
-    return rows, cols[rows]
+        Nu = cols[rows]
+    return rows, Nu
 
 
 def split_and_reduce(cs: CharacteristicStructure, B: SideMatrices,

@@ -109,27 +109,30 @@ def _fix_signs(basis: np.ndarray, tol: float) -> np.ndarray:
     return np.where((lead < -tol)[:, None], -basis, basis)
 
 
-def _pivoted_qr(M: np.ndarray, tol: float):
+def _pivoted_qr(M: np.ndarray, tol: float, ref: np.ndarray | None = None):
     """Column-pivoted QR, M P = Q R, by one bare LAPACK dgeqp3 call, and
     the rank it reveals: the number of |R_kk| above tol times the largest
-    column norm of M.  Returns (qr, p, rank, tau) with R the upper triangle
-    of qr, p the 0-based column pivots and tau the scalars of the
-    reflectors that dorgqr turns into Q; a zero M has rank 0 and is not
-    factorised (qr, p and tau are None).
+    column norm of ref, by default M itself.  A ref given is a matrix that
+    M is a block of, so that the block is measured on the scale of the
+    whole.  Returns (qr, p, rank, tau) with R the upper triangle of qr, p
+    the 0-based column pivots and tau the scalars of the reflectors that
+    dorgqr turns into Q; a zero ref has rank 0 and is not factorised (qr,
+    p and tau are None).
 
-    The norms and the comparison are taken on M and R scaled by s, the
-    power of two that brings max |M| into [1/2, 1): the squares cannot
+    The norms and the comparison are taken on ref and R scaled by s, the
+    power of two that brings max |ref| into [1/2, 1): the squares cannot
     overflow, and the scaling is exact, so in range the rank is the one
     of the unscaled comparison."""
-    flat = M.reshape(-1)
+    ref = M if ref is None else ref
+    flat = ref.reshape(-1)
     top = abs(float(flat[blas.idamax(flat)])) if flat.size else 0.0
     if top == 0.0:
         return None, None, 0, None
     s = math.ldexp(1.0, -math.frexp(top)[1])
-    Ms = M * s
-    # np.linalg.norm(Ms, axis=0).max(): sqrt is monotone and correctly
+    Rs = ref * s
+    # np.linalg.norm(Rs, axis=0).max(): sqrt is monotone and correctly
     # rounded, so it is taken once, on the largest sum of squares
-    scale = math.sqrt(float((Ms * Ms).sum(axis=0).max()))
+    scale = math.sqrt(float((Rs * Rs).sum(axis=0).max()))
     qr, jpvt, tau, _, info = lapack.dgeqp3(M)
     if info:
         raise np.linalg.LinAlgError(f"dgeqp3 failed with info={info}")

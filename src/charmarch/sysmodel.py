@@ -51,9 +51,9 @@ class FirstOrderSystem:
             raise ValueError("n_unknowns must be between 1 and 16")
         if len(self.coord_names) != self.n_coords:
             raise ValueError("coord_names length must equal n_coords")
-        if _repeated(self.coord_names):
-            raise ValueError("repeated coordinate name "
-                             + _repeated(self.coord_names))
+        repeated = _repeated(self.coord_names)
+        if repeated:
+            raise ValueError("repeated coordinate name " + repeated)
         unknown = [f"'{name}'" for name in self.A
                    if name not in self.coord_names]
         if unknown:
@@ -241,9 +241,10 @@ def load_system(text) -> tuple:
             if len(parts) != 1 + n_coords:
                 raise ParseError(f"expected {n_coords} coordinate names", lineno)
             coord_names = tuple(parts[1:])
-            if _repeated(coord_names):
-                raise ParseError("repeated coordinate name "
-                                 + _repeated(coord_names), lineno)
+            repeated = _repeated(coord_names)
+            if repeated:
+                raise ParseError("repeated coordinate name " + repeated,
+                                 lineno)
         elif key == "matrix":
             if n_unknowns is None:
                 raise ParseError("matrix before nunknowns", lineno)

@@ -125,10 +125,12 @@ def growth_parameters(cf: CompactSystem, tols: Tolerances = Tolerances()):
 
     factor(T) = 1 identically when R is non-negative (so T_max = inf),
     otherwise e^{(r/c)T} with the bound guaranteed only for T < T_max = c/r.
-    Raises NormUndefinedError unless C^u + C^x is positive definite.
+    Raises NormUndefinedError unless C^u + C^x is positive definite: unless
+    Nu + Nx is, as the report's time_function_ok reads it, when there are q
+    unknowns; with none (nq = 0) C^u + C^x = I_m, and c = 1.
     """
     rep = check_criteria(cf, tols)
-    if not rep.time_function_ok:
+    if cf.nq and not rep.time_function_ok:
         raise NormUndefinedError("no norm on Sigma_T: criterion ii violated")
     return rep.r, rep.c, rep.T_max, rep.bound_factor
 

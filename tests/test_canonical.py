@@ -135,6 +135,14 @@ class TestSelectEvolutionRows:
         rows, Nu = canonical._select_evolution_rows(Bpu, 1, 1e-10)
         assert rows == [0] and np.array_equal(Nu, [[1.0]])
 
+    def test_default_block_tiny_next_to_the_others_falls_back(self):
+        # the default block [[1e-14]] is regular on its own scale but not
+        # on the scale of the q column, so the well-conditioned row 0 is
+        # taken; kept, it made the row transform singular
+        Bpu = np.array([[0.0, 1.0], [0.0, 1e-14]])
+        rows, Nu = canonical._select_evolution_rows(Bpu, 1, 1e-10)
+        assert rows == [0] and np.array_equal(Nu, [[1.0]])
+
     @given(st.integers(2, 12), st.integers(1, 3), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_fallback_matches_pivoted_qr(self, n, m, seed):

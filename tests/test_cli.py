@@ -160,6 +160,19 @@ class TestCheck:
         assert (code, err) == (cli.EXIT_NOT_WELL_POSED, "")
         assert out.startswith("verdict: NOT_WELL_POSED\n")
 
+    def test_tiny_default_evolution_row_gets_a_verdict(self, tmp_path,
+                                                       capsys):
+        # B^u = [[0, 1], [0, 1e-14]]: the default evolution row is tiny
+        # next to row 0, and keeping it made the row transform singular
+        path = tmp_path / "tiny_row.txt"
+        path.write_text("ncoords 2\nnunknowns 2\ncoordnames t x\n"
+                        "matrix A t\n0 1\n0 1e-14\nmatrix A x\n0 0\n1 0\n"
+                        "chart\n1 0\n0 1\n0 0\n", encoding="utf-8")
+        code = cli.main(["check", "--input", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert out.startswith("verdict: WELL_POSED\n")
+
     def test_repeated_coordinate_name_refused(self, tmp_path, capsys):
         path = tmp_path / "t_twice.txt"
         path.write_text(TOTALLY_CHARACTERISTIC.replace("coordnames t x",

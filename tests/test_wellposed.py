@@ -167,6 +167,13 @@ class TestGrowthParameters:
             want = np.linalg.eigvalsh(0.5 * (W + W.T))[0]
             assert abs(cm.check_criteria(cf).c - want) <= 1e-15 * abs(want)
 
+    def test_no_q_unknowns_has_c_one(self):
+        # nq = 0: C^u + C^x = I_m is positive definite although the empty
+        # Nu + Nx is classified ZERO, so the norm exists and c = 1
+        cf = make_compact(np.zeros((0, 0)), np.zeros((0, 0)), m=2)
+        r, c, T_max, factor = cm.growth_parameters(cf)
+        assert (r, c, T_max) == (0.0, 1.0, math.inf) and factor(5.0) == 1.0
+
     def test_nonnegative_r_keeps_factor_one(self):
         cf = make_compact(np.eye(1), [[0.0]], m=1, Dc=0.5 * np.eye(2))
         r, c, T_max, factor = cm.growth_parameters(cf)
