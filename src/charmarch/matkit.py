@@ -15,15 +15,55 @@ dsyevd with lower=1 (np.linalg.eigvalsh).  dorgqr returns Q in F order; a
 right null basis is the transpose of Q converted to C order, as
 np.linalg.qr's Q is, so its rows are strided views: the BLAS dot products
 that later read them sum in another order on unit-stride rows.
+
+The routines come from scipy's two compiled modules, scipy.linalg._flapack
+and _fblas, loaded from their files (`_load_compiled`): the very objects
+that scipy.linalg.lapack and .blas re-export, without the scipy.linalg
+package init.  That init cost every process that imports charmarch about
+0.3 s and 24 MB of RSS (2-vCPU KVM guest, Python 3.11, scipy 1.17:
+`import charmarch` 0.39-0.59 s -> 0.14-0.20 s, RSS after it 57.7 ->
+33.2 MB).
 """
 from __future__ import annotations
 
 import enum
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack
+
+
+def _load_compiled(name: str):
+    """scipy.linalg.<name>, one of the two compiled modules whose routines
+    scipy.linalg.lapack and .blas re-export, imported from its file
+    without running scipy.linalg's package init; the module itself when
+    it is imported already.  It is registered under its usual name, so a
+    later `import scipy.linalg` shares it rather than loading a copy."""
+    full = f"scipy.linalg.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    scipy = importlib.util.find_spec("scipy")   # finds; does not import
+    if scipy is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    base = os.path.join(scipy.submodule_search_locations[0], "linalg", name)
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(base + suffix):
+            spec = importlib.util.spec_from_file_location(full, base + suffix)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[full] = module
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no compiled {full}: searched {base} with the "
+                      f"suffixes {importlib.machinery.EXTENSION_SUFFIXES}",
+                      name=full, path=base)
+
+
+lapack = _load_compiled("_flapack")
+blas = _load_compiled("_fblas")
 
 
 @dataclass(frozen=True)
@@ -33,7 +73,7 @@ class Tolerances:
     C^a, eigenvalue signs, and ctol, which scales the discrete slack
     ctol * dx of the estimate.  rank, sym and eig scale a matrix norm, but
     the transversality and row-transform determinant tests read rank, like
-    wellposed.MARGINAL_BAND, as an absolute bound (ROADMAP item 5)."""
+    wellposed.MARGINAL_BAND, as an absolute bound (ROADMAP item 9)."""
     rank: float = 1e-10
     sym: float = 1e-10
     eig: float = 1e-10

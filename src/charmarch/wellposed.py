@@ -116,7 +116,9 @@ def check_criteria(cf: CompactSystem,
         symmetric_Ca=symmetric, class_Nu=cls_Nu, class_Nx=cls_Nx,
         class_NuPlusNx=cls_sum, class_R=cls_R, verdict=verdict,
         r=r, c=c, growth_exponent=growth, T_max=T_max,
-        time_function_ok=sum_pd, tols=tols)
+        # with no q unknowns C^u + C^x = I_m, though the empty Nu + Nx
+        # is classified ZERO
+        time_function_ok=sum_pd or cf.nq == 0, tols=tols)
 
 
 def growth_parameters(cf: CompactSystem, tols: Tolerances = Tolerances()):
@@ -125,12 +127,11 @@ def growth_parameters(cf: CompactSystem, tols: Tolerances = Tolerances()):
 
     factor(T) = 1 identically when R is non-negative (so T_max = inf),
     otherwise e^{(r/c)T} with the bound guaranteed only for T < T_max = c/r.
-    Raises NormUndefinedError unless C^u + C^x is positive definite: unless
-    Nu + Nx is, as the report's time_function_ok reads it, when there are q
-    unknowns; with none (nq = 0) C^u + C^x = I_m, and c = 1.
+    Raises NormUndefinedError unless C^u + C^x is positive definite, as
+    the report's time_function_ok reads it.
     """
     rep = check_criteria(cf, tols)
-    if cf.nq and not rep.time_function_ok:
+    if not rep.time_function_ok:
         raise NormUndefinedError("no norm on Sigma_T: criterion ii violated")
     return rep.r, rep.c, rep.T_max, rep.bound_factor
 

@@ -77,6 +77,18 @@ class TestCheck:
         assert code == cli.EXIT_NOT_WELL_POSED
         assert "verdict: NOT_WELL_POSED" in text
 
+    def test_no_q_unknowns_has_a_time_function(self, tmp_path):
+        # A^t = 0, A^x = I, identity chart: nq = 0, so C^u + C^x = I_m and
+        # u + x is a time function; Nu is empty, so the verdict stays
+        path = tmp_path / "nq0.txt"
+        path.write_text("ncoords 2\nnunknowns 2\ncoordnames t x\n"
+                        "matrix A t\n0 0\n0 0\nmatrix A x\n1 0\n0 1\n"
+                        "chart\n1 0\n0 1\n0 0\n", encoding="utf-8")
+        code, text = run_cli(["check", "--input", str(path)])
+        assert code == cli.EXIT_NOT_WELL_POSED
+        assert "c = 1\n" in text
+        assert "time function u+x ok: yes\n" in text
+
     def test_parse_error_exit_one(self, tmp_path, capsys):
         path = tmp_path / "broken.txt"
         path.write_text("ncoords 2\nbogus 3\n", encoding="utf-8")

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -120,11 +124,48 @@ class TestRankAndNullspaces:
     def test_one_pivoted_qr_per_matrix(self):
         rng = np.random.default_rng(5)
         M = rng.normal(size=(6, 3)) @ rng.normal(size=(3, 6))
-        with mock.patch.object(lapack, "dgeqp3",
-                               wraps=lapack.dgeqp3) as dgeqp3:
+        with mock.patch.object(matkit.lapack, "dgeqp3",
+                               wraps=matkit.lapack.dgeqp3) as dgeqp3:
             rank, right, left = rank_and_nullspaces(M)
         assert dgeqp3.call_count == 1
         assert rank == 3 and len(right) == len(left) == 3
+
+
+def _fresh(code: str) -> str:
+    """Stdout of code run in a fresh interpreter that imports this
+    charmarch, stripped."""
+    env = dict(os.environ, PYTHONPATH=str(
+        pathlib.Path(matkit.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+class TestCompiledModules:
+    def test_import_leaves_scipy_linalg_out(self):
+        assert _fresh("import sys, charmarch\n"
+                      "print('scipy.linalg' in sys.modules)") == "False"
+
+    @pytest.mark.parametrize("first", ["charmarch", "scipy.linalg"])
+    def test_routines_are_scipys_own(self, first):
+        # shared objects, not a second copy of the modules, whichever of
+        # the two is imported first
+        out = _fresh(
+            f"import {first}\n"
+            "import scipy.linalg\n"
+            "from charmarch import matkit\n"
+            "print(all(getattr(matkit.lapack, n)"
+            " is getattr(scipy.linalg.lapack, n) for n in"
+            " ('dgeqp3', 'dtrtrs', 'dgeqrf', 'dorgqr', 'dsyevd')),"
+            " all(getattr(matkit.blas, n) is getattr(scipy.linalg.blas, n)"
+            " for n in ('idamax', 'dnrm2')))")
+        assert out == "True True"
+
+    def test_missing_module_names_the_path(self):
+        with pytest.raises(ImportError, match=r"searched \S+linalg.\w*_nosuch"):
+            matkit._load_compiled("_nosuch")
+        assert "scipy.linalg._nosuch" not in sys.modules
 
 
 class TestTolerances:
