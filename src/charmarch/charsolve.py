@@ -33,10 +33,14 @@ straight into its output row.
 
 Memory: the march owns it.  The slices of one march are consecutive views
 of one packed store (x extents nx + 1 down to 1) on an anonymous mapping,
-advised to use huge pages where the platform has them.  When the last
-view dies, the mapping returns to a pool that keeps the largest one
-released, so the next march of that size reuses mapped pages whatever the
-allocator's thresholds.  The step temporaries are views of one work buffer
+populated by the mmap call where the platform can.  That one kernel pass
+is the steadiest way to map a new store in: for the 271 MB store of a
+256-cell march (2-vCPU KVM guest) it took 70-100 ms, where faulting the
+pages in one by one took 105-200 ms, and huge pages 35-250 ms, by how
+much memory the kernel had to compact for them.  When the last view dies,
+the mapping returns to a pool that keeps the largest one released, so
+the next march of that size reuses mapped pages whatever the allocator's
+thresholds.  The step temporaries are views of one work buffer
 of the stepper, sized once by the widest slice.
 
 `march` is the one public way into the scheme, so its guards (grid and data
@@ -44,7 +48,6 @@ against the system, the verdict, the CFL check) hold for every step taken.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 import mmap
 import numbers
@@ -557,9 +560,10 @@ class _Stepper:
 # worst drop a larger mapping for a smaller one.
 _POOL = []
 # private anonymous memory (mmap's default is shared, which the kernel
-# backs with shmem and no transparent huge pages); Windows has no flags
-_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") \
-    else {}
+# backs with shmem), populated by the mmap call where the platform has
+# MAP_POPULATE; Windows has no flags
+_PRIVATE = {"flags": mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)} \
+    if hasattr(mmap, "MAP_PRIVATE") else {}
 
 
 def _release(mapping: mmap.mmap) -> None:
@@ -570,8 +574,7 @@ def _release(mapping: mmap.mmap) -> None:
 
 def _store(size: int) -> np.ndarray:
     """`size` float64 entries, not zeroed, on an anonymous mapping: the
-    pooled one when it is large enough, else a new one advised to use huge
-    pages where the platform has them.
+    pooled one when it is large enough, else a new, populated one.
 
     Every view of the returned array has it as `.base`, so it dies with
     the last slice of its trace, and its finalizer returns the mapping to
@@ -586,9 +589,6 @@ def _store(size: int) -> np.ndarray:
         mapping = None
     if mapping is None:
         mapping = mmap.mmap(-1, nbytes, **_PRIVATE)
-        if hasattr(mmap, "MADV_HUGEPAGE"):
-            with contextlib.suppress(OSError):
-                mapping.madvise(mmap.MADV_HUGEPAGE)
     store = np.frombuffer(mapping, dtype=float, count=size)
     weakref.finalize(store, _release, mapping).atexit = False
     return store

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import mmap
 import tracemalloc
 import warnings
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import charmarch as cm
+from charmarch import charsolve
 from charmarch.charsolve import (CFLError, DataSpecError, MarchAbortError,
                                  NotWellPosedError, SliceState, _FieldOperator,
                                  _Stepper)
@@ -724,3 +726,20 @@ class TestTraceStore:
         one_slice = 4 * 129 * 8 * 4 * 8   # bytes of the widest slice
         assert large <= small + 1024
         assert large < one_slice / 20
+
+    @pytest.mark.skipif(not hasattr(mmap, "MAP_POPULATE"),
+                        reason="the platform has no MAP_POPULATE")
+    def test_new_store_is_mapped_in_when_made(self, monkeypatch):
+        # the march writes a new store without a page fault: its pages
+        # come in with the mmap call, at one steady cost, and not one by
+        # one (or as huge pages, by compaction) during the first march
+        resource = pytest.importorskip("resource")
+        monkeypatch.setattr(charsolve, "_POOL", [])
+        store = charsolve._store(4 << 20)  # 32 MB: 8192 pages, 16 huge ones
+
+        def faults():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+        before = faults()
+        store[:] = 1.0
+        assert faults() - before < 8
