@@ -21,7 +21,7 @@ from .sysmodel import NotCharacteristicError, SideMatrices
 
 
 class TransversalityError(ValueError):
-    """det(z~ B^x z) vanishes: hypersurface equations unsolvable for d_x w."""
+    """z~ B^x z is singular on the scale of B^x: d_x w is not solvable."""
 
 
 class ReductionError(ValueError):
@@ -118,10 +118,11 @@ def null_structure(B: SideMatrices, D: np.ndarray,
 
 def transversality_check(cs: CharacteristicStructure, B: SideMatrices,
                          tols: Tolerances = Tolerances()) -> np.ndarray:
-    """M[nu, mu] = z~_nu . B^x . z_mu; raises unless |det M| > tols.rank."""
+    """M[nu, mu] = z~_nu . B^x . z_mu; raises unless M has full rank on the
+    scale of B^x, which bounds ||M|| and scales with it (`_pivoted_qr`)."""
     Bx = B.B["x"]
     M = np.array([[zt @ Bx @ z for z in cs.right_null] for zt in cs.left_null])
-    if abs(np.linalg.det(M)) <= tols.rank:
+    if matkit._pivoted_qr(M, tols.rank, Bx)[2] < cs.m:
         raise TransversalityError(
             "surface x=const not transverse: hypersurface equations "
             "unsolvable for d_x w")
@@ -206,10 +207,10 @@ def split_and_reduce(cs: CharacteristicStructure, B: SideMatrices,
     That = np.eye(n)
     That[:m, m:] = Lx
     to_hat = P.T @ That @ S
+    # row_transform = [[I, -Fw M^-1], [0, M^-1]] [S[rows]; z~] needs no
+    # test: a S[rows] + b z~ = 0 gives a Nu = 0 as z~ B^u = 0, so a = 0 by
+    # the rank of Nu, then b = 0 as z~ is orthonormal; and M is regular
     row_transform = np.vstack([S[rows] - Fw @ Minv @ Ztil, Minv @ Ztil])
-    if abs(np.linalg.det(row_transform)) <= tols.rank:
-        raise ReductionError(
-            "reduction is not an equivalence: row transform singular")
 
     names = tuple(f"q{k + 1}" for k in range(nq)) + \
         tuple(f"w{k + 1}" for k in range(m))

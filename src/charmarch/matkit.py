@@ -41,8 +41,8 @@ def _load_compiled(name: str):
     """scipy.linalg.<name>, one of the two compiled modules whose routines
     scipy.linalg.lapack and .blas re-export, imported from its file
     without running scipy.linalg's package init; the module itself when
-    it is imported already.  It is registered under its usual name, so a
-    later `import scipy.linalg` shares it rather than loading a copy."""
+    it is imported already.  It is not left in sys.modules, so that a later
+    import binds it to scipy.linalg, with the same routine objects."""
     full = f"scipy.linalg.{name}"
     if full in sys.modules:
         return sys.modules[full]
@@ -54,8 +54,8 @@ def _load_compiled(name: str):
         if os.path.isfile(base + suffix):
             spec = importlib.util.spec_from_file_location(full, base + suffix)
             module = importlib.util.module_from_spec(spec)
-            sys.modules[full] = module
             spec.loader.exec_module(module)
+            sys.modules.pop(full, None)
             return module
     raise ImportError(f"no compiled {full}: searched {base} with the "
                       f"suffixes {importlib.machinery.EXTENSION_SUFFIXES}",
@@ -71,9 +71,8 @@ class Tolerances:
     """The tolerances of one analysis, the only way to set one: rank
     decisions (null spaces, transversality, row selection), symmetry of the
     C^a, eigenvalue signs, and ctol, which scales the discrete slack
-    ctol * dx of the estimate.  rank, sym and eig scale a matrix norm, but
-    the transversality and row-transform determinant tests read rank, like
-    wellposed.MARGINAL_BAND, as an absolute bound (ROADMAP item 9)."""
+    ctol * dx of the estimate.  rank, sym and eig scale a matrix norm
+    everywhere; only wellposed.MARGINAL_BAND is an absolute bound."""
     rank: float = 1e-10
     sym: float = 1e-10
     eig: float = 1e-10
@@ -152,12 +151,12 @@ def _fix_signs(basis: np.ndarray, tol: float) -> np.ndarray:
 def _pivoted_qr(M: np.ndarray, tol: float, ref: np.ndarray | None = None):
     """Column-pivoted QR, M P = Q R, by one bare LAPACK dgeqp3 call, and
     the rank it reveals: the number of |R_kk| above tol times the largest
-    column norm of ref, by default M itself.  A ref given is a matrix that
-    M is a block of, so that the block is measured on the scale of the
-    whole.  Returns (qr, p, rank, tau) with R the upper triangle of qr, p
-    the 0-based column pivots and tau the scalars of the reflectors that
-    dorgqr turns into Q; a zero ref has rank 0 and is not factorised (qr,
-    p and tau are None).
+    column norm of ref, by default M itself.  A ref given is a matrix whose
+    scale M is measured on: the whole M is a block of, or one bounding ||M||.
+    Returns (qr, p, rank, tau) with R the upper triangle of qr, p the
+    0-based column pivots and tau the scalars of the reflectors that dorgqr
+    turns into Q; a zero ref has rank 0 and is not factorised (qr, p and
+    tau are None).
 
     The norms and the comparison are taken on ref and R scaled by s, the
     power of two that brings max |ref| into [1/2, 1): the squares cannot

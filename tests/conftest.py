@@ -100,3 +100,35 @@ def psi_equals_y_chart_text():
     return text.replace(
         "chart\n1 -1 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1",
         "chart\n1 -1 0 0\n0 0 1 0\n0 1 0 0\n0 0 0 1")
+
+
+def drawn_system(rng, m):
+    """A system drawn as the check-batch corpus draws one: A^t = I, a
+    symmetric A^x whose largest eigenvalue s is repeated m times, random
+    transverse matrices (half of them symmetrised) and a random D, in the
+    chart u = t - x/s, so that B^u has nullity m and the x-surfaces are
+    transversal."""
+    n = int(rng.integers(m + 1, 9))
+    n_coords = int(rng.integers(2, 5))
+    names = ("t", "x", "y", "z")[:n_coords]
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = float(rng.uniform(0.5, 2.0))
+    rest = rng.uniform(-2.0 * s, 0.8 * s, n - m)
+    Ax = (Q * np.concatenate([np.full(m, s), rest])) @ Q.T
+    A = {"t": np.eye(n), "x": 0.5 * (Ax + Ax.T)}
+    for name in names[2:]:
+        M = rng.standard_normal((n, n))
+        A[name] = 0.5 * (M + M.T) if rng.random() < 0.5 else M
+    J = np.eye(n_coords)
+    J[0, 1] = -1.0 / s
+    system = cm.FirstOrderSystem(n_coords=n_coords, n_unknowns=n,
+                                 coord_names=names, A=A,
+                                 D=rng.standard_normal((n, n)))
+    return system, cm.Chart(J=J, offsets=np.zeros(n_coords))
+
+
+def scaled(system, s):
+    """The system with every A^a and D multiplied by s."""
+    return dataclasses.replace(
+        system, A={name: s * M for name, M in system.A.items()},
+        D=s * system.D)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import charmarch as cm
-from charmarch import canonical
+from charmarch import canonical, matkit
 from charmarch.canonical import TransversalityError
 from charmarch.sysmodel import Chart
 
@@ -73,6 +73,53 @@ class TestTransversality:
         cs = cm.null_structure(B, sys_.D)
         with pytest.raises(TransversalityError):
             cm.transversality_check(cs, B)
+
+
+SCALES = [10.0 ** k for k in range(-12, 13)]
+
+
+def _outcome(system, chart):
+    """The class of the error analyze raises, or None when the reduction
+    returns; then blockdiag(I_nq, M) row_transform, the row transform
+    without its M^-1, must have full rank by matkit's rule."""
+    try:
+        canon = cm.analyze(system, chart).canon
+    except ValueError as exc:
+        return type(exc)
+    weighted = canon.row_transform.copy()
+    weighted[canon.nq:] = canon.M @ weighted[canon.nq:]
+    rank = matkit._pivoted_qr(weighted, cm.Tolerances().rank)[2]
+    assert rank == canon.n_unknowns
+    return None
+
+
+class TestScaleFree:
+    """Scaling every A^a and D by s > 0 changes no characteristic
+    structure, so no decision of the reduction may change with s."""
+
+    def test_wave_reduces_at_every_scale(self, wave_system):
+        sys_, chart = wave_system
+        assert [_outcome(conftest.scaled(sys_, s), chart)
+                for s in SCALES] == [None] * len(SCALES)
+
+    def test_transversality_independent_of_scale(self, wave_system):
+        sys_, _ = wave_system
+        _, chart = cm.load_system(conftest.psi_equals_y_chart_text())
+        for s in SCALES:
+            B = cm.side_matrices(conftest.scaled(sys_, s), chart)
+            cs = cm.null_structure(B, s * sys_.D)
+            with pytest.raises(TransversalityError):
+                cm.transversality_check(cs, B)
+            assert _outcome(conftest.scaled(sys_, s),
+                            chart) is TransversalityError
+
+    @given(st.integers(1, 3), st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_drawn_systems_same_outcome_at_every_scale(self, m, seed):
+        sys_, chart = conftest.drawn_system(np.random.default_rng(seed), m)
+        want = _outcome(sys_, chart)
+        for s in SCALES:
+            assert _outcome(conftest.scaled(sys_, s), chart) is want, s
 
 
 class TestSplitAndReduce:

@@ -349,6 +349,18 @@ class TestMarch:
             cm.march(wave_canon, grid, cm.DataSpec(q0=((),), w0=((),)),
                      report=wave_report)
 
+    @pytest.mark.parametrize("grid, w0, cause", [
+        (cm.GridSpec(X_total=2.0, nx=8,
+                     transverse=(cm.TransverseAxis(cells=4),)), ((),),
+         "grid transverse axes do not match the system"),
+        (wave_grid(nx=8, cy=4, cz=4), ((), ()), "expected 1 w0 profiles"),
+    ])
+    def test_grid_axes_and_w0_count_checked(self, grid, w0, cause,
+                                            wave_canon, wave_report):
+        data = cm.DataSpec(q0=((), (), ()), w0=w0)
+        with pytest.raises(DataSpecError, match=f"^{cause}$"):
+            cm.march(wave_canon, grid, data, report=wave_report)
+
     def test_extra_transverse_pairs_rejected(self, wave_canon, wave_report):
         # wave3d has two transverse axes; a third pair was dropped in silence
         grid = wave_grid(nx=8, cy=4, cz=4)

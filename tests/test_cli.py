@@ -172,6 +172,20 @@ class TestCheck:
         assert (code, err) == (cli.EXIT_NOT_WELL_POSED, "")
         assert out.startswith("verdict: NOT_WELL_POSED\n")
 
+    @pytest.mark.parametrize("m, s", [(3, 1e-4), (3, 1e4),
+                                      (2, 1e-6), (2, 1e6)])
+    def test_scaled_system_gets_a_verdict(self, m, s, tmp_path, capsys):
+        # det M scales like s^m and det(row transform) like s^-m, so an
+        # absolute bound on either refuses these systems
+        system, chart = conftest.drawn_system(np.random.default_rng(0), m)
+        path = tmp_path / "scaled.txt"
+        path.write_text(cm.serialize_system(conftest.scaled(system, s), chart),
+                        encoding="utf-8")
+        code = cli.main(["check", "--input", str(path)])
+        out, err = capsys.readouterr()
+        assert code in (cli.EXIT_OK, cli.EXIT_NOT_WELL_POSED) and err == ""
+        assert out.startswith("verdict: ")
+
     def test_tiny_default_evolution_row_gets_a_verdict(self, tmp_path,
                                                        capsys):
         # B^u = [[0, 1], [0, 1e-14]]: the default evolution row is tiny
@@ -534,6 +548,7 @@ class TestParsePresets:
         "sine:amp=nan,zero,zero",         # nan amplitude
         "sine:k=inf,zero,zero",           # infinite wavenumber
         "sine:phasez=nan,zero,zero",      # nan transverse phase
+        "sine,zero,zero",                 # kind without ':'
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
@@ -547,6 +562,8 @@ class TestParsePresets:
             cli._tolerances("bogus=1")
         with pytest.raises(ValueError, match="repeated .* 'eig'"):
             cli._tolerances("eig=1e-3,eig=1e-10")
+        with pytest.raises(ValueError, match="^bad tolerance override 'eig'$"):
+            cli._tolerances("rank=1e-8,eig")
 
 
 class TestClosedStdout:

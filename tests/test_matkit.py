@@ -74,6 +74,13 @@ class TestRankAndNullspaces:
         with pytest.raises(ValueError):
             rank_and_nullspaces(np.eye(2), matkit.Tolerances(rank=0.0))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, value):
+        M = np.eye(2)
+        M[0, 1] = value
+        with pytest.raises(ValueError, match="^matrix has non-finite"):
+            matkit.as_square(M)
+
     @given(st.integers(0, 4), st.integers(0, 10**6))
     @settings(max_examples=100, deadline=None)
     def test_rank_matches_elimination_oracle(self, target_rank, seed):
@@ -162,6 +169,19 @@ class TestCompiledModules:
             " for n in ('idamax', 'dnrm2')))")
         assert out == "True True"
 
+    @pytest.mark.parametrize("name, routine",
+                             [("_flapack", "dgeqp3"), ("_fblas", "dnrm2")])
+    def test_submodule_import_binds_to_its_package(self, name, routine):
+        # the plain import statement, after charmarch, must make the module
+        # an attribute of scipy.linalg, holding the routines matkit calls
+        out = _fresh(
+            "import charmarch\n"
+            f"import scipy.linalg.{name}\n"
+            "from charmarch import matkit\n"
+            f"print(scipy.linalg.{name}.{routine} is "
+            f"getattr(matkit.{name[2:]}, {routine!r}))")
+        assert out == "True"
+
     def test_missing_module_names_the_path(self):
         with pytest.raises(ImportError, match=r"searched \S+linalg.\w*_nosuch"):
             matkit._load_compiled("_nosuch")
@@ -200,6 +220,14 @@ class TestOrthonormalComplete:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(NotOrthonormalError):
             orthonormal_complete([np.array([1.0, 1.0])], 2)
+
+    @pytest.mark.parametrize("vs, dim, cause", [
+        (np.eye(3), 2, "more vectors than the target dimension"),
+        ([np.array([1.0, 0.0, 0.0])], 2, "vector length does not match dim"),
+    ])
+    def test_rejects_wrong_shapes(self, vs, dim, cause):
+        with pytest.raises(MatrixShapeError, match=f"^{cause}$"):
+            orthonormal_complete(vs, dim)
 
     @given(st.integers(0, 10**6), st.integers(2, 6), st.integers(0, 3))
     @settings(max_examples=60, deadline=None)

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from charmarch.sysmodel import (Chart, NotCharacteristicError, ParseError,
 
 WAVE_BU = np.array([[1.0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 WAVE_BX = np.array([[0.0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+# the three header lines of a one-unknown system in (t, x)
+HEAD = "ncoords 2\nnunknowns 1\ncoordnames t x\n"
 
 
 class TestLoadSystem:
@@ -127,6 +131,67 @@ class TestLoadSystem:
         with pytest.raises(ParseError, match="chart"):
             cm.load_system("ncoords 2\nnunknowns 1\ncoordnames t x\n"
                            "matrix A t\n1\n")
+
+    @pytest.mark.parametrize("kwargs, cause", [
+        ({"n_coords": 1}, "n_coords must be between 2 and 4"),
+        ({"n_coords": 5}, "n_coords must be between 2 and 4"),
+        ({"n_unknowns": 0}, "n_unknowns must be between 1 and 16"),
+        ({"n_unknowns": 17}, "n_unknowns must be between 1 and 16"),
+        ({"coord_names": ("t", "x", "y")},
+         "coord_names length must equal n_coords"),
+        ({"A": {"t": np.eye(2), "x": np.eye(3)}},
+         "matrix A x has wrong shape"),
+        ({"D": np.zeros((2, 3))}, "matrix D has wrong shape"),
+    ])
+    def test_system_fields_refused_by_name(self, kwargs, cause):
+        fields = {"n_coords": 2, "n_unknowns": 2, "coord_names": ("t", "x"),
+                  "A": {"t": np.eye(2)}, "D": np.zeros((2, 2)), **kwargs}
+        with pytest.raises(ValueError, match=f"^{cause}$"):
+            cm.FirstOrderSystem(**fields)
+
+    def test_chart_offsets_length_refused(self):
+        with pytest.raises(ValueError,
+                           match="^offsets length must match n_coords$"):
+            Chart(J=np.eye(2), offsets=np.zeros(3))
+
+    @pytest.mark.parametrize("stream", [
+        lambda text: io.StringIO(text),
+        lambda text: io.BytesIO(text.encode("utf-8"))])
+    def test_text_and_bytes_streams_read(self, stream, wave_system):
+        text = builtin.example_text("wave3d")
+        sys_, chart = cm.load_system(stream(text))
+        for name in wave_system[0].coord_names:
+            np.testing.assert_array_equal(sys_.A[name],
+                                          wave_system[0].A[name])
+        np.testing.assert_array_equal(chart.J, wave_system[1].J)
+
+    @pytest.mark.parametrize("text, line, cause", [
+        ("coordnames t x\n", 1, "coordnames before ncoords"),
+        ("ncoords 2\ncoordnames t\n", 2, "expected 2 coordinate names"),
+        ("ncoords 2\ncoordnames t x\nmatrix A t\n1\n", 3,
+         "matrix before nunknowns"),
+        (HEAD + "matrix A x\n1\n# again\nmatrix A x\n1\n", 7,
+         "duplicate matrix A x"),
+        (HEAD + "matrix D\n1\nmatrix D\n1\n", 6, "duplicate matrix D"),
+        (HEAD + "matrix B t\n1\n", 4,
+         "expected 'matrix A <coord>' or 'matrix D'"),
+        (HEAD + "matrix A\n1\n", 4,
+         "expected 'matrix A <coord>' or 'matrix D'"),
+        ("nunknowns 1\nchart\n1 0\n0 1\n0 0\n", 2, "chart before ncoords"),
+        ("ncoords 2\nchart 1\n", 2, "chart takes no arguments"),
+        ("nunknowns 1\n\n", 2, "missing ncoords"),
+        ("ncoords 2\ncoordnames t x\n", 2, "missing nunknowns"),
+        ("ncoords 2\nnunknowns 1\n# no names\n", 3, "missing coordnames"),
+        ("ncoords 2\nnunknowns 2\ncoordnames t x\nmatrix A t\n1 0\n", 5,
+         "unexpected end of file inside matrix A t"),
+        (HEAD + "chart\n1 -1\n0 1\n", 6,
+         "unexpected end of file inside chart offsets"),
+    ])
+    def test_parse_error_names_cause_and_line(self, text, line, cause):
+        with pytest.raises(ParseError, match=f"^line {line}: {cause}$") \
+                as exc:
+            cm.load_system(text)
+        assert exc.value.line == line
 
     def test_round_trip_bit_equal(self, wave_system):
         sys_, chart = wave_system
