@@ -45,6 +45,8 @@ of the stepper, sized once by the widest slice.
 
 `march` is the one public way into the scheme, so its guards (grid and data
 against the system, the verdict, the CFL check) hold for every step taken.
+It alone owns the slices: it writes the data, steps, checks and freezes
+each one, and the stepper only computes, in place.
 """
 from __future__ import annotations
 
@@ -115,10 +117,8 @@ class GridSpec:
 
     def transverse_meshes(self):
         """Open periodic grids, meshed with indexing='ij'."""
-        axes = [np.arange(t.cells) * t.h for t in self.transverse]
-        if not axes:
-            return []
-        return list(np.meshgrid(*axes, indexing="ij"))
+        return list(np.meshgrid(*(np.arange(t.cells) * t.h
+                                  for t in self.transverse), indexing="ij"))
 
     def transverse_cell_volume(self) -> float:
         return math.prod((t.h for t in self.transverse), start=1.0)
@@ -134,8 +134,10 @@ class ProfileTerm:
 
     base is sin(k s + phase) for kind='sine' and a Gaussian bump
     exp(-((s - center) / width)^2) for kind='gauss'; a field that the
-    kind does not read must keep its default.  s is x for normal data and
-    u for null data; a zero profile is the empty tuple of terms.
+    kind does not read must keep its default.  The transverse axes are
+    periodic on [0, 2 pi), so each wavenumber k_i must be an integer.  s is
+    x for normal data and u for null data; a zero profile is the empty
+    tuple of terms.
     """
     kind: str
     amp: float = 1.0
@@ -165,6 +167,10 @@ class ProfileTerm:
                 raise DataSpecError(
                     f"profile trans[{i}] must be a finite (wavenumber, "
                     f"phase) pair, got {pair!r}")
+            if not float(pair[0]).is_integer():
+                raise DataSpecError(
+                    f"profile trans[{i}] wavenumber must be an integer, "
+                    f"got {pair[0]!r}")
 
     def evaluate(self, s, tmeshes):
         if self.kind == "sine":
@@ -379,14 +385,10 @@ class _FieldOperator:
         return out
 
 
-def _abs_max(arr) -> float:
-    """max |arr| from one max and one min, without a temporary; inf and
-    NaN carry through.  0.0 for an empty array."""
-    return abs(float(max(arr.max(), -arr.min()))) if arr.size else 0.0
-
-
-def _check_finite(top: float, u_level, what) -> float:
-    """top, the max |v| of a block; inf or NaN aborts the march."""
+def _finite_max(block: np.ndarray, u_level: float, what: str) -> float:
+    """max |block| from one max and one min, without a temporary; 0.0 for
+    an empty block.  inf or NaN aborts the march, naming `what`."""
+    top = abs(float(max(block.max(), -block.min()))) if block.size else 0.0
     if not math.isfinite(top):
         raise MarchAbortError(
             f"non-finite value in {what} at u = {u_level:.6g}")
@@ -406,18 +408,19 @@ class _Stepper:
     else is built from it, and the source operator
     dx Nu^-1 (N0 v + N^i d_i v).
 
-    The stepper writes into slices it is given and owns its temporaries:
-    the operators and the x difference of q compute in views of one work
-    buffer, sized once for the widest slice, which the hypersurface pass
-    and the evolution step share; only the spectral scan allocates (its
-    FFTs).
+    The stepper only computes, in place on the slice values it is given:
+    it knows no u and checks only its propagator powers.  It owns its
+    temporaries: the operators and the x difference of q compute in views
+    of one work buffer, sized once for the widest slice, which the
+    hypersurface pass and the evolution step share; only the spectral scan
+    allocates (its FFTs).
     """
 
     def __init__(self, canon: CanonicalSystem, grid: GridSpec):
         nq = canon.nq
         names = canon.transverse_names
         width = grid.nx + 1
-        self.nq, self.nx, self.dx = nq, grid.nx, grid.dx
+        self.nq, self.dx = nq, grid.dx
         self.forcing = _FieldOperator(
             -canon.L0[:, :nq], [-canon.Li[k][:, :nq] for k in names], grid,
             width)
@@ -466,50 +469,38 @@ class _Stepper:
                     f"(dx = {dx:.6g})")
         return powers
 
-    def fill_null(self, slice_: SliceState, w_boundary) -> float:
-        """Integrate d_x w = f + A w outward from x = 0 in place on the
-        slice and return max |w|.
+    def fill_null(self, vals: np.ndarray) -> None:
+        """Integrate d_x w = f + A w outward from the w_0 in column x = 0
+        of the slice values `vals`, in place.
 
         Heun's step is w_{i+1} = G w_i + g_i with
         g_i = dx (f_i + f_{i+1}) / 2 + dx^2 A f_i / 2, built for the whole
-        slice from one forcing and one coupling evaluation and stored in w
-        behind the boundary value w_0.  The recurrence is then solved in
-        place by a doubling scan: for d = 1, 2, 4, ... < x_extent,
-        w[d:] += G^d w[:-d], the right side taken from the values before
-        the update.  Pointwise A scans the physical slice; A with
-        transverse terms scans each transverse Fourier mode of the slice
-        with that mode's G^d.  Without null coupling (A = 0, G = I) the
-        scan is a cumulative sum of trapezoid increments.  An overflow
-        leaves inf or NaN in w, which aborts the march.
+        slice from one forcing and, with null coupling, one coupling
+        evaluation and stored in w behind w_0.  `_scan` then solves the
+        recurrence in place.  An overflow leaves inf or NaN in w.
         """
         nq, dx = self.nq, self.dx
-        vals = slice_.values
         w = vals[nq:]
-        wb = np.asarray(w_boundary, dtype=float)
-        if wb.ndim == 1:  # constant in the transverse directions
-            wb = wb.reshape(wb.shape + (1,) * (vals.ndim - 2))
-        if not np.all(np.isfinite(wb)):
-            raise MarchAbortError(
-                "non-finite boundary data for the null variables")
         with np.errstate(over="ignore", invalid="ignore"):
             f = self.forcing(vals[:nq], self._work)
-            w[:, 0] = wb
             np.add(f[:, :-1], f[:, 1:], out=w[:, 1:])
-            if self.coupling.is_zero:
-                w[:, 1:] *= 0.5 * dx
-                np.cumsum(w, axis=1, out=w)
-            else:
-                Af = self.coupling(f, self._work[self.forcing.work:])
-                Af = Af[:, :-1]
+            if not self.coupling.is_zero:
+                Af = self.coupling(f, self._work[self.forcing.work:])[:, :-1]
                 Af *= dx
                 w[:, 1:] += Af
-                w[:, 1:] *= 0.5 * dx
-                self._scan(w)
-        return _check_finite(_abs_max(w), slice_.u_level,
-                             "hypersurface integration")
+            w[:, 1:] *= 0.5 * dx
+            self._scan(w)
 
     def _scan(self, w: np.ndarray) -> None:
-        """w[i] <- sum_{k <= i} G^(i-k) w[k] along x, in place."""
+        """w[i] <- sum_{k <= i} G^(i-k) w[k] along x, in place: a doubling
+        scan, w[d:] += G^d w[:-d] for d = 1, 2, 4, ... < x_extent, the
+        right side taken from the values before the update.  Pointwise A
+        scans the physical slice; A with transverse terms scans each
+        transverse Fourier mode with that mode's G^d.  Without null
+        coupling (G = I) the scan is a cumulative sum."""
+        if not self.powers:
+            np.cumsum(w, axis=1, out=w)
+            return
         axes = tuple(range(2, w.ndim))
         spectral = bool(self.coupling.terms)
         z = np.fft.rfftn(w, axes=axes) if spectral else w
@@ -524,21 +515,17 @@ class _Stepper:
         if spectral:
             w[...] = np.fft.irfftn(z, s=w.shape[2:], axes=axes)
 
-    def evolve(self, slice_: SliceState, new: np.ndarray) -> tuple:
-        """Upwind step of q onto the one-cell-narrower slice whose values
-        are `new` (its q rows are written, its w rows are left to
-        `fill_null`): q'[i] = q[i] - Nu^-1 Nx (q[i+1] - q[i]) - src[i] at
-        every x point.  Returns that slice and max |q| on it.  An overflow
-        aborts the march."""
+    def evolve(self, vals: np.ndarray, new: np.ndarray) -> None:
+        """Upwind step of q from the slice values `vals` onto `new`, one x
+        point narrower: q'[i] = q[i] - Nu^-1 Nx (q[i+1] - q[i]) - src[i]
+        is written into the q rows of `new`, its w rows are left to
+        `fill_null`.  An overflow leaves inf or NaN in q'."""
         nq = self.nq
-        q = slice_.values[:nq]
-        if slice_.x_extent < 2:
-            raise ValueError("slice too narrow to advance")
-        head = new[:nq]
+        q, head = vals[:nq], new[:nq]
         size = math.prod(head.shape[1:])
         with np.errstate(over="ignore", invalid="ignore"):
             # on the whole contiguous slice: its last x point is not read
-            src = self.source(slice_.values, self._work)
+            src = self.source(vals, self._work)
             start = self.source.work
             d = self._work[start:start + head.size].reshape(head.shape)
             np.subtract(q[:, 1:], q[:, :-1], out=d)
@@ -546,11 +533,6 @@ class _Stepper:
                       out=head.reshape(nq, size))
             np.subtract(q[:, :-1], head, out=head)
             head -= src[:, :-1]
-        # slice j holds nx + 1 - j x points and lies at u = j dx
-        out = SliceState(u_level=(self.nx + 1 - new.shape[1]) * self.dx,
-                         values=new)
-        return out, _check_finite(_abs_max(head), out.u_level,
-                                  "evolution step")
 
 
 # At most one released trace mapping, the largest: a later march of that
@@ -637,9 +619,12 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
 
     `report` is the well-posedness report of the reduction that gave
     `canon`; systems whose verdict is not WELL_POSED are refused unless
-    force=True.  Marches until fewer than two x-points remain.  The
-    returned trace cannot change: its slices are a tuple of frozen slices
-    with read-only values.
+    force=True.  For each of the nx + 1 views of its store it writes q0
+    (slice 0) or takes the evolution step, writes w0 into column x = 0,
+    runs the hypersurface pass, checks each new block (inf or NaN raises
+    MarchAbortError naming it) and freezes the slice.  The returned trace
+    cannot change: its slices are a tuple of frozen slices with read-only
+    values.
     """
     _validate(canon, grid, data)
     if report.verdict is not Verdict.WELL_POSED and not force:
@@ -649,34 +634,29 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
 
     tmeshes = grid.transverse_meshes()
     cells = tuple(t.cells for t in grid.transverse)
-    x = np.arange(grid.nx + 1) * grid.dx
+    xs = (np.arange(grid.nx + 1) * grid.dx).reshape(
+        (grid.nx + 1,) + (1,) * len(cells))
     nq, m, n = canon.nq, canon.m, canon.n_unknowns
 
-    views = _packed_slices(n, grid.nx, cells)
-
-    def q_initial():
-        vals = next(views)
-        xs = x.reshape((grid.nx + 1,) + (1,) * len(cells))
-        for a in range(nq):
-            vals[a] = evaluate_profile(data.q0[a], xs, tmeshes)
-        return vals
-
-    def w_at(u_level):
-        wb = np.zeros((m,) + cells)
-        for a in range(m):
-            wb[a] = evaluate_profile(data.w0[a], u_level, tmeshes)
-        return wb
-
-    # diagnostics[j] = max |v| on slice j: the larger of max |q| and max |w|
+    # slice j lies at u = j dx; diagnostics[j] = max |v| on it, the larger
+    # of max |q| and max |w|.  Data whose terms sum past the float range
+    # is inf, and its own check names it before the pass reads it.
     slices, diagnostics = [], []
-    cur = SliceState(u_level=0.0, values=q_initial())
-    q_top = _abs_max(cur.values[:nq])
-    while True:
-        w_top = stepper.fill_null(cur, w_at(cur.u_level))
-        cur.values.flags.writeable = False
-        slices.append(cur)
+    for j, vals in enumerate(_packed_slices(n, grid.nx, cells)):
+        u = j * grid.dx
+        with np.errstate(over="ignore", invalid="ignore"):
+            if j == 0:
+                for a in range(nq):
+                    vals[a] = evaluate_profile(data.q0[a], xs, tmeshes)
+            else:
+                stepper.evolve(slices[-1].values, vals)
+            for a in range(m):
+                vals[nq + a, 0] = evaluate_profile(data.w0[a], u, tmeshes)
+        q_top = _finite_max(vals[:nq], u, "evolution step" if j else "q0 data")
+        _finite_max(vals[nq:, 0], u, "w0 data")
+        stepper.fill_null(vals)
+        w_top = _finite_max(vals[nq:], u, "hypersurface integration")
+        vals.flags.writeable = False
+        slices.append(SliceState(u_level=u, values=vals))
         diagnostics.append(max(q_top, w_top))
-        if cur.x_extent < 2:
-            break
-        cur, q_top = stepper.evolve(cur, next(views))
     return SolutionTrace(grid=grid, slices=slices, diagnostics=diagnostics)

@@ -111,9 +111,6 @@ def parse_presets(spec: str, count: int, n_transverse: int):
         for j in range(n_transverse):
             kt = kv.pop(_TRANS_KEYS[j], 0.0)
             pt = kv.pop(_TRANS_PHASE_KEYS[j], 0.0)
-            if not kt.is_integer():   # False for inf and nan too
-                raise ValueError(f"{_TRANS_KEYS[j]}={kt!r}: transverse "
-                                 "wavenumbers must be integers")
             trans.append((kt, pt))
         shape = {key: kv.pop(key) for key in _PRESET_KEYS[kind] if key in kv}
         if kv:

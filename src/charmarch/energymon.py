@@ -95,21 +95,23 @@ def _cell_sum(pointwise: np.ndarray, trace: SolutionTrace) -> np.ndarray:
 
 
 def _line_integral(g: np.ndarray, h: float, K: int) -> float:
-    """Cell-averaged quadrature of nodal values g over [0, K*h]."""
-    if K == 0:
-        return 0.0
+    """Cell-averaged quadrature of nodal values g over [0, K*h], K >= 1."""
     return float(h * (0.5 * g[0] + g[1:K].sum() + 0.5 * g[K]))
 
 
 def _level(trace: SolutionTrace, T: float) -> int:
-    """The grid level K of the surface u + x = T: it passes through the
-    nodes (j, K - j).  Off-grid T is snapped with a warning."""
+    """The grid level K >= 1 of the surface u + x = T: it passes through
+    the nodes (j, K - j).  Off-grid T is snapped with a warning; T that
+    snaps to level 0, a surface of one node with no data, is refused."""
     dx = trace.grid.dx
     K = int(round(T / dx))
+    if K < 1:
+        raise RangeError(f"T={T!r} is below the first grid level, "
+                         f"dx = {dx!r}")
     if abs(K * dx - T) > 1e-9 * max(dx, 1.0):
         warnings.warn(f"T={T!r} snapped to the nearest grid level {K * dx!r}",
                       stacklevel=3)
-    if K < 0 or K > trace.n_slices - 1:
+    if K > trace.n_slices - 1:
         raise RangeError(f"T={T!r} outside the trace coverage")
     return K
 

@@ -14,8 +14,7 @@ from hypothesis.extra.numpy import arrays
 import charmarch as cm
 from charmarch import charsolve
 from charmarch.charsolve import (CFLError, DataSpecError, MarchAbortError,
-                                 NotWellPosedError, SliceState, _FieldOperator,
-                                 _Stepper)
+                                 NotWellPosedError, _FieldOperator, _Stepper)
 from charmarch.wellposed import Verdict
 
 import conftest
@@ -29,51 +28,48 @@ def wave_grid(nx=16, cy=8, cz=8, X=2.0):
                                    cm.TransverseAxis(cells=cz)))
 
 
-def empty_slice(grid, n=4, u=0.0):
+def empty_slice(grid, n=4):
     cells = tuple(t.cells for t in grid.transverse)
-    return SliceState(u_level=u, values=np.zeros((n, grid.nx + 1) + cells))
+    return np.zeros((n, grid.nx + 1) + cells)
 
 
-def evolve(stepper, s):
+def evolve(stepper, vals):
     """One evolution step onto a zeroed slice one x point narrower."""
-    new = np.zeros((s.values.shape[0], s.x_extent - 1) + s.values.shape[2:])
-    return stepper.evolve(s, new)
+    new = np.zeros((vals.shape[0], vals.shape[1] - 1) + vals.shape[2:])
+    stepper.evolve(vals, new)
+    return new
 
 
 # The single steps run through _Stepper, the object that march drives;
-# fill_null works in place on the slice, evolve writes the next one.
+# fill_null works in place on the slice values from the w_0 in column
+# x = 0, evolve writes the q rows of the next one.
 class TestHypersurfaceIntegrate:
     def test_constant_boundary_zero_q(self, wave_canon):
         grid = wave_grid()
         s = empty_slice(grid)
-        _Stepper(wave_canon, grid).fill_null(s, np.array([0.7]))
-        np.testing.assert_allclose(s.values[3], 0.7, atol=1e-15)
-        np.testing.assert_allclose(s.values[:3], 0.0, atol=1e-15)
+        s[3, 0] = 0.7
+        _Stepper(wave_canon, grid).fill_null(s)
+        np.testing.assert_allclose(s[3], 0.7, atol=1e-15)
+        np.testing.assert_allclose(s[:3], 0.0, atol=1e-15)
 
     def test_sine_mode_antiderivative(self, wave_canon):
         # with q3 = sin(y) the null equation is d_x w = (1/sqrt2) cos(y)
         grid = wave_grid(nx=32, cy=64, cz=4)
         s = empty_slice(grid)
         y = np.arange(64) * (2.0 * math.pi / 64)
-        s.values[1] = np.sin(y)[None, :, None]
-        _Stepper(wave_canon, grid).fill_null(s, np.array([0.0]))
+        s[1] = np.sin(y)[None, :, None]
+        _Stepper(wave_canon, grid).fill_null(s)
         x = np.arange(grid.nx + 1) * grid.dx
         expected = (x[:, None, None] * R2) * np.cos(y)[None, :, None]
-        err = np.abs(s.values[3] - expected).max()
+        err = np.abs(s[3] - expected).max()
         dy = 2.0 * math.pi / 64
         assert err <= 2.0 * (grid.dx ** 2 + dy ** 2)
 
     def test_zero_everything(self, wave_canon):
         grid = wave_grid()
         s = empty_slice(grid)
-        _Stepper(wave_canon, grid).fill_null(s, np.zeros(1))
-        assert not np.any(s.values)
-
-    def test_non_finite_boundary_aborts(self, wave_canon):
-        grid = wave_grid()
-        with pytest.raises(MarchAbortError):
-            _Stepper(wave_canon, grid).fill_null(empty_slice(grid),
-                                                 np.array([math.inf]))
+        _Stepper(wave_canon, grid).fill_null(s)
+        assert not np.any(s)
 
     @pytest.mark.parametrize("x_extent", [1, 2])
     @pytest.mark.parametrize("system", ["damped", "w_coupled",
@@ -84,29 +80,28 @@ class TestHypersurfaceIntegrate:
         canon = _coupled_system(system, wave_canon, damped_wave_pipeline)
         grid = wave_grid(nx=16, cy=8, cz=4, X=1.0)
         rng = np.random.default_rng(x_extent)
-        s = SliceState(u_level=0.5, values=np.zeros((4, x_extent, 8, 4)))
-        s.values[:3] = rng.standard_normal((3, x_extent, 8, 4))
+        s = np.zeros((4, x_extent, 8, 4))
+        s[:3] = rng.standard_normal((3, x_extent, 8, 4))
         wb = rng.standard_normal((1, 8, 4))
-        expected = _oracle_hypersurface(canon, s.values, wb, grid)
-        _Stepper(canon, grid).fill_null(s, wb)
-        assert np.abs(s.values - expected).max() <= 1e-13
+        expected = _oracle_hypersurface(canon, s, wb, grid)
+        s[3:, 0] = wb
+        _Stepper(canon, grid).fill_null(s)
+        assert np.abs(s - expected).max() <= 1e-13
 
 
 class TestEvolutionStep:
     def test_zero_slice_stays_zero(self, wave_canon):
         grid = wave_grid()
-        s, top = evolve(_Stepper(wave_canon, grid), empty_slice(grid))
-        assert s.x_extent == grid.nx
-        assert not np.any(s.values)
-        assert s.u_level == grid.dx
-        assert top == 0.0
+        s = evolve(_Stepper(wave_canon, grid), empty_slice(grid))
+        assert s.shape[1] == grid.nx
+        assert not np.any(s)
 
     def test_plane_wave_keeps_q_zero(self, wave_canon):
         grid = wave_grid()
         s0 = empty_slice(grid)
-        s0.values[3] = 0.37  # w constant on the slice
-        s, _ = evolve(_Stepper(wave_canon, grid), s0)
-        np.testing.assert_allclose(s.values[:3], 0.0, atol=1e-15)
+        s0[3] = 0.37  # w constant on the slice
+        s = evolve(_Stepper(wave_canon, grid), s0)
+        np.testing.assert_allclose(s[:3], 0.0, atol=1e-15)
 
     def test_single_mode_hand_computation(self, wave_canon):
         # q2-mode eps*sin(y): only the q3 equation picks up a source
@@ -116,19 +111,19 @@ class TestEvolutionStep:
         eps = 0.01
         s0 = empty_slice(grid)
         y = np.arange(16) * (2.0 * math.pi / 16)
-        s0.values[0] = eps * np.sin(y)[None, :, None]
-        s, _ = evolve(_Stepper(wave_canon, grid), s0)
+        s0[0] = eps * np.sin(y)[None, :, None]
+        s = evolve(_Stepper(wave_canon, grid), s0)
         dy = 2.0 * math.pi / 16
         centered = (np.roll(eps * np.sin(y), -1) - np.roll(eps * np.sin(y), 1)) / (2 * dy)
         expected_q2 = grid.dx * R2 * centered
-        shape = (s.x_extent, 16, 4)
+        shape = (s.shape[1], 16, 4)
         np.testing.assert_allclose(
-            s.values[1], np.broadcast_to(expected_q2[None, :, None], shape),
+            s[1], np.broadcast_to(expected_q2[None, :, None], shape),
             atol=1e-12)
         np.testing.assert_allclose(
-            s.values[0],
+            s[0],
             np.broadcast_to(eps * np.sin(y)[None, :, None], shape), atol=1e-12)
-        np.testing.assert_allclose(s.values[2], 0.0, atol=1e-15)
+        np.testing.assert_allclose(s[2], 0.0, atol=1e-15)
 
     def test_cfl_violation_rejected(self, wave_canon, wave_report):
         fast = dataclasses.replace(wave_canon, Nx=np.diag([-3.0, 0.0, 0.0]))
@@ -331,6 +326,9 @@ class TestMarch:
         ({"kind": "sine", "width": 0.2}, "'sine' does not take width"),
         ({"kind": "gauss", "k": 3.0}, "'gauss' does not take k"),
         ({"kind": "gauss", "phase": math.nan}, "'gauss' does not take phase"),
+        # the transverse axes are periodic on [0, 2 pi)
+        ({"kind": "sine", "trans": ((0.5, 0.0),)},
+         r"trans\[0\] wavenumber must be an integer, got 0.5"),
     ])
     def test_bad_profile_numbers_rejected(self, kwargs, cause):
         # refused by name where the term is built, not by a non-finite
@@ -417,6 +415,23 @@ class TestMarch:
                                match=f"non-finite .* {where}"):
                 cm.march(canon, wave_grid(nx=16, cy=4, cz=4), data,
                          report=wave_report, force=True)
+
+    @pytest.mark.parametrize("side", ["q0", "w0"])
+    def test_data_overflow_is_a_typed_abort(self, side, wave_canon,
+                                            wave_report):
+        # two terms of 1e308 sum past the float range at x = 0 or u = 0:
+        # the march names the data, not a pass that read it, and no numpy
+        # RuntimeWarning escapes
+        big = (cm.ProfileTerm(kind="gauss", amp=1e308),) * 2
+        data = cm.DataSpec(q0=((), big if side == "q0" else (), ()),
+                           w0=(big if side == "w0" else (),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MarchAbortError,
+                               match=f"^non-finite value in {side} data "
+                                     f"at u = 0$"):
+                cm.march(wave_canon, wave_grid(nx=8, cy=4, cz=4, X=1.0),
+                         data, report=wave_report)
 
 
 # --- oracle: the per-x-point Heun loop and the upwind evolution step ---------

@@ -265,7 +265,7 @@ class TestUsageErrors:
         (["solve", "--example", "wave3d", "--q0",
           "sine:amp=1,amp=2,zero,zero"], "repeated preset parameter 'amp'"),
         (["solve", "--example", "wave3d", "--w0", "sine:ky=inf"],
-         "ky=inf: transverse wavenumbers must be integers"),
+         "profile trans[0] must be a finite (wavenumber, phase) pair"),
         (["solve", "--example", "wave3d", "--w0", "sine:k=x"],
          "preset parameter 'k' is not a number: 'x'"),
         (["solve", "--example", "wave3d", "--cells", "0,4"],
@@ -286,6 +286,8 @@ class TestUsageErrors:
          "profile k must be finite, got inf"),
         (["solve", "--example", "wave3d", "--w0", "sine:phasey=nan"],
          "profile trans[0] must be a finite (wavenumber, phase) pair"),
+        (["solve", "--example", "wave3d", "--w0", "sine:ky=0.5"],
+         "profile trans[0] wavenumber must be an integer, got 0.5"),
     ])
     def test_exit_one(self, argv, cause, capsys):
         assert cli.main(argv) == cli.EXIT_ERROR

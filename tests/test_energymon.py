@@ -137,6 +137,17 @@ class TestDataNorms:
             cm.verify_estimate(tr, wave_compact, wave_report,
                                2.0 * grid.X_total)
 
+    @pytest.mark.parametrize("levels", [0.0, 0.4])
+    def test_level_zero_refused(self, levels, wave_canon, wave_compact,
+                                wave_report, plane_wave_data):
+        # T < dx/2 would snap to level 0, whose surface is one node with
+        # no data behind it: a false failure, not an estimate
+        grid = wave_grid(16)
+        tr = cm.march(wave_canon, grid, plane_wave_data, report=wave_report)
+        with pytest.raises(RangeError, match="dx"):
+            cm.verify_estimate(tr, wave_compact, wave_report,
+                               levels * grid.dx)
+
 
 class TestSigmaNorm:
     def test_constant_trace_arithmetic(self, wave_compact, wave_report):
