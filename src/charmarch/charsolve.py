@@ -8,8 +8,9 @@ q'[i] = q[i] - Nu^-1 Nx (q[i+1] - q[i]) - src[i] in x and centered periodic
 transverse differences.  The march steps du = dx, which meets the CFL
 condition of that scheme for every WELL_POSED system: Nu > 0, Nx <= 0 and
 Nu + Nx > 0 put the eigenvalues of Nu^-1 Nx in (-1, 0], where the step is
-Friedrichs' positive scheme, exact for the speeds 0 and -1.  One x-cell is
-trimmed per step, so no outer-x boundary condition is needed.
+Friedrichs' positive scheme, exact for the speeds 0 and -1; where
+round-off puts one outside [-1, 0], the CFL check decides by those signs.
+One x-cell is trimmed per step, so no outer-x boundary condition is needed.
 
 The hypersurface right-hand side is linear in v = (q, w) and q is known on
 the slice, so d_x w = f + A w with the q-driven forcing f evaluated over
@@ -45,8 +46,9 @@ of the stepper, sized once by the widest slice.
 
 `march` is the one public way into the scheme, so its guards (grid and data
 against the system, the verdict, the CFL check) hold for every step taken.
-It alone owns the slices: it writes the data, steps, checks and freezes
-each one, and the stepper only computes, in place.
+It alone owns the slices and the one np.errstate: it writes the data (no
+pass rewrites w_0), steps, checks and freezes each one, and the stepper
+only computes, in place.
 """
 from __future__ import annotations
 
@@ -59,7 +61,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .canonical import CanonicalSystem
-from .wellposed import Verdict, WellPosednessReport
+from .matkit import Definiteness, NotSymmetricError, Tolerances
+from .wellposed import Verdict, WellPosednessReport, _classify
 
 
 class CFLError(ValueError):
@@ -124,8 +127,8 @@ class GridSpec:
         return math.prod((t.h for t in self.transverse), start=1.0)
 
 
-# the shape fields that each kind of profile does not read
-_UNREAD = {"sine": ("center", "width"), "gauss": ("k", "phase")}
+# the shape fields that each kind of profile takes, as do the CLI's presets
+_TAKES = {"sine": ("amp", "k", "phase"), "gauss": ("amp", "center", "width")}
 
 
 @dataclass(frozen=True)
@@ -148,11 +151,12 @@ class ProfileTerm:
     trans: tuple = ()   # ((wavenumber, phase), ...) per transverse axis
 
     def __post_init__(self):
-        if self.kind not in ("sine", "gauss"):
+        if self.kind not in _TAKES:
             raise DataSpecError(f"unknown profile kind '{self.kind}'")
+        takes = ("kind", "trans") + _TAKES[self.kind]
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name in _UNREAD[self.kind] and value != f.default:
+            if f.name not in takes and value != f.default:
                 raise DataSpecError(f"profile kind '{self.kind}' does not "
                                     f"take {f.name}, got {value!r}")
         for name in ("amp", "k", "phase", "center"):
@@ -395,6 +399,17 @@ def _finite_max(block: np.ndarray, u_level: float, what: str) -> float:
     return top
 
 
+def _signs_bound_speeds(Nu, Nx, tols: Tolerances) -> bool:
+    """The verdict's signs at tols: symmetric Nu > 0, Nx <= 0 and Nu + Nx >= 0
+    put each eigenvalue v Nx v / v Nu v of Nu^-1 Nx in [-1, 0]."""
+    try:
+        return (_classify(Nu, tols).tag is Definiteness.POSITIVE_DEFINITE
+                and _classify(Nx, tols).is_nonpositive()
+                and _classify(Nu + Nx, tols).is_nonnegative())
+    except NotSymmetricError:   # another pencil: the eigenvalue test stands
+        return False
+
+
 class _Stepper:
     """The operators of the march for one system and grid, built once.
 
@@ -404,19 +419,20 @@ class _Stepper:
     propagator G = I + dx A + dx^2 A^2 / 2 that the scan of the widest
     slice uses: real m x m matrices when A is pointwise, one per transverse
     Fourier mode when it is not, none when A = 0.  Evolution by one step
-    du = dx: Nu^-1 Nx, checked here for the CFL condition before anything
-    else is built from it, and the source operator
-    dx Nu^-1 (N0 v + N^i d_i v).
+    du = dx: Nu^-1 Nx, checked here for the CFL condition (its eigenvalues,
+    else the verdict's sign rule at `tols`) before anything else is built
+    from it, and the source operator dx Nu^-1 (N0 v + N^i d_i v).
 
     The stepper only computes, in place on the slice values it is given:
-    it knows no u and checks only its propagator powers.  It owns its
-    temporaries: the operators and the x difference of q compute in views
-    of one work buffer, sized once for the widest slice, which the
-    hypersurface pass and the evolution step share; only the spectral scan
-    allocates (its FFTs).
+    it knows no u, sets no floating-point policy, never writes w_0 and
+    checks only its propagator powers.  It owns its temporaries: the
+    operators and the x difference of q compute in views of one work
+    buffer, sized once for the widest slice, which the hypersurface pass
+    and the evolution step share; only the spectral scan allocates.
     """
 
-    def __init__(self, canon: CanonicalSystem, grid: GridSpec):
+    def __init__(self, canon: CanonicalSystem, grid: GridSpec,
+                 tols: Tolerances = Tolerances()):
         nq = canon.nq
         names = canon.transverse_names
         width = grid.nx + 1
@@ -431,9 +447,12 @@ class _Stepper:
         self.NuiNx = Nui @ canon.Nx
         # the upwind x step with du = dx is stable only when every
         # eigenvalue of the P = Nu^-1 Nx it multiplies by is real and in
-        # [-1, 0]; CFLError names the first that is not
+        # [-1, 0].  Round-off in P grows with cond(Nu), so where one is
+        # not, the verdict's sign rule decides; CFLError names it
         for lam in np.linalg.eigvals(self.NuiNx):
             if abs(lam.imag) > 1e-12 or not -1.0 - 1e-12 <= lam.real <= 1e-12:
+                if _signs_bound_speeds(canon.Nu, canon.Nx, tols):
+                    break
                 raise CFLError(f"eigenvalue {lam:.6g} of Nu^-1 Nx is outside "
                                f"[-1, 0]: the upwind step du = dx is unstable")
         self.source = _FieldOperator(
@@ -459,9 +478,8 @@ class _Stepper:
         dx = self.dx
         G = np.eye(A.shape[-1]) + dx * A + (0.5 * dx * dx) * (A @ A)
         powers = [G]
-        with np.errstate(over="ignore", invalid="ignore"):
-            while 2 ** len(powers) < x_extent:
-                powers.append(powers[-1] @ powers[-1])
+        while 2 ** len(powers) < x_extent:
+            powers.append(powers[-1] @ powers[-1])
         for s, P in enumerate(powers):
             if not np.all(np.isfinite(P)):
                 raise MarchAbortError(
@@ -471,7 +489,7 @@ class _Stepper:
 
     def fill_null(self, vals: np.ndarray) -> None:
         """Integrate d_x w = f + A w outward from the w_0 in column x = 0
-        of the slice values `vals`, in place.
+        of the slice values `vals`, in place, leaving that column as it is.
 
         Heun's step is w_{i+1} = G w_i + g_i with
         g_i = dx (f_i + f_{i+1}) / 2 + dx^2 A f_i / 2, built for the whole
@@ -481,15 +499,14 @@ class _Stepper:
         """
         nq, dx = self.nq, self.dx
         w = vals[nq:]
-        with np.errstate(over="ignore", invalid="ignore"):
-            f = self.forcing(vals[:nq], self._work)
-            np.add(f[:, :-1], f[:, 1:], out=w[:, 1:])
-            if not self.coupling.is_zero:
-                Af = self.coupling(f, self._work[self.forcing.work:])[:, :-1]
-                Af *= dx
-                w[:, 1:] += Af
-            w[:, 1:] *= 0.5 * dx
-            self._scan(w)
+        f = self.forcing(vals[:nq], self._work)
+        np.add(f[:, :-1], f[:, 1:], out=w[:, 1:])
+        if not self.coupling.is_zero:
+            Af = self.coupling(f, self._work[self.forcing.work:])[:, :-1]
+            Af *= dx
+            w[:, 1:] += Af
+        w[:, 1:] *= 0.5 * dx
+        self._scan(w)
 
     def _scan(self, w: np.ndarray) -> None:
         """w[i] <- sum_{k <= i} G^(i-k) w[k] along x, in place: a doubling
@@ -512,8 +529,8 @@ class _Stepper:
             product = None if spectral else \
                 self._work[:head.size].reshape(head.shape)
             z[:, d:] += np.einsum("...ab,bx...->ax...", P, head, out=product)
-        if spectral:
-            w[...] = np.fft.irfftn(z, s=w.shape[2:], axes=axes)
+        if spectral:   # column x = 0, w_0, stays the data it was
+            w[:, 1:] = np.fft.irfftn(z[:, 1:], s=w.shape[2:], axes=axes)
 
     def evolve(self, vals: np.ndarray, new: np.ndarray) -> None:
         """Upwind step of q from the slice values `vals` onto `new`, one x
@@ -523,16 +540,14 @@ class _Stepper:
         nq = self.nq
         q, head = vals[:nq], new[:nq]
         size = math.prod(head.shape[1:])
-        with np.errstate(over="ignore", invalid="ignore"):
-            # on the whole contiguous slice: its last x point is not read
-            src = self.source(vals, self._work)
-            start = self.source.work
-            d = self._work[start:start + head.size].reshape(head.shape)
-            np.subtract(q[:, 1:], q[:, :-1], out=d)
-            np.matmul(self.NuiNx, d.reshape(nq, size),
-                      out=head.reshape(nq, size))
-            np.subtract(q[:, :-1], head, out=head)
-            head -= src[:, :-1]
+        # on the whole contiguous slice: its last x point is not read
+        src = self.source(vals, self._work)
+        start = self.source.work
+        d = self._work[start:start + head.size].reshape(head.shape)
+        np.subtract(q[:, 1:], q[:, :-1], out=d)
+        np.matmul(self.NuiNx, d.reshape(nq, size), out=head.reshape(nq, size))
+        np.subtract(q[:, :-1], head, out=head)
+        head -= src[:, :-1]
 
 
 # At most one released trace mapping, the largest: a later march of that
@@ -619,19 +634,18 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
 
     `report` is the well-posedness report of the reduction that gave
     `canon`; systems whose verdict is not WELL_POSED are refused unless
-    force=True.  For each of the nx + 1 views of its store it writes q0
-    (slice 0) or takes the evolution step, writes w0 into column x = 0,
-    runs the hypersurface pass, checks each new block (inf or NaN raises
-    MarchAbortError naming it) and freezes the slice.  The returned trace
-    cannot change: its slices are a tuple of frozen slices with read-only
-    values.
+    force=True, and CFLError is never raised for one that is.  For each of
+    the nx + 1 views of its store it writes q0 (slice 0) or takes the
+    evolution step, writes w0 into column x = 0, runs the hypersurface
+    pass, checks each new block (inf or NaN, which an overflow leaves under
+    the march's np.errstate, raises MarchAbortError naming it) and freezes
+    the slice.  The returned trace cannot change: its slices are a tuple
+    of frozen slices with read-only values.
     """
     _validate(canon, grid, data)
     if report.verdict is not Verdict.WELL_POSED and not force:
         raise NotWellPosedError(
             f"verdict is {report.verdict.value}; pass force=True to march anyway")
-    stepper = _Stepper(canon, grid)
-
     tmeshes = grid.transverse_meshes()
     cells = tuple(t.cells for t in grid.transverse)
     xs = (np.arange(grid.nx + 1) * grid.dx).reshape(
@@ -642,9 +656,10 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
     # of max |q| and max |w|.  Data whose terms sum past the float range
     # is inf, and its own check names it before the pass reads it.
     slices, diagnostics = [], []
-    for j, vals in enumerate(_packed_slices(n, grid.nx, cells)):
-        u = j * grid.dx
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        stepper = _Stepper(canon, grid, report.tols)
+        for j, vals in enumerate(_packed_slices(n, grid.nx, cells)):
+            u = j * grid.dx
             if j == 0:
                 for a in range(nq):
                     vals[a] = evaluate_profile(data.q0[a], xs, tmeshes)
@@ -652,11 +667,12 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
                 stepper.evolve(slices[-1].values, vals)
             for a in range(m):
                 vals[nq + a, 0] = evaluate_profile(data.w0[a], u, tmeshes)
-        q_top = _finite_max(vals[:nq], u, "evolution step" if j else "q0 data")
-        _finite_max(vals[nq:, 0], u, "w0 data")
-        stepper.fill_null(vals)
-        w_top = _finite_max(vals[nq:], u, "hypersurface integration")
-        vals.flags.writeable = False
-        slices.append(SliceState(u_level=u, values=vals))
-        diagnostics.append(max(q_top, w_top))
+            q_top = _finite_max(vals[:nq], u,
+                                "evolution step" if j else "q0 data")
+            _finite_max(vals[nq:, 0], u, "w0 data")
+            stepper.fill_null(vals)
+            w_top = _finite_max(vals[nq:], u, "hypersurface integration")
+            vals.flags.writeable = False
+            slices.append(SliceState(u_level=u, values=vals))
+            diagnostics.append(max(q_top, w_top))
     return SolutionTrace(grid=grid, slices=slices, diagnostics=diagnostics)

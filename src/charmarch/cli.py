@@ -78,8 +78,6 @@ def _tolerances(spec: str, keys=_TOL_KEYS) -> Tolerances:
 
 
 _PRESET_SPLIT = re.compile(r",(?=(?:zero|sine:|gauss:))")
-_PRESET_KEYS = {"sine": ("amp", "k", "phase"),
-                "gauss": ("amp", "center", "width")}
 _TRANS_KEYS = ("ky", "kz")
 _TRANS_PHASE_KEYS = ("phasey", "phasez")
 
@@ -104,7 +102,7 @@ def parse_presets(spec: str, count: int, n_transverse: int):
         if ":" not in item:
             raise ValueError(f"bad preset '{item}'")
         kind, params = item.split(":", 1)
-        if kind not in _PRESET_KEYS:
+        if kind not in charsolve._TAKES:
             raise ValueError(f"unknown preset kind '{kind}'")
         kv = _numbers(params.split(","), "preset parameter")
         trans = []
@@ -112,7 +110,7 @@ def parse_presets(spec: str, count: int, n_transverse: int):
             kt = kv.pop(_TRANS_KEYS[j], 0.0)
             pt = kv.pop(_TRANS_PHASE_KEYS[j], 0.0)
             trans.append((kt, pt))
-        shape = {key: kv.pop(key) for key in _PRESET_KEYS[kind] if key in kv}
+        shape = {k: kv.pop(k) for k in charsolve._TAKES[kind] if k in kv}
         if kv:
             raise ValueError(f"preset {kind} does not take parameters: "
                              f"{', '.join(kv)}")

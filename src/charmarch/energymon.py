@@ -23,8 +23,8 @@ the R form and lies below level K when j + i < K; the corner averages
 are summed along each anti-diagonal j + i and then accumulated, so the
 volume integral of level K is one read, prefix[K] dx^2.  Each call
 evaluates only the form C^u + C^x on the diagonal points of its level:
-it copies the node (j, K - j) of each slice j into one preallocated
-plane and takes one form on it.
+it stacks the node (j, K - j) of each slice j into one plane and takes
+one form on it.
 
 Both kernels work on flattened views: a quadratic form v^T W v is one
 matrix product on the (components, points) view of a plane, summed as
@@ -194,10 +194,8 @@ def verify_estimate(trace: SolutionTrace, cf: CompactSystem,
     nq_sq = _line_integral(forms.q0, dx, K)
     nw_sq = _line_integral(forms.w0, dx, K)
     # sigma: the nodes (j, K - j) of level K, weight dx times the cell volume
-    first = trace.slices[0].values
-    plane = np.empty(first.shape[:1] + (K + 1,) + first.shape[2:])
-    for j in range(K + 1):
-        plane[:, j] = trace.slices[j].values[:, K - j]
+    plane = np.stack([trace.slices[j].values[:, K - j]
+                      for j in range(K + 1)], axis=1)
     sig = 0.0
     for g in _cell_sum(_quad_form(cf.C["u"] + cf.C["x"], plane),
                        trace).tolist():

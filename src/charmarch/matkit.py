@@ -279,12 +279,6 @@ def orthonormal_complete(vs, dim: int) -> np.ndarray:
     raise NotOrthonormalError("failed to complete an orthonormal basis")
 
 
-def _norm2(M: np.ndarray) -> float:
-    """||M||_2, the largest singular value, and 0 for an empty M: the
-    LAPACK call of np.linalg.norm(M, 2) without its axis handling."""
-    return float(np.linalg.svd(M, compute_uv=False)[0]) if M.size else 0.0
-
-
 def _fro(M: np.ndarray) -> float:
     """||M||_F by BLAS dnrm2, which scales and so neither underflows nor
     overflows where the squares would."""
@@ -313,7 +307,8 @@ def is_symmetric(M: np.ndarray, tols: Tolerances = Tolerances()) -> bool:
         return True
     if k / root_n * lo > tols.sym * max(m, tiny) * hi:
         return False
-    return bool(_norm2(K) <= tols.sym * max(_norm2(M), tiny))
+    return bool(np.linalg.norm(K, 2)
+                <= tols.sym * max(np.linalg.norm(M, 2), tiny))
 
 
 def _eigvalsh(S: np.ndarray) -> np.ndarray:

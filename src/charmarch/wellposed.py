@@ -53,24 +53,16 @@ class WellPosednessReport:
     def bound_factor(self, T: float) -> float:
         """e^{(r/c)T}; exactly 1 when R is non-negative (growth exponent 0),
         and math.inf where the exponential exceeds the largest float."""
-        return _bound_factor(self.growth_exponent, T)
-
-
-def _bound_factor(growth_exponent: float, T: float) -> float:
-    if growth_exponent == 0.0:
-        return 1.0
-    try:
-        return math.exp(growth_exponent * T)
-    except OverflowError:   # beyond the largest float: e^{(r/c)T} is inf
-        return math.inf
-
-
-def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+        if self.growth_exponent == 0.0:
+            return 1.0
+        try:
+            return math.exp(self.growth_exponent * T)
+        except OverflowError:   # beyond the largest float: e^{(r/c)T} is inf
+            return math.inf
 
 
 def _classify(M: np.ndarray, tols: Tolerances) -> DefinitenessClass:
-    return matkit.classify_definiteness(_sym(M), tols)
+    return matkit.classify_definiteness(0.5 * (M + M.T), tols)
 
 
 def _growth(cf: CompactSystem, cls_sum: DefinitenessClass,

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -163,6 +163,51 @@ class TestEvolutionStep:
             w0=((cm.ProfileTerm(kind="sine", amp=1.2, k=1.0),),))
         grid = wave_grid(nx=6, cy=4, cz=4)
         assert cm.march(canon, grid, data, report=report).n_slices == 7
+
+    def test_round_off_speed_of_a_well_posed_system_marches(self,
+                                                            wave_canon):
+        # Nx's eigenvalue 5e-12 is zero at the verdict's tolerance, and so
+        # is the speed it gives Nu^-1 Nx, though it fails an eigenvalue
+        # test with a 1e-12 slack
+        Nx = wave_canon.Nx.copy()
+        Nx[2, 2] = 5e-12
+        canon = dataclasses.replace(wave_canon, Nx=Nx)
+        report = cm.check_criteria(cm.compact_form(canon))
+        assert report.verdict is Verdict.WELL_POSED
+        assert max(np.linalg.eigvals(np.linalg.solve(canon.Nu, Nx)).real) \
+            > 1e-12
+        data = cm.DataSpec(q0=((cm.ProfileTerm(kind="sine"),), (), ()),
+                           w0=((),))
+        trace = cm.march(canon, wave_grid(nx=8, cy=4, cz=4), data,
+                         report=report)
+        assert trace.n_slices == 9
+
+    # seeds whose zero speed comes out of Nu^-1 Nx above 1e-12
+    @example(seed=6)
+    @example(seed=40)
+    @example(seed=50)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_well_posed_report_never_meets_cfl_error(self, wave_canon, seed):
+        # Nu = Q diag(10^U(-4, 4)) Q^T and Nx = -L Q2 diag(mu) Q2^T L^T with
+        # L = chol(Nu), mu in [0, 0.999) and, half the time, one mu = 0: the
+        # round-off in the eigenvalues of Nu^-1 Nx grows with cond(Nu), past
+        # any fixed eigenvalue slack
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        Nu = (Q * 10.0 ** rng.uniform(-4.0, 4.0, 3)) @ Q.T
+        L = np.linalg.cholesky(Nu)
+        Q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        mu = rng.uniform(0.0, 0.999, 3)
+        if rng.random() < 0.5:
+            mu[0] = 0.0
+        canon = dataclasses.replace(wave_canon, Nu=Nu,
+                                    Nx=-(L @ ((Q2 * mu) @ Q2.T) @ L.T))
+        report = cm.check_criteria(cm.compact_form(canon))
+        assume(report.verdict is Verdict.WELL_POSED)
+        data = cm.DataSpec(q0=((), (), ()), w0=((),))
+        grid = wave_grid(nx=2, cy=4, cz=4)
+        assert cm.march(canon, grid, data, report=report).n_slices == 3
 
 
 class TestMarch:
@@ -554,6 +599,20 @@ class TestMarchMatchesOracle:
         # nx = 128 takes the scan of the hypersurface pass up to G^64
         canon = _coupled_system(system, wave_canon, damped_wave_pipeline)
         self._assert_matches(canon, wave_report, nx=128)
+
+    @pytest.mark.parametrize("system", ["w_coupled", "damped_w_coupled"])
+    def test_w0_column_is_the_data(self, system, wave_canon, wave_report,
+                                   damped_wave_pipeline):
+        # the spectral scan of transverse null coupling writes w behind
+        # x = 0 only: the column is the data march wrote, bit for bit
+        canon = _coupled_system(system, wave_canon, damped_wave_pipeline)
+        grid = wave_grid(nx=16, cy=8, cz=4, X=1.0)
+        trace = cm.march(canon, grid, self.DATA, report=wave_report,
+                         force=True)
+        tmeshes = grid.transverse_meshes()
+        for s in trace.slices:
+            assert np.array_equal(s.values[3, 0], charsolve.evaluate_profile(
+                self.DATA.w0[0], s.u_level, tmeshes))
 
     def _assert_matches(self, canon, report, nx):
         grid = wave_grid(nx=nx, cy=8, cz=4, X=1.0)
