@@ -8,8 +8,9 @@ q'[i] = q[i] - Nu^-1 Nx (q[i+1] - q[i]) - src[i] in x and centered periodic
 transverse differences.  The march steps du = dx, which meets the CFL
 condition of that scheme for every WELL_POSED system: Nu > 0, Nx <= 0 and
 Nu + Nx > 0 put the eigenvalues of Nu^-1 Nx in (-1, 0], where the step is
-Friedrichs' positive scheme, exact for the speeds 0 and -1; where
-round-off puts one outside [-1, 0], the CFL check decides by those signs.
+Friedrichs' positive scheme, exact for the speeds 0 and -1.  Where
+round-off or the verdict's zero band puts one outside [-1, 0], those signs
+bound how far it may be.
 One x-cell is trimmed per step, so no outer-x boundary condition is needed.
 
 The hypersurface right-hand side is linear in v = (q, w) and q is known on
@@ -60,14 +61,15 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import matkit
 from .canonical import CanonicalSystem
-from .matkit import Definiteness, NotSymmetricError, Tolerances
-from .wellposed import Verdict, WellPosednessReport, _classify
+from .wellposed import Verdict, WellPosednessReport
 
 
 class CFLError(ValueError):
-    """An eigenvalue of Nu^-1 Nx is not real or lies outside [-1, 0], so the
-    upwind step du = dx is unstable (never when WELL_POSED)."""
+    """An eigenvalue of Nu^-1 Nx is not real or lies outside [-1, 0], beyond
+    the slack the verdict's signs give, so the upwind step du = dx is
+    unstable."""
 
 
 class NotWellPosedError(RuntimeError):
@@ -399,15 +401,23 @@ def _finite_max(block: np.ndarray, u_level: float, what: str) -> float:
     return top
 
 
-def _signs_bound_speeds(Nu, Nx, tols: Tolerances) -> bool:
-    """The verdict's signs at tols: symmetric Nu > 0, Nx <= 0 and Nu + Nx >= 0
-    put each eigenvalue v Nx v / v Nu v of Nu^-1 Nx in [-1, 0]."""
+def _sign_rule_slack(P, Nu, Nx, tols: matkit.Tolerances) -> float:
+    """How far an eigenvalue of P = Nu^-1 Nx may lie outside [-1, 0] where
+    the verdict's signs at tols, symmetric Nu > 0, Nx <= 0 and Nu + Nx >= 0,
+    put the exact ones inside: the zero band tols.eig on P's scale (on Nx's
+    it would pass 1 / lambda_min(Nu) times the band) plus the round-off of
+    forming P, n eps cond(Nu) ||P||.  0.0 where the signs do not hold."""
     try:
-        return (_classify(Nu, tols).tag is Definiteness.POSITIVE_DEFINITE
-                and _classify(Nx, tols).is_nonpositive()
-                and _classify(Nu + Nx, tols).is_nonnegative())
-    except NotSymmetricError:   # another pencil: the eigenvalue test stands
-        return False
+        cls = [matkit.classify_definiteness(M, tols)
+               for M in (Nu, Nx, Nu + Nx)]
+    except matkit.NotSymmetricError:
+        return 0.0
+    if not (cls[0].tag is matkit.Definiteness.POSITIVE_DEFINITE
+            and cls[1].is_nonpositive() and cls[2].is_nonnegative()):
+        return 0.0
+    lam = cls[0].eigenvalues
+    return (tols.eig + len(lam) * np.finfo(float).eps * lam[-1] / lam[0]) \
+        * float(np.linalg.norm(P, 2))
 
 
 class _Stepper:
@@ -420,7 +430,7 @@ class _Stepper:
     slice uses: real m x m matrices when A is pointwise, one per transverse
     Fourier mode when it is not, none when A = 0.  Evolution by one step
     du = dx: Nu^-1 Nx, checked here for the CFL condition (its eigenvalues,
-    else the verdict's sign rule at `tols`) before anything else is built
+    up to the verdict's slack at `tols`) before anything else is built
     from it, and the source operator dx Nu^-1 (N0 v + N^i d_i v).
 
     The stepper only computes, in place on the slice values it is given:
@@ -432,7 +442,7 @@ class _Stepper:
     """
 
     def __init__(self, canon: CanonicalSystem, grid: GridSpec,
-                 tols: Tolerances = Tolerances()):
+                 tols: matkit.Tolerances = matkit.Tolerances()):
         nq = canon.nq
         names = canon.transverse_names
         width = grid.nx + 1
@@ -447,12 +457,12 @@ class _Stepper:
         self.NuiNx = Nui @ canon.Nx
         # the upwind x step with du = dx is stable only when every
         # eigenvalue of the P = Nu^-1 Nx it multiplies by is real and in
-        # [-1, 0].  Round-off in P grows with cond(Nu), so where one is
-        # not, the verdict's sign rule decides; CFLError names it
+        # [-1, 0].  Where one is not, the verdict's signs bound how far it
+        # may be (`_sign_rule_slack`); CFLError names the first beyond that
         for lam in np.linalg.eigvals(self.NuiNx):
-            if abs(lam.imag) > 1e-12 or not -1.0 - 1e-12 <= lam.real <= 1e-12:
-                if _signs_bound_speeds(canon.Nu, canon.Nx, tols):
-                    break
+            excess = max(abs(lam.imag), lam.real, -1.0 - lam.real)
+            if excess > 1e-12 and excess > _sign_rule_slack(
+                    self.NuiNx, canon.Nu, canon.Nx, tols):
                 raise CFLError(f"eigenvalue {lam:.6g} of Nu^-1 Nx is outside "
                                f"[-1, 0]: the upwind step du = dx is unstable")
         self.source = _FieldOperator(
@@ -634,7 +644,8 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
 
     `report` is the well-posedness report of the reduction that gave
     `canon`; systems whose verdict is not WELL_POSED are refused unless
-    force=True, and CFLError is never raised for one that is.  For each of
+    force=True, and CFLError refuses one only for a speed that the upwind
+    step amplifies and the verdict's zero band hides.  For each of
     the nx + 1 views of its store it writes q0 (slice 0) or takes the
     evolution step, writes w0 into column x = 0, runs the hypersurface
     pass, checks each new block (inf or NaN, which an overflow leaves under

@@ -182,17 +182,47 @@ class TestEvolutionStep:
                          report=report)
         assert trace.n_slices == 9
 
+    def test_speed_hidden_by_the_verdicts_band_is_refused(self, wave_canon):
+        # Nx's eigenvalue 4e-11 is zero at the verdict's tolerance, but
+        # divided by lambda_min(Nu) = 1e-8 it is the speed +4e-3 of
+        # Nu^-1 Nx, where the upwind step grows by about 1.008 per slice
+        canon = dataclasses.replace(wave_canon, Nu=np.diag([1.0, 1.0, 1e-8]),
+                                    Nx=np.diag([-0.5, 0.0, 4e-11]))
+        report = cm.check_criteria(cm.compact_form(canon))
+        assert report.verdict is Verdict.WELL_POSED
+        data = cm.DataSpec(q0=((), (), ()), w0=((),))
+        with pytest.raises(CFLError, match="eigenvalue 0.004 of Nu"):
+            cm.march(canon, wave_grid(nx=8, cy=4, cz=4), data, report=report)
+
+    @pytest.mark.parametrize("force", [True, False])
+    def test_complex_speeds_are_refused(self, wave_canon, wave_report, force):
+        # the symmetric parts of Nu = I and Nx pass Nu > 0, Nx <= 0 and
+        # Nu + Nx >= 0, but Nu^-1 Nx = Nx has the eigenvalues -0.5 +- 0.6i;
+        # force=True, or a WELL_POSED report of another system, reaches
+        # the guard
+        Nx = np.zeros((3, 3))
+        Nx[:2, :2] = [[-0.5, 0.6], [-0.6, -0.5]]
+        canon = dataclasses.replace(wave_canon, Nu=np.eye(3), Nx=Nx)
+        report = cm.check_criteria(cm.compact_form(canon)) if force \
+            else wave_report
+        assert (report.verdict is Verdict.WELL_POSED) is not force
+        data = cm.DataSpec(q0=((), (), ()), w0=((),))
+        with pytest.raises(CFLError, match=r"eigenvalue -0.5[+-]0.6j of Nu"):
+            cm.march(canon, wave_grid(nx=8, cy=4, cz=4), data, report=report,
+                     force=force)
+
     # seeds whose zero speed comes out of Nu^-1 Nx above 1e-12
     @example(seed=6)
     @example(seed=40)
     @example(seed=50)
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_well_posed_report_never_meets_cfl_error(self, wave_canon, seed):
+    def test_round_off_speeds_meet_no_cfl_error(self, wave_canon, seed):
         # Nu = Q diag(10^U(-4, 4)) Q^T and Nx = -L Q2 diag(mu) Q2^T L^T with
         # L = chol(Nu), mu in [0, 0.999) and, half the time, one mu = 0: the
         # round-off in the eigenvalues of Nu^-1 Nx grows with cond(Nu), past
-        # any fixed eigenvalue slack
+        # any fixed eigenvalue slack, and a WELL_POSED report of these
+        # draws never meets CFLError
         rng = np.random.default_rng(seed)
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         Nu = (Q * 10.0 ** rng.uniform(-4.0, 4.0, 3)) @ Q.T
