@@ -55,7 +55,6 @@ class CanonicalSystem:
     m: int
     n_unknowns: int
     transverse_names: tuple
-    variable_names: tuple
     Nu: np.ndarray
     Nx: np.ndarray
     Ni: dict = field(repr=False)
@@ -73,6 +72,12 @@ class CanonicalSystem:
     def nq(self) -> int:
         return self.n_unknowns - self.m
 
+    @property
+    def variable_names(self) -> tuple:
+        """The names of v = (q_1..q_{N-m}, w_1..w_m)."""
+        return tuple(f"q{k + 1}" for k in range(self.nq)) + \
+            tuple(f"w{k + 1}" for k in range(self.m))
+
 
 @dataclass(frozen=True, eq=False)
 class CompactSystem:
@@ -82,11 +87,15 @@ class CompactSystem:
     transverse_names: tuple
     C: dict = field(repr=False)
     Dc: np.ndarray = field(repr=False)
-    R: np.ndarray = field(repr=False)
 
     @property
     def nq(self) -> int:
         return self.n - self.m
+
+    @property
+    def R(self) -> np.ndarray:
+        """R = 2 Dc, the matrix of the volume term of the energy identity."""
+        return 2.0 * self.Dc
 
     @property
     def Nu(self) -> np.ndarray:
@@ -212,12 +221,10 @@ def split_and_reduce(cs: CharacteristicStructure, B: SideMatrices,
     # the rank of Nu, then b = 0 as z~ is orthonormal; and M is regular
     row_transform = np.vstack([S[rows] - Fw @ Minv @ Ztil, Minv @ Ztil])
 
-    names = tuple(f"q{k + 1}" for k in range(nq)) + \
-        tuple(f"w{k + 1}" for k in range(m))
     return CanonicalSystem(
-        m=m, n_unknowns=n, transverse_names=B.transverse_names,
-        variable_names=names, Nu=Nu, Nx=Nx, Ni=Ni, N0=N0, Li=Li, L0=L0,
-        M=M, to_hat=to_hat, row_transform=row_transform)
+        m=m, n_unknowns=n, transverse_names=B.transverse_names, Nu=Nu,
+        Nx=Nx, Ni=Ni, N0=N0, Li=Li, L0=L0, M=M, to_hat=to_hat,
+        row_transform=row_transform)
 
 
 def compact_form(canon: CanonicalSystem) -> CompactSystem:
@@ -233,4 +240,4 @@ def compact_form(canon: CanonicalSystem) -> CompactSystem:
         C[name] = np.vstack([canon.Ni[name], canon.Li[name]])
     Dc = np.vstack([canon.N0, canon.L0])
     return CompactSystem(m=m, n=n, transverse_names=canon.transverse_names,
-                         C=C, Dc=Dc, R=2.0 * Dc)
+                         C=C, Dc=Dc)

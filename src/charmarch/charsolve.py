@@ -120,6 +120,11 @@ class GridSpec:
     def dx(self) -> float:
         return self.X_total / self.nx
 
+    @property
+    def cells(self) -> tuple:
+        """The cell count of each transverse axis."""
+        return tuple(t.cells for t in self.transverse)
+
     def transverse_meshes(self):
         """Open periodic grids, meshed with indexing='ij'."""
         return list(np.meshgrid(*(np.arange(t.cells) * t.h
@@ -298,7 +303,7 @@ class _FieldOperator:
     def __init__(self, M0, Mt, grid: GridSpec, width: int):
         self.rows, self.cols = M0.shape
         self.M0 = M0 if np.any(M0) else None
-        self.cells = tuple(t.cells for t in grid.transverse)
+        self.cells = grid.cells
         nt = len(self.cells)
         self.terms = [(M / (2.0 * t.h), j - nt)
                       for j, (M, t) in enumerate(zip(Mt, grid.transverse))
@@ -468,7 +473,6 @@ class _Stepper:
         self.source = _FieldOperator(
             grid.dx * Nui @ canon.N0,
             [grid.dx * Nui @ canon.Ni[k] for k in names], grid, width)
-        cells = tuple(t.cells for t in grid.transverse)
         self.powers = [] if self.coupling.is_zero else \
             self._propagator_powers(width)
         # the step temporaries: those of the hypersurface pass (the
@@ -476,10 +480,10 @@ class _Stepper:
         # G^d w[:-d]) and those of the evolution step (the source, then the
         # x difference of q) share one buffer
         scan = 0 if self.coupling.terms or not self.powers else \
-            canon.m * width * math.prod(cells)
+            canon.m * width * math.prod(grid.cells)
         self._work = np.empty(max(
             self.forcing.work + self.coupling.work, scan,
-            self.source.work + nq * width * math.prod(cells)))
+            self.source.work + nq * width * math.prod(grid.cells)))
 
     def _propagator_powers(self, x_extent: int) -> list:
         """G^(2^s) for every 2^s < x_extent; an overflow is an abort."""
@@ -658,9 +662,8 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
         raise NotWellPosedError(
             f"verdict is {report.verdict.value}; pass force=True to march anyway")
     tmeshes = grid.transverse_meshes()
-    cells = tuple(t.cells for t in grid.transverse)
     xs = (np.arange(grid.nx + 1) * grid.dx).reshape(
-        (grid.nx + 1,) + (1,) * len(cells))
+        (grid.nx + 1,) + (1,) * len(grid.transverse))
     nq, m, n = canon.nq, canon.m, canon.n_unknowns
 
     # slice j lies at u = j dx; diagnostics[j] = max |v| on it, the larger
@@ -669,7 +672,7 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
     slices, diagnostics = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         stepper = _Stepper(canon, grid, report.tols)
-        for j, vals in enumerate(_packed_slices(n, grid.nx, cells)):
+        for j, vals in enumerate(_packed_slices(n, grid.nx, grid.cells)):
             u = j * grid.dx
             if j == 0:
                 for a in range(nq):

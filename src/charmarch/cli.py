@@ -6,7 +6,6 @@ import dataclasses
 import errno
 import functools
 import io
-import math
 import os
 import re
 import sys
@@ -16,15 +15,12 @@ import numpy as np
 from . import builtin, charsolve, energymon, sysmodel, wellposed
 from .charsolve import DataSpec, GridSpec, ProfileTerm, TransverseAxis
 from .matkit import Tolerances
+from .sysmodel import _fmt
 from .wellposed import Verdict
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_WELL_POSED = 2
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 def _print_matrix(out, label: str, M: np.ndarray):
@@ -183,8 +179,7 @@ def cmd_check(args, out):
     out.write(f"r = {_fmt(rep.r)}\n")
     out.write(f"c = {_fmt(rep.c)}\n")
     out.write(f"growth exponent r/c = {_fmt(rep.growth_exponent)}\n")
-    out.write("T_max = " + ("inf" if math.isinf(rep.T_max)
-                            else _fmt(rep.T_max)) + "\n")
+    out.write(f"T_max = {_fmt(rep.T_max)}\n")
     out.write(f"time function u+x ok: {'yes' if rep.time_function_ok else 'no'}\n")
     return EXIT_OK if rep.verdict is not Verdict.NOT_WELL_POSED \
         else EXIT_NOT_WELL_POSED
@@ -197,7 +192,7 @@ def cmd_solve(args, out):
                             report=a.report, force=args.force)
     out.write("u,x_extent,max_abs_v\n")
     for s, diag in zip(trace.slices, trace.diagnostics):
-        out.write("%.17g,%d,%.17g\n" % (s.u_level, s.x_extent, diag))
+        out.write(f"{_fmt(s.u_level)},{s.x_extent},{_fmt(diag)}\n")
     return EXIT_OK
 
 

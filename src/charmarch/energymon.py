@@ -10,21 +10,21 @@ passes through the nodes (j, K - j); every term is read at that one level,
 and off-grid T is snapped to it with one warning.
 
 `verify_estimate` is the one energy check: its report carries the data
-norms, sigma, the bound and the balance residual.  A trace cannot change,
-so the per-slice forms of a compact system are built in one pass on its
-first call and kept on the trace as one record, keyed by the content of
-C^u, C^x and R and by nq: the Nu form cell-summed over x on slice 0, the
-|w|^2 and C^x forms on one stack of the x = 0 column, and the volume term
-as a prefix sum.  C^u = blockdiag(Nu, 0), so the C^u flux through u = 0
-in the energy identity is ||q0||^2_Nu itself, and the balance reads it
-from the q0 norm.  The volume cell (j, i), between slices
-j - 1 and j at x from i dx to (i + 1) dx, carries the corner average of
-the R form and lies below level K when j + i < K; the corner averages
-are summed along each anti-diagonal j + i and then accumulated, so the
-volume integral of level K is one read, prefix[K] dx^2.  Each call
-evaluates only the form C^u + C^x on the diagonal points of its level:
-it stacks the node (j, K - j) of each slice j into one plane and takes
-one form on it.
+norms, sigma, the bound and the balance residual, and its CSV header is
+the report's field names.  A trace cannot change, so the per-slice forms
+of a compact system are built in one pass on its first call and kept on
+the trace as one record, keyed by the content of C^u, C^x and Dc
+(R = 2 Dc) and by nq: the Nu form cell-summed over x on slice 0, the |w|^2
+and C^x forms on one stack of the x = 0 column, and the volume term as a
+prefix sum.  C^u = blockdiag(Nu, 0), so the C^u flux through u = 0 in the
+energy identity is ||q0||^2_Nu itself, and the balance reads it from the
+q0 norm.  The volume cell (j, i), between slices j - 1 and j at x from
+i dx to (i + 1) dx, carries the corner average of the R form and lies
+below level K when j + i < K; the corner averages are summed along each
+anti-diagonal j + i and then accumulated, so the volume integral of
+level K is one read, prefix[K] dx^2.  Each call evaluates only the form
+C^u + C^x on the diagonal points of its level: it stacks the node
+(j, K - j) of each slice j into one plane and takes one form on it.
 
 Both kernels work on flattened views: a quadratic form v^T W v is one
 matrix product on the (components, points) view of a plane, summed as
@@ -35,17 +35,18 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .canonical import CompactSystem
 from .charsolve import GridSpec, SolutionTrace
+from .sysmodel import _fmt
 from .wellposed import Verdict, WellPosednessReport
 
 
 class RangeError(ValueError):
-    """Requested T exceeds the region covered by the trace."""
+    """Requested T is not finite or lies outside the trace's grid levels."""
 
 
 class EstimateHorizonError(ValueError):
@@ -63,14 +64,13 @@ class EnergyReport:
     balance_residual: float
     holds: bool
 
-    CSV_HEADER = ("T,norm_q0_sq,norm_w0_sq,sigma_norm_sq,bound,margin,"
-                  "balance_residual,holds")
-
     def csv_row(self) -> str:
-        return "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s" % (
-            self.T, self.norm_q0_sq, self.norm_w0_sq, self.sigma_norm_sq,
-            self.bound, self.margin, self.balance_residual,
-            "true" if self.holds else "false")
+        """The fields in CSV_HEADER's order, holds as true or false."""
+        *numbers, holds = (getattr(self, f.name) for f in fields(self))
+        return ",".join([*map(_fmt, numbers), "true" if holds else "false"])
+
+
+EnergyReport.CSV_HEADER = ",".join(f.name for f in fields(EnergyReport))
 
 
 def _quad_form(W: np.ndarray, plane: np.ndarray) -> np.ndarray:
@@ -85,13 +85,11 @@ def _cell_sum(pointwise: np.ndarray, trace: SolutionTrace) -> np.ndarray:
     """Sum over transverse cells times the transverse cell volume.
 
     Input has shape (...) + cells; output drops the transverse axes.  The
-    cells are summed in one reduction over their flattened axes.
+    cells, one when there are none, are summed in one reduction.
     """
-    nt = len(trace.grid.transverse)
-    if nt:
-        pointwise = pointwise.reshape(
-            pointwise.shape[:-nt] + (-1,)).sum(axis=-1)
-    return pointwise * trace.grid.transverse_cell_volume()
+    lead = pointwise.shape[:pointwise.ndim - len(trace.grid.transverse)]
+    return pointwise.reshape(lead + (-1,)).sum(axis=-1) \
+        * trace.grid.transverse_cell_volume()
 
 
 def _line_integral(g: np.ndarray, h: float, K: int) -> float:
@@ -140,15 +138,16 @@ class _Forms:
 def _forms(trace: SolutionTrace, cf: CompactSystem) -> _Forms:
     """The forms of cf on trace, built in one pass on first use and kept
     on the trace, which cannot change, so they never go stale."""
-    key = (_content(cf.C["u"]), _content(cf.C["x"]), _content(cf.R), cf.nq)
+    key = (_content(cf.C["u"]), _content(cf.C["x"]), _content(cf.Dc), cf.nq)
     if key not in trace._forms:
         col = np.stack([s.values[:, 0] for s in trace.slices], axis=1)
         # the cell (j, i) between slices j - 1 and j lies below level K
         # when j + i < K: sum the cells along each anti-diagonal j + i,
         # then along the levels
         diagonal = np.zeros(trace.n_slices)
-        if np.any(cf.R):
-            rows = [_row(trace, cf.R, j) for j in range(trace.n_slices)]
+        R = cf.R
+        if np.any(R):
+            rows = [_row(trace, R, j) for j in range(trace.n_slices)]
             for j, (gl, gh) in enumerate(zip(rows, rows[1:]), start=1):
                 n = min(len(gl), len(gh)) - 1
                 diagonal[j:j + n] += \
@@ -180,11 +179,13 @@ def verify_estimate(trace: SolutionTrace, cf: CompactSystem,
     horizon c/r and ctol are those of `report`; the discrete tolerance is
     tol_h = ctol * dx scaled by the data norms (first-order scheme).
     Every field but T is that of the grid level K of T, the factor too.
-    Raises EstimateHorizonError when T or its level is at or beyond the
-    validity horizon c/r of the exponential branch.
+    Raises RangeError for a T that is not finite, and EstimateHorizonError
+    for a T or level at or beyond the horizon c/r of the exponential branch.
     """
     if report.verdict is not Verdict.WELL_POSED:
         raise ValueError("verify_estimate requires a WELL_POSED verdict")
+    if not math.isfinite(T):
+        raise RangeError(f"T={T!r} is not finite")
     dx = trace.grid.dx
     K = _level(trace, T) if T < report.T_max else None
     if K is None or K * dx >= report.T_max:

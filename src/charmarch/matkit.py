@@ -66,6 +66,14 @@ lapack = _load_compiled("_flapack")
 blas = _load_compiled("_fblas")
 
 
+def _lapack(name: str, *args, **kw) -> list:
+    """lapack.<name>(*args, **kw) less its status, which must be 0."""
+    *out, info = getattr(lapack, name)(*args, **kw)
+    if info:
+        raise np.linalg.LinAlgError(f"{name} failed with info={info}")
+    return out
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """The tolerances of one analysis, the only way to set one: rank
@@ -130,12 +138,16 @@ class DefinitenessClass:
         )
 
 
+def _require_finite(M, what: str):
+    if not np.all(np.isfinite(M)):
+        raise ValueError(f"{what} has non-finite entries")
+
+
 def as_square(M) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise MatrixShapeError(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix has non-finite entries")
+    _require_finite(M, "matrix")
     return M
 
 
@@ -172,9 +184,7 @@ def _pivoted_qr(M: np.ndarray, tol: float, ref: np.ndarray | None = None):
     # np.linalg.norm(Rs, axis=0).max(): sqrt is monotone and correctly
     # rounded, so it is taken once, on the largest sum of squares
     scale = math.sqrt(float((Rs * Rs).sum(axis=0).max()))
-    qr, jpvt, tau, _, info = lapack.dgeqp3(M)
-    if info:
-        raise np.linalg.LinAlgError(f"dgeqp3 failed with info={info}")
+    qr, jpvt, tau, _ = _lapack("dgeqp3", M)
     rank = int(np.sum(np.abs(np.diag(qr)) * s > tol * scale))
     return qr, jpvt - 1, rank, tau
 
@@ -195,24 +205,15 @@ def _null_bases(M: np.ndarray, tol: float):
     # R11 X = -R12 as R11^T's transpose solve: what solve_triangular
     # calls for an R11 that is not F-contiguous; dtrtrs reads only the
     # upper triangle of qr
-    X, info = lapack.dtrtrs(qr[:rank, :rank].T, -qr[:rank, rank:],
-                            lower=1, trans=1)
-    if info:
-        raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
-    B = np.vstack([X, np.eye(n - rank)])
+    X, = _lapack("dtrtrs", qr[:rank, :rank].T, -qr[:rank, rank:],
+                 lower=1, trans=1)
     basis = np.zeros((n, n - rank))
-    basis[p, :] = B
+    basis[p, :] = np.vstack([X, np.eye(n - rank)])
     # np.linalg.qr's Q: dgeqrf then dorgqr
-    qf, tau_b, _, info = lapack.dgeqrf(basis)
-    if info:
-        raise np.linalg.LinAlgError(f"dgeqrf failed with info={info}")
-    Q, _, info = lapack.dorgqr(qf, tau_b)
-    if info:
-        raise np.linalg.LinAlgError(f"dorgqr failed with info={info}")
+    qf, tau_b, _ = _lapack("dgeqrf", basis)
+    Q, _ = _lapack("dorgqr", qf, tau_b)
     right = np.ascontiguousarray(Q).T
-    Q, _, info = lapack.dorgqr(qr, tau)
-    if info:
-        raise np.linalg.LinAlgError(f"dorgqr failed with info={info}")
+    Q, _ = _lapack("dorgqr", qr, tau)
     return rank, _fix_signs(right, tol), _fix_signs(Q[:, rank:].T, tol)
 
 
@@ -317,10 +318,7 @@ def _eigvalsh(S: np.ndarray) -> np.ndarray:
     an empty array for an empty S."""
     if not len(S):
         return np.zeros(0)
-    w, _, info = lapack.dsyevd(S, compute_v=0, lower=1)
-    if info:
-        raise np.linalg.LinAlgError(f"dsyevd failed with info={info}")
-    return w
+    return _lapack("dsyevd", S, compute_v=0, lower=1)[0]
 
 
 def classify_definiteness(M, tols: Tolerances = Tolerances()

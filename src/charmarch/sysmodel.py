@@ -27,11 +27,6 @@ class NotCharacteristicError(ValueError):
     """det B^u != 0: the surface u = const is not characteristic."""
 
 
-def _require_finite(M, what: str):
-    if not np.all(np.isfinite(M)):
-        raise ValueError(f"{what} has non-finite entries")
-
-
 @dataclass(frozen=True, eq=False)
 class FirstOrderSystem:
     """The matrices are kept as the float arrays that were validated.  The
@@ -66,10 +61,10 @@ class FirstOrderSystem:
         for name, M in A.items():
             if M.shape != (self.n_unknowns, self.n_unknowns):
                 raise ValueError(f"matrix A {name} has wrong shape")
-            _require_finite(M, f"matrix A {name}")
+            matkit._require_finite(M, f"matrix A {name}")
         if D.shape != (self.n_unknowns, self.n_unknowns):
             raise ValueError("matrix D has wrong shape")
-        _require_finite(D, "matrix D")
+        matkit._require_finite(D, "matrix D")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "D", D)
 
@@ -95,8 +90,8 @@ class Chart:
         n = J.shape[0]
         if offsets.shape != (n,):
             raise ValueError("offsets length must match n_coords")
-        _require_finite(J, "chart Jacobian")
-        _require_finite(offsets, "chart offsets")
+        matkit._require_finite(J, "chart Jacobian")
+        matkit._require_finite(offsets, "chart offsets")
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "offsets", offsets)
         # built before any tolerance is known: the default rank tolerance

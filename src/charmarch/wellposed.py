@@ -5,7 +5,8 @@ the normal u-block Nu is positive definite, the normal x-block Nx is
 non-positive, and Nu + Nx is positive definite (the surfaces u + x = T are
 then spatial).  The growth parameters r = max |R_ij| and c = min eig(C^u+C^x)
 give the bound factor e^{(r/c)T}, valid for T < c/r; the factor is 1 when R
-is non-negative.
+is non-negative.  The report stores r, c and the sign class of R, and
+computes the growth exponent r/c and the horizon T_max = c/r from them.
 """
 from __future__ import annotations
 
@@ -43,12 +44,24 @@ class WellPosednessReport:
     class_NuPlusNx: DefinitenessClass
     class_R: DefinitenessClass
     verdict: Verdict
-    r: float
-    c: float
-    growth_exponent: float
-    T_max: float
+    r: float            # max |R_ij|
+    c: float            # min eig(C^u + C^x) = min(eig(Nu + Nx), 1 if m)
     time_function_ok: bool
     tols: Tolerances    # the tolerances the criteria were checked at
+
+    @property
+    def growth_exponent(self) -> float:
+        """r/c; 0 when R is non-negative or r = 0, inf when c <= 0."""
+        if self.class_R.is_nonnegative() or self.r == 0.0:
+            return 0.0
+        return self.r / self.c if self.c > 0.0 else math.inf
+
+    @property
+    def T_max(self) -> float:
+        """c/r; inf when R is non-negative or r = 0, 0 when c <= 0."""
+        if self.class_R.is_nonnegative() or self.r == 0.0:
+            return math.inf
+        return self.c / self.r if self.c > 0.0 else 0.0
 
     def bound_factor(self, T: float) -> float:
         """e^{(r/c)T}; exactly 1 when R is non-negative (growth exponent 0),
@@ -63,20 +76,6 @@ class WellPosednessReport:
 
 def _classify(M: np.ndarray, tols: Tolerances) -> DefinitenessClass:
     return matkit.classify_definiteness(0.5 * (M + M.T), tols)
-
-
-def _growth(cf: CompactSystem, cls_sum: DefinitenessClass,
-            cls_R: DefinitenessClass):
-    """(r, c, T_max, growth exponent) of the bound e^{(r/c)T}, T < c/r;
-    T_max = 0 and the exponent infinite when c <= 0 (no norm on Sigma_T).
-    c = min(eig(Nu + Nx), 1), as C^u + C^x = blockdiag(Nu + Nx, I_m)."""
-    r = float(np.abs(cf.R).max()) if cf.R.size else 0.0
-    c = min(cls_sum.eigenvalues + ((1.0,) if cf.m else ()))
-    if cls_R.is_nonnegative() or r == 0.0:
-        return r, c, math.inf, 0.0
-    if c > 0.0:
-        return r, c, c / r, r / c
-    return r, c, 0.0, math.inf
 
 
 def check_criteria(cf: CompactSystem,
@@ -103,11 +102,11 @@ def check_criteria(cf: CompactSystem,
     else:
         verdict = Verdict.NOT_WELL_POSED
 
-    r, c, T_max, growth = _growth(cf, cls_sum, cls_R)
     return WellPosednessReport(
         symmetric_Ca=symmetric, class_Nu=cls_Nu, class_Nx=cls_Nx,
         class_NuPlusNx=cls_sum, class_R=cls_R, verdict=verdict,
-        r=r, c=c, growth_exponent=growth, T_max=T_max,
+        r=float(np.abs(cf.R).max()) if cf.R.size else 0.0,
+        c=min(cls_sum.eigenvalues + ((1.0,) if cf.m else ())),
         # with no q unknowns C^u + C^x = I_m, though the empty Nu + Nx
         # is classified ZERO
         time_function_ok=sum_pd or cf.nq == 0, tols=tols)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import charmarch as cm
@@ -243,6 +243,14 @@ class TestCompactForm:
             C = wave_compact.C[name]
             np.testing.assert_allclose(C, C.T, atol=1e-12)
 
+    def test_derived_values_are_not_fields(self, wave_canon, wave_compact):
+        assert "R" not in {f.name for f in dataclasses.fields(wave_compact)}
+        assert "variable_names" not in {
+            f.name for f in dataclasses.fields(wave_canon)}
+        np.testing.assert_array_equal(wave_compact.R, 2.0 * wave_compact.Dc)
+        nq_only = dataclasses.replace(wave_canon, m=0)
+        assert nq_only.variable_names == ("q1", "q2", "q3", "q4")
+
     def test_r_scaling(self, wave_canon):
         d = np.diag([1.0, 2.0, 3.0, 4.0])
         canon = dataclasses.replace(wave_canon, N0=d[:3], L0=d[3:])
@@ -265,9 +273,13 @@ class TestCompactForm:
             cf.Dc, canon.row_transform @ sys_.D @ Vinv, atol=1e-12)
 
     @given(st.integers(0, 10**6))
+    @example(seed=8441)   # cond(to_hat) 4.4e8
     @settings(max_examples=40, deadline=None)
     def test_equivalence_on_random_characteristic_systems(self, seed):
-        # random symmetric systems with a singular u side matrix
+        # random symmetric systems with a singular u side matrix; the
+        # identity C^a to_hat = row_transform B^a is checked multiplied
+        # out, as inverting an ill-conditioned to_hat would amplify the
+        # round-off of the reduction
         rng = np.random.default_rng(seed)
         n = 4
         Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
@@ -285,14 +297,13 @@ class TestCompactForm:
         except (TransversalityError, cm.canonical.ReductionError):
             return
         cf = cm.compact_form(canon)
-        Vinv = np.linalg.inv(canon.to_hat)
         scale = max(np.linalg.norm(M, 2) for M in B.B.values())
         for name in B.names:
             np.testing.assert_allclose(
-                cf.C[name], canon.row_transform @ B.B[name] @ Vinv,
+                cf.C[name] @ canon.to_hat, canon.row_transform @ B.B[name],
                 atol=1e-9 * scale)
         np.testing.assert_allclose(
-            cf.Dc, canon.row_transform @ D @ Vinv, atol=1e-9 * scale)
+            cf.Dc @ canon.to_hat, canon.row_transform @ D, atol=1e-9 * scale)
         # structural zeros of the hypersurface block: the d_x coefficient on
         # the normal variables is exactly the stacked identity pattern
         np.testing.assert_allclose(cf.C["x"][canon.nq:, :canon.nq],

@@ -434,6 +434,17 @@ class TestSolve:
         assert not (tmp_path / "missing").exists()
         assert [p.name for p in tmp_path.iterdir()] == []
 
+    def test_out_path_without_write_access(self, tmp_path, capsys,
+                                           monkeypatch):
+        # os.access stands in for a read-only directory, which root could
+        # write to anyway
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        out = tmp_path / "report.txt"
+        assert cli.main(["check", "--example", "wave3d", "--out", str(out)]) \
+            == cli.EXIT_ERROR
+        assert "Permission denied" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_file_written_on_exit_two(self, tmp_path):
         # check reports a NOT_WELL_POSED verdict rather than failing
         path = tmp_path / "reversed.txt"

@@ -137,6 +137,20 @@ class TestDataNorms:
             cm.verify_estimate(tr, wave_compact, wave_report,
                                2.0 * grid.X_total)
 
+    @pytest.mark.parametrize("damped", [False, True],
+                             ids=["undamped", "damped"])
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+    def test_non_finite_T_named(self, T, damped, wave_analysis,
+                                damped_wave_pipeline, plane_wave_data):
+        # refused before the horizon test, which nan and inf would fail
+        # with a horizon c/r that is not the cause
+        canon, cf, rep = damped_wave_pipeline if damped else (
+            wave_analysis.canon, wave_analysis.compact, wave_analysis.report)
+        grid = wave_grid(8, X=0.4)
+        tr = cm.march(canon, grid, plane_wave_data, report=rep)
+        with pytest.raises(RangeError, match=f"^T={T!r} is not finite$"):
+            cm.verify_estimate(tr, cf, rep, T)
+
     @pytest.mark.parametrize("levels", [0.0, 0.4])
     def test_level_zero_refused(self, levels, wave_canon, wave_compact,
                                 wave_report, plane_wave_data):
@@ -224,7 +238,7 @@ class TestBalanceResidual:
         T = 6 * grid.dx
         with_R = cm.verify_estimate(tr, cf, rep, T).balance_residual
         no_R = cm.verify_estimate(tr, dataclasses.replace(
-            cf, R=np.zeros((4, 4))), rep, T).balance_residual
+            cf, Dc=np.zeros((4, 4))), rep, T).balance_residual
         # dropping the volume term must leave a visibly larger imbalance
         assert with_R < no_R
 
@@ -324,7 +338,7 @@ class TestVerifyEstimate:
         # R = diag(1, 1, 1, -2e-6) is non-negative at eig tolerance 1e-3, so
         # that report's factor is 1 with no horizon c/r
         Dc = np.diag([0.5, 0.5, 0.5, -1e-6])
-        cf = dataclasses.replace(wave_compact, Dc=Dc, R=2.0 * Dc)
+        cf = dataclasses.replace(wave_compact, Dc=Dc)
         rep = cm.check_criteria(cf, cm.Tolerances(eig=1e-3))
         assert rep.growth_exponent == 0.0 and math.isinf(rep.T_max)
         tr = cm.march(wave_canon, wave_grid(16), plane_wave_data,
@@ -573,7 +587,7 @@ class TestFormTables:
         canon, cf, rep = damped_wave_pipeline
         grid = wave_grid(24, X=0.45)
         tr = cm.march(canon, grid, DAMPED_DATA, report=rep)
-        no_R = dataclasses.replace(cf, R=np.zeros_like(cf.R))
+        no_R = dataclasses.replace(cf, Dc=np.zeros_like(cf.Dc))
         for system in (cf, no_R, cf):
             for k in (2, 9, 17):
                 _assert_matches_oracle(tr, system, rep, k * grid.dx)

@@ -161,14 +161,20 @@ class TestCompiledModules:
         # the two is imported first
         out = _fresh(
             f"import {first}\n"
-            "import scipy.linalg\n"
+            "import sys, scipy.linalg\n"
             "from charmarch import matkit\n"
             "print(all(getattr(matkit.lapack, n)"
             " is getattr(scipy.linalg.lapack, n) for n in"
             " ('dgeqp3', 'dtrtrs', 'dgeqrf', 'dorgqr', 'dsyevd')),"
             " all(getattr(matkit.blas, n) is getattr(scipy.linalg.blas, n)"
-            " for n in ('idamax', 'dnrm2')))")
-        assert out == "True True"
+            " for n in ('idamax', 'dnrm2')),"
+            " sys.modules.get('scipy.linalg._flapack') is matkit.lapack)")
+        routines, kept = out.rsplit(" ", 1)
+        assert routines == "True True"
+        if first == "scipy.linalg":
+            # a module scipy has imported already is reused, and stays
+            # in sys.modules
+            assert kept == "True"
 
     @pytest.mark.parametrize("name, routine",
                              [("_flapack", "dgeqp3"), ("_fblas", "dnrm2")])
@@ -182,6 +188,13 @@ class TestCompiledModules:
             f"print(scipy.linalg.{name}.{routine} is "
             f"getattr(matkit.{name[2:]}, {routine!r}))")
         assert out == "True"
+
+    def test_bad_status_names_the_routine(self):
+        # an upper triangle with a zero on its diagonal: row 2 is singular
+        T = np.array([[1.0, 2.0], [0.0, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"^dtrtrs failed with info=2$"):
+            matkit._lapack("dtrtrs", T, np.ones(2))
 
     def test_missing_module_names_the_path(self):
         with pytest.raises(ImportError, match=r"searched \S+linalg.\w*_nosuch"):

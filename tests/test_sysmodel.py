@@ -204,6 +204,33 @@ class TestLoadSystem:
         np.testing.assert_array_equal(chart2.J, chart.J)
         np.testing.assert_array_equal(chart2.offsets, chart.offsets)
 
+    def test_blank_line_inside_a_matrix_block(self, wave_system):
+        text = builtin.example_text("wave3d")
+        head, rows = text.split("matrix A t\n", 1)
+        first, rest = rows.split("\n", 1)
+        sys2, chart2 = cm.load_system(
+            head + "matrix A t\n" + first + "\n\n   \n" + rest)
+        sys_, chart = wave_system
+        for name in sys_.coord_names:
+            np.testing.assert_array_equal(sys2.A[name], sys_.A[name])
+        np.testing.assert_array_equal(chart2.J, chart.J)
+
+    def test_zero_matrix_block_omitted(self):
+        sys_ = cm.FirstOrderSystem(
+            n_coords=3, n_unknowns=2, coord_names=("t", "x", "y"),
+            A={"t": np.eye(2), "x": [[0.0, 1.0], [1.0, 0.0]]},
+            D=np.zeros((2, 2)))
+        chart = Chart(J=np.eye(3), offsets=np.zeros(3))
+        text = cm.serialize_system(sys_, chart)
+        assert "matrix A y" not in text and "matrix D" not in text
+        sys2, _ = cm.load_system(text)
+        assert cm.serialize_system(sys2, chart) == text
+        np.testing.assert_array_equal(sys2.A["y"], np.zeros((2, 2)))
+
+    def test_unknown_example_names_the_examples(self):
+        with pytest.raises(KeyError, match="unknown example 'nope'.*wave3d"):
+            builtin.example_text("nope")
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_round_trip_random_entries(self, seed):

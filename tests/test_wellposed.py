@@ -29,8 +29,7 @@ def make_compact(Nu, Nx, m, trans=None, Dc=None):
     for k, M in (trans or {}).items():
         C[k] = np.asarray(M, float)
     Dc = np.zeros((n, n)) if Dc is None else np.asarray(Dc, float)
-    return CompactSystem(m=m, n=n, transverse_names=names, C=C,
-                         Dc=Dc, R=2.0 * Dc)
+    return CompactSystem(m=m, n=n, transverse_names=names, C=C, Dc=Dc)
 
 
 class TestCheckCriteria:
@@ -85,8 +84,7 @@ class TestCheckCriteria:
             P[np.arange(nq, n), pw] = 1.0
             C = {k: P @ M @ P.T for k, M in wave_compact.C.items()}
             cf = dataclasses.replace(
-                wave_compact, C=C, Dc=P @ wave_compact.Dc @ P.T,
-                R=P @ wave_compact.R @ P.T)
+                wave_compact, C=C, Dc=P @ wave_compact.Dc @ P.T)
             assert cm.check_criteria(cf).verdict is Verdict.WELL_POSED
 
 
@@ -135,11 +133,28 @@ class TestGrowthParameters:
     def test_factor_overflow_is_inf(self, damped_wave_pipeline):
         # growth exponent r/c = 2 scaled to 1e9: e^{1e9} is no float
         _, cf, rep = damped_wave_pipeline
-        huge = dataclasses.replace(cf, R=5e8 * cf.R)
+        huge = dataclasses.replace(cf, Dc=5e8 * cf.Dc)
         *_, factor = cm.growth_parameters(huge)
         assert factor(1.0) == math.inf
-        assert dataclasses.replace(rep, growth_exponent=1e9) \
+        assert dataclasses.replace(rep, r=1e9 * rep.c) \
             .bound_factor(1.0) == math.inf
+
+    def test_derived_from_r_c_and_class_R(self, damped_wave_pipeline,
+                                          wave_report):
+        # (growth exponent, T_max) of each branch; they are no fields, so
+        # no report can hold values that disagree with r, c and class_R
+        _, _, rep = damped_wave_pipeline
+        for report, want in [
+                (dataclasses.replace(rep, r=3.0, c=1.5), (2.0, 0.5)),
+                (dataclasses.replace(rep, r=0.0), (0.0, math.inf)),
+                (dataclasses.replace(rep, c=0.0), (math.inf, 0.0)),
+                (dataclasses.replace(rep, c=-1.0), (math.inf, 0.0)),
+                (dataclasses.replace(wave_report, r=5.0), (0.0, math.inf))]:
+            assert (report.growth_exponent, report.T_max) == want
+        names = {f.name for f in dataclasses.fields(rep)}
+        assert not names & {"growth_exponent", "T_max"}
+        with pytest.raises(TypeError):
+            dataclasses.replace(rep, T_max=1.0)
 
     def test_requires_positive_definite_norm(self):
         cf = make_compact(np.eye(1), [[-1.0]], m=1)
