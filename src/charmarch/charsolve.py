@@ -286,11 +286,11 @@ class _FieldOperator:
 
     A call is one stacked product of the plane with M0 and with the
     nonzero rows of each M_j, into work buffers sized once for planes of
-    up to `width` x points.  M0's rows of the product are the result;
-    without M0 each difference is written straight into its output row,
-    through a difference buffer only where the row already holds another
-    term, and rows that no term touches are set to zero.  The result is a
-    view of the buffers, valid until the next call.
+    up to the grid's nx + 1 x points.  M0's rows of the product are the
+    result; without M0 each difference is written straight into its output
+    row, through a difference buffer only where the row already holds
+    another term, and rows that no term touches are set to zero.  The
+    result is a view of the buffers, valid until the next call.
 
     Each entry is the sum that M0 v + sum_j d_j (M_j v) makes, in the same
     order, and so the same bits, as long as every product keeps its BLAS
@@ -300,7 +300,7 @@ class _FieldOperator:
     operator keep a product each.
     """
 
-    def __init__(self, M0, Mt, grid: GridSpec, width: int):
+    def __init__(self, M0, Mt, grid: GridSpec):
         self.rows, self.cols = M0.shape
         self.M0 = M0 if np.any(M0) else None
         self.cells = grid.cells
@@ -342,7 +342,7 @@ class _FieldOperator:
                          if added), default=0)
         ends = np.cumsum([0, self._k, out_rows, diff_rows])
         self._regions = tuple(zip(ends[:-1], ends[1:]))
-        self.work = int(ends[-1]) * width * math.prod(self.cells)
+        self.work = int(ends[-1]) * (grid.nx + 1) * math.prod(self.cells)
 
     @property
     def is_zero(self) -> bool:
@@ -450,14 +450,11 @@ class _Stepper:
                  tols: matkit.Tolerances = matkit.Tolerances()):
         nq = canon.nq
         names = canon.transverse_names
-        width = grid.nx + 1
-        self.nq, self.dx = nq, grid.dx
+        self.nq, self.dx, self.width = nq, grid.dx, grid.nx + 1
         self.forcing = _FieldOperator(
-            -canon.L0[:, :nq], [-canon.Li[k][:, :nq] for k in names], grid,
-            width)
+            -canon.L0[:, :nq], [-canon.Li[k][:, :nq] for k in names], grid)
         self.coupling = _FieldOperator(
-            -canon.L0[:, nq:], [-canon.Li[k][:, nq:] for k in names], grid,
-            width)
+            -canon.L0[:, nq:], [-canon.Li[k][:, nq:] for k in names], grid)
         Nui = np.linalg.inv(canon.Nu) if nq else np.zeros((0, 0))
         self.NuiNx = Nui @ canon.Nx
         # the upwind x step with du = dx is stable only when every
@@ -472,27 +469,27 @@ class _Stepper:
                                f"[-1, 0]: the upwind step du = dx is unstable")
         self.source = _FieldOperator(
             grid.dx * Nui @ canon.N0,
-            [grid.dx * Nui @ canon.Ni[k] for k in names], grid, width)
+            [grid.dx * Nui @ canon.Ni[k] for k in names], grid)
         self.powers = [] if self.coupling.is_zero else \
-            self._propagator_powers(width)
+            self._propagator_powers()
         # the step temporaries: those of the hypersurface pass (the
         # forcing, then the coupling of it, or the pointwise scan's
         # G^d w[:-d]) and those of the evolution step (the source, then the
         # x difference of q) share one buffer
         scan = 0 if self.coupling.terms or not self.powers else \
-            canon.m * width * math.prod(grid.cells)
+            canon.m * self.width * math.prod(grid.cells)
         self._work = np.empty(max(
             self.forcing.work + self.coupling.work, scan,
-            self.source.work + nq * width * math.prod(grid.cells)))
+            self.source.work + nq * self.width * math.prod(grid.cells)))
 
-    def _propagator_powers(self, x_extent: int) -> list:
-        """G^(2^s) for every 2^s < x_extent; an overflow is an abort."""
+    def _propagator_powers(self) -> list:
+        """G^(2^s) for every 2^s < nx + 1; an overflow is an abort."""
         A = self.coupling.symbol() if self.coupling.terms else \
             self.coupling.M0
         dx = self.dx
         G = np.eye(A.shape[-1]) + dx * A + (0.5 * dx * dx) * (A @ A)
         powers = [G]
-        while 2 ** len(powers) < x_extent:
+        while 2 ** len(powers) < self.width:
             powers.append(powers[-1] @ powers[-1])
         for s, P in enumerate(powers):
             if not np.all(np.isfinite(P)):

@@ -73,7 +73,9 @@ def _tolerances(spec: str, keys=_TOL_KEYS) -> Tolerances:
     return Tolerances(**overrides)
 
 
-_PRESET_SPLIT = re.compile(r",(?=(?:zero|sine:|gauss:))")
+# a comma starts a new preset where one of the kinds, or zero, follows it
+_PRESET_SPLIT = re.compile(
+    ",(?=zero|" + "|".join(f"{kind}:" for kind in charsolve._TAKES) + ")")
 _TRANS_KEYS = ("ky", "kz")
 _TRANS_PHASE_KEYS = ("phasey", "phasez")
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .canonical import CompactSystem
-from .charsolve import GridSpec, SolutionTrace
+from .charsolve import DataSpecError, GridSpec, SolutionTrace
 from .sysmodel import _fmt
 from .wellposed import Verdict, WellPosednessReport
 
@@ -99,18 +99,20 @@ def _line_integral(g: np.ndarray, h: float, K: int) -> float:
 
 def _level(trace: SolutionTrace, T: float) -> int:
     """The grid level K >= 1 of the surface u + x = T: it passes through
-    the nodes (j, K - j).  Off-grid T is snapped with a warning; T that
-    snaps to level 0, a surface of one node with no data, is refused."""
+    the nodes (j, K - j).  T that snaps to level 0, a surface of one node
+    with no data, or past the last slice is refused, and off-grid T is then
+    snapped with a warning.  T / dx is clipped to [0, n_slices] before it
+    is rounded, so that a finite T whose T / dx overflows is refused too."""
     dx = trace.grid.dx
-    K = int(round(T / dx))
+    K = int(round(min(max(T / dx, 0.0), trace.n_slices)))
     if K < 1:
         raise RangeError(f"T={T!r} is below the first grid level, "
                          f"dx = {dx!r}")
+    if K > trace.n_slices - 1:
+        raise RangeError(f"T={T!r} outside the trace coverage")
     if abs(K * dx - T) > 1e-9 * max(dx, 1.0):
         warnings.warn(f"T={T!r} snapped to the nearest grid level {K * dx!r}",
                       stacklevel=3)
-    if K > trace.n_slices - 1:
-        raise RangeError(f"T={T!r} outside the trace coverage")
     return K
 
 
@@ -137,9 +139,16 @@ class _Forms:
 
 def _forms(trace: SolutionTrace, cf: CompactSystem) -> _Forms:
     """The forms of cf on trace, built in one pass on first use and kept
-    on the trace, which cannot change, so they never go stale."""
+    on the trace, which cannot change, so they never go stale.  A cf whose
+    unknowns or transverse axes are not the trace's raises DataSpecError."""
     key = (_content(cf.C["u"]), _content(cf.C["x"]), _content(cf.Dc), cf.nq)
     if key not in trace._forms:
+        n, nt = len(trace.slices[0].values), len(trace.grid.transverse)
+        if (cf.n, len(cf.transverse_names)) != (n, nt):
+            raise DataSpecError(
+                f"compact system of {cf.n} unknowns and "
+                f"{len(cf.transverse_names)} transverse axes does not fit a "
+                f"trace of {n} unknowns and {nt} transverse axes")
         col = np.stack([s.values[:, 0] for s in trace.slices], axis=1)
         # the cell (j, i) between slices j - 1 and j lies below level K
         # when j + i < K: sum the cells along each anti-diagonal j + i,
@@ -179,8 +188,10 @@ def verify_estimate(trace: SolutionTrace, cf: CompactSystem,
     horizon c/r and ctol are those of `report`; the discrete tolerance is
     tol_h = ctol * dx scaled by the data norms (first-order scheme).
     Every field but T is that of the grid level K of T, the factor too.
-    Raises RangeError for a T that is not finite, and EstimateHorizonError
-    for a T or level at or beyond the horizon c/r of the exponential branch.
+    Raises RangeError for a T that is not finite, snaps to level 0 or lies
+    past the trace, EstimateHorizonError for a T or level at or beyond the
+    horizon c/r of the exponential branch, and DataSpecError for a cf that
+    does not fit the trace.
     """
     if report.verdict is not Verdict.WELL_POSED:
         raise ValueError("verify_estimate requires a WELL_POSED verdict")

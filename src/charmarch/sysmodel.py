@@ -99,17 +99,19 @@ class Chart:
             raise SingularChartError("singular chart: Jacobian is not invertible")
 
     def new_names(self, coord_names) -> tuple:
-        """Labels (u, x, transverse...).  A transverse row equal to a unit
-        vector reuses the original coordinate's name."""
+        """Labels (u, x, transverse...), no two alike.  A transverse row
+        equal to a unit vector reuses the original coordinate's name if no
+        earlier row took it; row k otherwise takes x<k - 1>, or the next
+        x<j> that no earlier row took."""
         names = ["u", "x"]
         for k in range(2, self.J.shape[0]):
             row = self.J[k]
-            label = f"x{k - 1}"
             nz = np.nonzero(row)[0]
-            if len(nz) == 1 and row[nz[0]] == 1.0:
-                cand = coord_names[nz[0]]
-                if cand not in names:
-                    label = cand
+            label = coord_names[nz[0]] \
+                if len(nz) == 1 and row[nz[0]] == 1.0 else None
+            j = k - 1
+            while label is None or label in names:
+                label, j = f"x{j}", j + 1
             names.append(label)
         return tuple(names)
 
@@ -206,14 +208,9 @@ def load_system(text) -> tuple:
         body = line.split("#", 1)[0].rstrip()
         lines.append((i, body))
 
-    n_coords = None
-    n_unknowns = None
-    coord_names = None
-    A = {}
-    D = None
-    J = None
-    offsets = None
-
+    # each block by its header: 'ncoords', 'nunknowns', 'coordnames',
+    # 'matrix A <coord>', 'matrix D' or 'chart'; none may come twice
+    blocks = {}
     idx = 0
     while idx < len(lines):
         lineno, body = lines[idx]
@@ -222,42 +219,36 @@ def load_system(text) -> tuple:
         if not parts:
             continue
         key = parts[0]
-        if key == "ncoords":
+        block = " ".join(parts) if key in ("matrix", "chart") else key
+        if block in blocks:
+            raise ParseError(f"duplicate {block}", lineno)
+        n_coords = blocks.get("ncoords")
+        n_unknowns = blocks.get("nunknowns")
+        if key in ("ncoords", "nunknowns"):
             if len(parts) != 2 or not _is_count(parts[1]):
-                raise ParseError("ncoords expects one integer", lineno)
-            n_coords = int(parts[1])
-        elif key == "nunknowns":
-            if len(parts) != 2 or not _is_count(parts[1]):
-                raise ParseError("nunknowns expects one integer", lineno)
-            n_unknowns = int(parts[1])
+                raise ParseError(f"{key} expects one integer", lineno)
+            blocks[key] = int(parts[1])
         elif key == "coordnames":
             if n_coords is None:
                 raise ParseError("coordnames before ncoords", lineno)
             if len(parts) != 1 + n_coords:
                 raise ParseError(f"expected {n_coords} coordinate names", lineno)
-            coord_names = tuple(parts[1:])
-            repeated = _repeated(coord_names)
+            repeated = _repeated(parts[1:])
             if repeated:
                 raise ParseError("repeated coordinate name " + repeated,
                                  lineno)
+            blocks[key] = tuple(parts[1:])
         elif key == "matrix":
             if n_unknowns is None:
                 raise ParseError("matrix before nunknowns", lineno)
             if len(parts) == 3 and parts[1] == "A":
-                if coord_names is None or parts[2] not in coord_names:
-                    raise ParseError(f"unknown coordinate '{parts[2]}'", lineno)
-                if parts[2] in A:
-                    raise ParseError(f"duplicate matrix A {parts[2]}", lineno)
-                A[parts[2]], idx = _read_matrix(lines, idx, n_unknowns,
-                                                n_unknowns,
-                                                f"matrix A {parts[2]}")
-            elif len(parts) == 2 and parts[1] == "D":
-                if D is not None:
-                    raise ParseError("duplicate matrix D", lineno)
-                D, idx = _read_matrix(lines, idx, n_unknowns, n_unknowns,
-                                      "matrix D")
-            else:
+                if parts[2] not in blocks.get("coordnames", ()):
+                    raise ParseError(f"unknown coordinate '{parts[2]}'",
+                                     lineno)
+            elif parts[1:] != ["D"]:
                 raise ParseError("expected 'matrix A <coord>' or 'matrix D'", lineno)
+            blocks[block], idx = _read_matrix(lines, idx, n_unknowns,
+                                              n_unknowns, block)
         elif key == "chart":
             if n_coords is None:
                 raise ParseError("chart before ncoords", lineno)
@@ -266,26 +257,22 @@ def load_system(text) -> tuple:
             J, idx = _read_matrix(lines, idx, n_coords, n_coords,
                                   "chart Jacobian")
             offs, idx = _read_matrix(lines, idx, 1, n_coords, "chart offsets")
-            offsets = offs[0]
+            blocks[key] = J, offs[0]
         else:
             raise ParseError(f"unknown key '{key}'", lineno)
 
     last = lines[-1][0] if lines else 1
-    if n_coords is None:
-        raise ParseError("missing ncoords", last)
-    if n_unknowns is None:
-        raise ParseError("missing nunknowns", last)
-    if coord_names is None:
-        raise ParseError("missing coordnames", last)
-    if J is None:
-        raise ParseError("missing chart", last)
-    if D is None:
-        D = np.zeros((n_unknowns, n_unknowns))
-
-    sys = FirstOrderSystem(n_coords=n_coords, n_unknowns=n_unknowns,
+    for block in ("ncoords", "nunknowns", "coordnames", "chart"):
+        if block not in blocks:
+            raise ParseError(f"missing {block}", last)
+    n_unknowns = blocks["nunknowns"]
+    coord_names = blocks["coordnames"]
+    A = {name: blocks[f"matrix A {name}"] for name in coord_names
+         if f"matrix A {name}" in blocks}
+    D = blocks.get("matrix D", np.zeros((n_unknowns, n_unknowns)))
+    sys = FirstOrderSystem(n_coords=blocks["ncoords"], n_unknowns=n_unknowns,
                            coord_names=coord_names, A=A, D=D)
-    chart = Chart(J=J, offsets=offsets)
-    return sys, chart
+    return sys, Chart(*blocks["chart"])
 
 
 def _fmt(x: float) -> str:

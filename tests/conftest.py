@@ -102,6 +102,22 @@ def psi_equals_y_chart_text():
         "chart\n1 -1 0 0\n0 0 1 0\n0 1 0 0\n0 0 0 1")
 
 
+def label_clash_system():
+    """A^t = I, and A^x, A^x2, A^y couple unknown 1 to unknowns 2, 3, 4
+    symmetrically, in the chart rows u = t - x, x, x2 and x2 + y: row 2 is
+    the unit vector of x2 and keeps its name, and row 3's generated label
+    x2 is taken, so row 3 is x3."""
+    A = {"t": np.eye(4)}
+    for k, name in enumerate(("x", "x2", "y"), start=1):
+        A[name] = np.zeros((4, 4))
+        A[name][0, k] = A[name][k, 0] = 1.0
+    system = cm.FirstOrderSystem(n_coords=4, n_unknowns=4,
+                                 coord_names=("t", "x", "x2", "y"), A=A,
+                                 D=np.zeros((4, 4)))
+    J = [[1.0, -1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]]
+    return system, cm.Chart(J=J, offsets=np.zeros(4))
+
+
 def drawn_system(rng, m):
     """A system drawn as the check-batch corpus draws one: A^t = I, a
     symmetric A^x whose largest eigenvalue s is repeated m times, random

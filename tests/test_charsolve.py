@@ -707,7 +707,7 @@ class TestRowSparseOperators:
         M0, Mt, cells, npts, seed = case
         grid = cm.GridSpec(X_total=1.0, nx=4, transverse=tuple(
             cm.TransverseAxis(cells=c) for c in cells))
-        op = _FieldOperator(M0, Mt, grid, width=5)
+        op = _FieldOperator(M0, Mt, grid)
         # the work buffer holds old values: nothing may read them
         work = np.full(op.work, np.nan)
         rng = np.random.default_rng(seed)
@@ -728,7 +728,7 @@ class TestRowSparseOperators:
         # the matrix-matrix and vector paths round these rows differently
         grid = cm.GridSpec(X_total=1.0, nx=8,
                            transverse=(cm.TransverseAxis(cells=7),))
-        op = _FieldOperator(M0, Mt, grid, width=9)
+        op = _FieldOperator(M0, Mt, grid)
         plane = np.random.default_rng(0).standard_normal((3, 9, 7))
         assert op(plane, np.empty(op.work)).tobytes() == \
             _dense_operator(M0, Mt, grid, plane).tobytes()
@@ -738,7 +738,7 @@ class TestRowSparseOperators:
         # no transverse axes
         grid = cm.GridSpec(X_total=1.0, nx=4)
         for shape in ((0, 2), (2, 0), (0, 0)):
-            op = _FieldOperator(np.zeros(shape), [], grid, width=5)
+            op = _FieldOperator(np.zeros(shape), [], grid)
             out = op(np.ones((shape[1], 5)), np.empty(op.work))
             assert out.shape == (shape[0], 5) and not np.any(out)
 

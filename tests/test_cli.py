@@ -61,6 +61,18 @@ class TestAnalyze:
         _, via_file = run_cli(["analyze", "--input", str(path)])
         assert via_file == via_example
 
+    def test_every_transverse_row_keeps_its_label(self, tmp_path):
+        # rows 2 and 3 would both be x2: each prints its own C^ block
+        path = tmp_path / "labels.txt"
+        path.write_text(cm.serialize_system(*conftest.label_clash_system()),
+                        encoding="utf-8")
+        code, text = run_cli(["analyze", "--input", str(path)])
+        assert code == cli.EXIT_OK
+        blocks = {name: text.split(f"C^{name}:\n")[1].splitlines()[:4]
+                  for name in ("x2", "x3")}
+        assert text.count("C^x2:\n") == text.count("C^x3:\n") == 1
+        assert blocks["x2"] != blocks["x3"]
+
 
 class TestCheck:
     def test_wave_well_posed_exit_zero(self):

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 import charmarch as cm
 from charmarch import energymon
-from charmarch.charsolve import SliceState, SolutionTrace
+from charmarch.charsolve import DataSpecError, SliceState, SolutionTrace
 from charmarch.energymon import EstimateHorizonError, RangeError
 from charmarch.wellposed import Verdict
 
@@ -161,6 +162,48 @@ class TestDataNorms:
         with pytest.raises(RangeError, match="dx"):
             cm.verify_estimate(tr, wave_compact, wave_report,
                                levels * grid.dx)
+
+    @pytest.mark.parametrize("T, cause", [
+        (1e308, "outside the trace coverage"),
+        (1.7e308, "outside the trace coverage"),
+        (-1e308, "is below the first grid level"),
+    ])
+    def test_huge_finite_T_named(self, T, cause, wave_canon, wave_compact,
+                                 wave_report, plane_wave_data):
+        # T / dx overflows to inf, which no int holds; the horizon of the
+        # undamped system is inf
+        tr = cm.march(wave_canon, wave_grid(8), plane_wave_data,
+                      report=wave_report)
+        with pytest.raises(RangeError,
+                           match="^" + re.escape(f"T={T!r} {cause}")):
+            cm.verify_estimate(tr, wave_compact, wave_report, T)
+
+    @pytest.mark.parametrize("compact_of", ["line", "wave"])
+    def test_compact_system_must_fit_the_trace(self, compact_of,
+                                               wave_analysis,
+                                               plane_wave_data):
+        # A^t = I, A^x = [[0, 1], [1, 0]] and u = t - x: two unknowns and
+        # no transverse axis, where wave3d has four and two
+        line = cm.analyze(
+            cm.FirstOrderSystem(n_coords=2, n_unknowns=2,
+                                coord_names=("t", "x"),
+                                A={"t": np.eye(2), "x": [[0, 1], [1, 0]]},
+                                D=np.zeros((2, 2))),
+            cm.Chart(J=[[1, -1], [0, 1]], offsets=[0, 0]))
+        line_trace = cm.march(
+            line.canon, cm.GridSpec(X_total=2.0, nx=8),
+            cm.DataSpec(q0=((cm.ProfileTerm(kind="sine", k=1.0),),),
+                        w0=((),)), report=line.report)
+        wave_trace = cm.march(wave_analysis.canon, wave_grid(8),
+                              plane_wave_data, report=wave_analysis.report)
+        a, trace, counts = {
+            "line": (line, wave_trace, (2, 0, 4, 2)),
+            "wave": (wave_analysis, line_trace, (4, 2, 2, 0))}[compact_of]
+        with pytest.raises(DataSpecError, match=(
+                "^compact system of {} unknowns and {} transverse axes "
+                "does not fit a trace of {} unknowns and {} transverse "
+                "axes$").format(*counts)):
+            cm.verify_estimate(trace, a.compact, a.report, 1.0)
 
 
 class TestSigmaNorm:

@@ -10,10 +10,25 @@ from charmarch import builtin, matkit
 from charmarch.sysmodel import (Chart, NotCharacteristicError, ParseError,
                                 SingularChartError)
 
+import conftest
+
 WAVE_BU = np.array([[1.0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 WAVE_BX = np.array([[0.0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
 # the three header lines of a one-unknown system in (t, x)
 HEAD = "ncoords 2\nnunknowns 1\ncoordnames t x\n"
+
+
+def random_system(seed):
+    """A (t, x) system of three unknowns whose every block, D too, is
+    random and so written out by serialize_system."""
+    rng = np.random.default_rng(seed)
+    sys_ = cm.FirstOrderSystem(
+        n_coords=2, n_unknowns=3, coord_names=("t", "x"),
+        A={"t": rng.normal(size=(3, 3)), "x": rng.normal(size=(3, 3))},
+        D=rng.normal(size=(3, 3)))
+    chart = Chart(J=np.eye(2) + 0.1 * rng.normal(size=(2, 2)),
+                  offsets=rng.normal(size=2))
+    return sys_, chart
 
 
 class TestLoadSystem:
@@ -45,8 +60,10 @@ class TestLoadSystem:
     @pytest.mark.parametrize("token", ["²", "٣", "3.0", "-2", "+2"])
     @pytest.mark.parametrize("key", ["ncoords", "nunknowns"])
     def test_count_must_be_ascii_digits(self, key, token):
-        # str.isdigit accepts '²', which int() refuses
-        text = f"ncoords 2\nnunknowns 1\n{key} {token}\n"
+        # str.isdigit accepts '²', which int() refuses; the other count
+        # comes first, and the comment keeps the bad one on line 3
+        other = "nunknowns 1" if key == "ncoords" else "ncoords 2"
+        text = f"{other}\n# the count under test\n{key} {token}\n"
         with pytest.raises(ParseError, match=f"{key} expects one integer") \
                 as exc:
             cm.load_system(text)
@@ -173,6 +190,12 @@ class TestLoadSystem:
         (HEAD + "matrix A x\n1\n# again\nmatrix A x\n1\n", 7,
          "duplicate matrix A x"),
         (HEAD + "matrix D\n1\nmatrix D\n1\n", 6, "duplicate matrix D"),
+        (HEAD + "ncoords 2\n", 4, "duplicate ncoords"),
+        (HEAD + "nunknowns 1\n", 4, "duplicate nunknowns"),
+        (HEAD + "coordnames t x\n", 4, "duplicate coordnames"),
+        # a second chart must not replace the first one's J
+        (HEAD + "chart\n1 -1\n0 1\n0 0\nchart\n1 -2\n0 1\n0 0\n", 8,
+         "duplicate chart"),
         (HEAD + "matrix B t\n1\n", 4,
          "expected 'matrix A <coord>' or 'matrix D'"),
         (HEAD + "matrix A\n1\n", 4,
@@ -192,6 +215,25 @@ class TestLoadSystem:
                 as exc:
             cm.load_system(text)
         assert exc.value.line == line
+
+    @given(st.integers(0, 10**6), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_any_repeated_block_refused_at_its_header(self, seed, data):
+        lines = cm.serialize_system(*random_system(seed)).splitlines(True)
+        starts = [i for i, line in enumerate(lines) if line[0].isalpha()]
+        blocks = [lines[a:b]
+                  for a, b in zip(starts, starts[1:] + [len(lines)])]
+        k = data.draw(st.integers(0, len(blocks) - 1), label="block")
+        at = data.draw(st.integers(k + 1, len(blocks)), label="copy at")
+        # a count or the names is one line, named by its key; a matrix or
+        # the chart is named by its whole header line
+        header = blocks[k][0].strip()
+        name = header if len(blocks[k]) > 1 else header.split()[0]
+        copy = blocks[:at] + [blocks[k]] + blocks[at:]
+        line = sum(map(len, blocks[:at])) + 1
+        with pytest.raises(ParseError, match=f"^line {line}: duplicate "
+                           f"{name}$"):
+            cm.load_system("".join(sum(copy, [])))
 
     def test_round_trip_bit_equal(self, wave_system):
         sys_, chart = wave_system
@@ -234,13 +276,7 @@ class TestLoadSystem:
     @given(st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_round_trip_random_entries(self, seed):
-        rng = np.random.default_rng(seed)
-        sys_ = cm.FirstOrderSystem(
-            n_coords=2, n_unknowns=3, coord_names=("t", "x"),
-            A={"t": rng.normal(size=(3, 3)), "x": rng.normal(size=(3, 3))},
-            D=rng.normal(size=(3, 3)))
-        chart = Chart(J=np.eye(2) + 0.1 * rng.normal(size=(2, 2)),
-                      offsets=rng.normal(size=2))
+        sys_, chart = random_system(seed)
         sys2, chart2 = cm.load_system(cm.serialize_system(sys_, chart))
         for name in sys_.coord_names:
             np.testing.assert_array_equal(sys2.A[name], sys_.A[name])
@@ -281,6 +317,15 @@ class TestSideMatrices:
                        B3.B[B3.names[idx]])
             np.testing.assert_allclose(c, alpha * a + beta * b, atol=1e-10)
 
+
+    def test_labels_never_repeat(self):
+        # row 3's generated label x2 is the name row 2 kept, so row 3
+        # takes x3, and each row has its own side matrix
+        sys_, chart = conftest.label_clash_system()
+        B = cm.side_matrices(sys_, chart)
+        assert B.names == ("u", "x", "x2", "x3")
+        np.testing.assert_array_equal(B.B["x2"], sys_.A["x2"])
+        np.testing.assert_array_equal(B.B["x3"], sys_.A["x2"] + sys_.A["y"])
 
     def test_overflow_names_the_side_matrix(self):
         # every entry is finite, but B^u = A^t - 2 A^x is not
