@@ -27,7 +27,9 @@ M0 + i sum_j M_j sin(theta_j) / h_j of the centred differences, and the
 scan runs mode by mode.  The operators (Nu^-1 Nx, Nu^-1 N^i, Nu^-1 N0,
 the hypersurface blocks and the powers G^(2^s)) are built once per march,
 and the CFL check reads the eigenvalues of the Nu^-1 Nx that the step
-multiplies by.  Slice j holds nx + 1 - j x points, and its u is j dx,
+multiplies by; where Nu^-1 Nx uses one column, the x step takes one
+multiply per entry on the rows that span its nonzero ones (`_UpwindStep`).
+Slice j holds nx + 1 - j x points, and its u is j dx,
 taken from that index, not summed.  The field operators are row-sparse:
 one stacked product over M0 and the nonzero rows of each transverse M_j,
 and each periodic difference, taken from slices of the plane, written
@@ -43,7 +45,11 @@ much memory the kernel had to compact for them.  When the last view dies,
 the mapping returns to a pool that keeps the largest one released, so
 the next march of that size reuses mapped pages whatever the allocator's
 thresholds.  The step temporaries are views of one work buffer
-of the stepper, sized once by the widest slice.
+of the stepper, sized once by the widest slice.  The trace keeps the
+store, and a row table, built once, from which the nodes (j, K - j) of a
+level and the x = 0 column are each one gather: `march` hands its store
+over, and a trace built by hand from slices is copied into a read-only
+store of its own once, when it is made.
 
 `march` is the one public way into the scheme, so its guards (grid and data
 against the system, the verdict, the CFL check) hold for every step taken.
@@ -57,7 +63,7 @@ import math
 import mmap
 import numbers
 import weakref
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -228,20 +234,82 @@ class SliceState:
 class SolutionTrace:
     """The slices of one march: slice j lies at u = j dx and holds
     nx + 1 - j x points.  A trace cannot change: slices and diagnostics
-    are tuples (a list passed in is copied into one)."""
+    are tuples (a list passed in is copied into one).
+
+    Every slice holds the same unknowns on the grid's transverse cells,
+    else DataSpecError names the slice.  The slices are views of one
+    read-only packed store, a row of cells per component and x point of
+    each slice in turn: `march` hands over the store it wrote, and a trace
+    built by hand from slices copies them into one store when it is made,
+    and remakes them as its views, so that no later write to the arrays
+    passed in reaches the trace.  Level K, the nodes (j, K - j), is
+    covered when every slice j <= K holds x index K - j; the covered
+    levels are 0 .. levels - 1.
+    """
     grid: GridSpec
     slices: tuple = ()
     diagnostics: tuple = ()   # per-slice max |v|
     # energymon's per-slice forms, one record per compact system
     _forms: dict = field(default_factory=dict, init=False, repr=False)
+    # the packed store of the slices, as `march` passes it in; None to
+    # copy them into one.  Kept as (rows, cells)
+    _store: np.ndarray = field(default=None, repr=False, kw_only=True)
+    # R0[c, j]: the store row of node (j, 0), component c, minus j
+    _rows: np.ndarray = field(init=False, repr=False)
+    _levels: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "slices", tuple(self.slices))
+        slices = tuple(self.slices)
         object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
+        cells = self.grid.cells
+        n = slices[0].values.shape[0] if slices else 0
+        for j, s in enumerate(slices):
+            shape = s.values.shape
+            if len(shape) < 2 or shape[2:] != cells:
+                raise DataSpecError(
+                    f"slice {j} of shape {shape} does not fit the grid's "
+                    f"transverse cells {cells}")
+            if shape[0] != n:
+                raise DataSpecError(f"slice {j} holds {shape[0]} unknowns, "
+                                    f"slice 0 holds {n}")
+        widths = np.array([s.x_extent for s in slices], dtype=np.intp)
+        j = np.arange(len(slices))
+        starts = np.cumsum(n * widths) - n * widths
+        object.__setattr__(self, "_rows", starts
+                           + np.arange(n)[:, None] * widths - j)
+        object.__setattr__(self, "_levels", int(
+            (widths + j).min(initial=len(slices))))
+        store = self._store
+        if store is None:
+            store = np.concatenate([s.values.reshape(-1) for s in slices]
+                                   or [np.zeros(0)])
+            store.flags.writeable = False
+            ends = np.cumsum(n * widths * math.prod(cells))
+            slices = tuple(replace(s, values=store[end - s.values.size:end]
+                                   .reshape(s.values.shape))
+                           for s, end in zip(slices, ends))
+        object.__setattr__(self, "slices", slices)
+        object.__setattr__(self, "_store",
+                           store.reshape(-1, math.prod(cells)))
 
     @property
     def n_slices(self) -> int:
         return len(self.slices)
+
+    def _gather(self, rows: np.ndarray) -> np.ndarray:
+        return self._store.take(rows, axis=0).reshape(
+            rows.shape + self.grid.cells)
+
+    def _level_nodes(self, K: int) -> np.ndarray:
+        """The nodes (j, K - j), j = 0..K, of a covered level K, in one
+        gather: (unknowns, K + 1, *cells)."""
+        return self._gather(self._rows[:, :K + 1] + K)
+
+    def _x0_column(self) -> np.ndarray:
+        """Column x = 0 of the slices of the covered levels, in one
+        gather: (unknowns, levels, *cells)."""
+        return self._gather(self._rows[:, :self._levels]
+                            + np.arange(self._levels))
 
 
 def _centred_difference(plane: np.ndarray, axis: int,
@@ -250,20 +318,22 @@ def _centred_difference(plane: np.ndarray, axis: int,
     built from slices of the plane.  Each component row of `plane` and of
     `out` must be contiguous; the rows need not be adjacent."""
     axis %= plane.ndim
-    rows, size = plane.shape[0], math.prod(plane.shape[1:])
+    rows, n = plane.shape[0], plane.shape[axis]
+    size = math.prod(plane.shape[1:])
     # neighbours along the axis lie `stride` apart in a flat row: one
     # contiguous pass per row is right for 0 < j < n-1 ...
     stride = math.prod(plane.shape[axis + 1:])
-    flat = plane.reshape(rows, size)
+    flat, res = plane.reshape(rows, size), out.reshape(rows, size)
     np.subtract(flat[:, 2 * stride:], flat[:, :-2 * stride],
-                out=out.reshape(rows, size)[:, stride:-stride])
-
-    # ... and the wrap-around at j = 0 and j = n-1 is written over it
-    def at(lo, hi):
-        return (slice(None),) * axis + (slice(lo, hi),)
-
-    np.subtract(plane[at(1, 2)], plane[at(-1, None)], out=out[at(None, 1)])
-    np.subtract(plane[at(None, 1)], plane[at(-2, -1)], out=out[at(-1, None)])
+                out=res[:, stride:-stride])
+    # ... and the wrap-around at j = 0 and j = n-1 is written over it, in
+    # each block of n * stride entries of a row
+    shape = (rows, size // (n * stride), n * stride)
+    flat, res = flat.reshape(shape), res.reshape(shape)
+    np.subtract(flat[:, :, stride:2 * stride], flat[:, :, -stride:],
+                out=res[:, :, :stride])
+    np.subtract(flat[:, :, :stride], flat[:, :, -2 * stride:-stride],
+                out=res[:, :, -stride:])
 
 
 def _progressions(rows) -> list:
@@ -396,6 +466,50 @@ class _FieldOperator:
         return out
 
 
+class _UpwindStep:
+    """head = q[:, :-1] - P (q[:, 1:] - q[:, :-1]) - src[:, :-1], the upwind
+    x step with P = Nu^-1 Nx.
+
+    Where P uses one column c, as wave3d's P = diag(-1/2, 0, 0) does, the
+    x difference d is taken of q_c alone, the rows that span P's nonzero
+    ones take P[:, c] d in one multiply per entry, and the rows outside
+    that span, zero in P, get q - src in one subtract per progression.
+    For finite d every entry equals the dense step's, as a row of P with
+    one nonzero entry sums nothing.  Any other P takes the dense product
+    on the difference of all of q.  d lives in a work buffer of at least
+    `work` entries, sized for planes of up to the grid's nx + 1 x points.
+    """
+
+    def __init__(self, P: np.ndarray, grid: GridSpec):
+        rows = np.flatnonzero(P.any(axis=1))
+        cols = np.flatnonzero(P.any(axis=0))
+        self._rows = self._cols = slice(None)
+        self._outside, self._times = [], np.matmul
+        if len(cols) == 1:
+            lo, hi, c = int(rows[0]), int(rows[-1]) + 1, int(cols[0])
+            self._rows, self._cols = slice(lo, hi), slice(c, c + 1)
+            self._outside = [r for r in (slice(0, lo), slice(hi, len(P)))
+                             if r.start < r.stop]
+            self._times = np.multiply
+        self.P = np.ascontiguousarray(P[self._rows, self._cols])
+        self.work = self.P.shape[1] * (grid.nx + 1) * math.prod(grid.cells)
+
+    def __call__(self, q: np.ndarray, src: np.ndarray, head: np.ndarray,
+                 work: np.ndarray) -> None:
+        """Write the step of q, with the source src, into head, one x
+        point narrower; `work` holds at least `self.work` entries."""
+        span = head[self._rows]
+        rows, k = span.shape[0], self.P.shape[1]
+        size = math.prod(head.shape[1:])
+        d = work[:k * size].reshape((k,) + head.shape[1:])
+        np.subtract(q[self._cols, 1:], q[self._cols, :-1], out=d)
+        self._times(self.P, d.reshape(k, size), out=span.reshape(rows, size))
+        np.subtract(q[self._rows, :-1], span, out=span)
+        span -= src[self._rows, :-1]
+        for r in self._outside:
+            np.subtract(q[r, :-1], src[r, :-1], out=head[r])
+
+
 def _finite_max(block: np.ndarray, u_level: float, what: str) -> float:
     """max |block| from one max and one min, without a temporary; 0.0 for
     an empty block.  inf or NaN aborts the march, naming `what`."""
@@ -467,6 +581,7 @@ class _Stepper:
                     self.NuiNx, canon.Nu, canon.Nx, tols):
                 raise CFLError(f"eigenvalue {lam:.6g} of Nu^-1 Nx is outside "
                                f"[-1, 0]: the upwind step du = dx is unstable")
+        self.upwind = _UpwindStep(self.NuiNx, grid)
         self.source = _FieldOperator(
             grid.dx * Nui @ canon.N0,
             [grid.dx * Nui @ canon.Ni[k] for k in names], grid)
@@ -480,7 +595,7 @@ class _Stepper:
             canon.m * self.width * math.prod(grid.cells)
         self._work = np.empty(max(
             self.forcing.work + self.coupling.work, scan,
-            self.source.work + nq * self.width * math.prod(grid.cells)))
+            self.source.work + self.upwind.work))
 
     def _propagator_powers(self) -> list:
         """G^(2^s) for every 2^s < nx + 1; an overflow is an abort."""
@@ -539,7 +654,13 @@ class _Stepper:
             head = z[:, :-d]
             product = None if spectral else \
                 self._work[:head.size].reshape(head.shape)
-            z[:, d:] += np.einsum("...ab,bx...->ax...", P, head, out=product)
+            if product is not None and len(w) == 1:
+                # at m = 1, G^d is one number: one multiply per entry,
+                # einsum's one product and faster to call
+                z[:, d:] += np.multiply(P[0, 0], head, out=product)
+            else:
+                z[:, d:] += np.einsum("...ab,bx...->ax...", P, head,
+                                      out=product)
         if spectral:   # column x = 0, w_0, stays the data it was
             w[:, 1:] = np.fft.irfftn(z[:, 1:], s=w.shape[2:], axes=axes)
 
@@ -548,17 +669,10 @@ class _Stepper:
         point narrower: q'[i] = q[i] - Nu^-1 Nx (q[i+1] - q[i]) - src[i]
         is written into the q rows of `new`, its w rows are left to
         `fill_null`.  An overflow leaves inf or NaN in q'."""
-        nq = self.nq
-        q, head = vals[:nq], new[:nq]
-        size = math.prod(head.shape[1:])
         # on the whole contiguous slice: its last x point is not read
         src = self.source(vals, self._work)
-        start = self.source.work
-        d = self._work[start:start + head.size].reshape(head.shape)
-        np.subtract(q[:, 1:], q[:, :-1], out=d)
-        np.matmul(self.NuiNx, d.reshape(nq, size), out=head.reshape(nq, size))
-        np.subtract(q[:, :-1], head, out=head)
-        head -= src[:, :-1]
+        self.upwind(vals[:self.nq], src, new[:self.nq],
+                    self._work[self.source.work:])
 
 
 # At most one released trace mapping, the largest: a later march of that
@@ -603,15 +717,16 @@ def _store(size: int) -> np.ndarray:
 
 
 def _packed_slices(n: int, nx: int, cells: tuple):
-    """The values of the slices of one march, x extents nx + 1 down to 1,
-    as consecutive views of one store."""
+    """One store for the slices of one march, and their values, x extents
+    nx + 1 down to 1, as consecutive views of it."""
     per_x = n * math.prod(cells)
     store = _store(per_x * (nx + 1) * (nx + 2) // 2)
-    start = 0
+    views, start = [], 0
     for width in range(nx + 1, 0, -1):
         stop = start + per_x * width
-        yield store[start:stop].reshape((n, width) + cells)
+        views.append(store[start:stop].reshape((n, width) + cells))
         start = stop
+    return store, views
 
 
 def _validate(canon: CanonicalSystem, grid: GridSpec, data: DataSpec):
@@ -669,7 +784,8 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
     slices, diagnostics = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         stepper = _Stepper(canon, grid, report.tols)
-        for j, vals in enumerate(_packed_slices(n, grid.nx, grid.cells)):
+        store, views = _packed_slices(n, grid.nx, grid.cells)
+        for j, vals in enumerate(views):
             u = j * grid.dx
             if j == 0:
                 for a in range(nq):
@@ -686,4 +802,6 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
             vals.flags.writeable = False
             slices.append(SliceState(u_level=u, values=vals))
             diagnostics.append(max(q_top, w_top))
-    return SolutionTrace(grid=grid, slices=slices, diagnostics=diagnostics)
+    store.flags.writeable = False
+    return SolutionTrace(grid=grid, slices=slices, diagnostics=diagnostics,
+                         _store=store)

@@ -15,16 +15,18 @@ the report's field names.  A trace cannot change, so the per-slice forms
 of a compact system are built in one pass on its first call and kept on
 the trace as one record, keyed by the content of C^u, C^x and Dc
 (R = 2 Dc) and by nq: the Nu form cell-summed over x on slice 0, the |w|^2
-and C^x forms on one stack of the x = 0 column, and the volume term as a
-prefix sum.  C^u = blockdiag(Nu, 0), so the C^u flux through u = 0 in the
-energy identity is ||q0||^2_Nu itself, and the balance reads it from the
-q0 norm.  The volume cell (j, i), between slices j - 1 and j at x from
+and C^x forms on the x = 0 column, one gather from the trace's packed
+store, and the volume term as a prefix sum.  C^u = blockdiag(Nu, 0), so
+the C^u flux through u = 0 in the energy identity is ||q0||^2_Nu itself,
+and the balance reads it from the q0 norm.  The volume cell (j, i), between slices j - 1 and j at x from
 i dx to (i + 1) dx, carries the corner average of the R form and lies
 below level K when j + i < K; the corner averages are summed along each
 anti-diagonal j + i and then accumulated, so the volume integral of
 level K is one read, prefix[K] dx^2.  Each call evaluates only the form
-C^u + C^x on the diagonal points of its level: it stacks the node
-(j, K - j) of each slice j into one plane and takes one form on it.
+C^u + C^x on the diagonal points of its level: the nodes (j, K - j) of
+the slices j <= K are one gather from the trace's store, into one plane,
+and it takes one form on that plane.  A level that some slice j <= K does
+not reach (no x index K - j) is outside the trace's coverage.
 
 Both kernels work on flattened views: a quadratic form v^T W v is one
 matrix product on the (components, points) view of a plane, summed as
@@ -100,7 +102,8 @@ def _line_integral(g: np.ndarray, h: float, K: int) -> float:
 def _level(trace: SolutionTrace, T: float) -> int:
     """The grid level K >= 1 of the surface u + x = T: it passes through
     the nodes (j, K - j).  T that snaps to level 0, a surface of one node
-    with no data, or past the last slice is refused, and off-grid T is then
+    with no data, or to a level that the trace does not cover (a slice
+    j <= K without x index K - j) is refused, and off-grid T is then
     snapped with a warning.  T / dx is clipped to [0, n_slices] before it
     is rounded, so that a finite T whose T / dx overflows is refused too."""
     dx = trace.grid.dx
@@ -108,7 +111,7 @@ def _level(trace: SolutionTrace, T: float) -> int:
     if K < 1:
         raise RangeError(f"T={T!r} is below the first grid level, "
                          f"dx = {dx!r}")
-    if K > trace.n_slices - 1:
+    if K >= trace._levels:
         raise RangeError(f"T={T!r} outside the trace coverage")
     if abs(K * dx - T) > 1e-9 * max(dx, 1.0):
         warnings.warn(f"T={T!r} snapped to the nearest grid level {K * dx!r}",
@@ -149,7 +152,7 @@ def _forms(trace: SolutionTrace, cf: CompactSystem) -> _Forms:
                 f"compact system of {cf.n} unknowns and "
                 f"{len(cf.transverse_names)} transverse axes does not fit a "
                 f"trace of {n} unknowns and {nt} transverse axes")
-        col = np.stack([s.values[:, 0] for s in trace.slices], axis=1)
+        col = trace._x0_column()
         # the cell (j, i) between slices j - 1 and j lies below level K
         # when j + i < K: sum the cells along each anti-diagonal j + i,
         # then along the levels
@@ -206,11 +209,9 @@ def verify_estimate(trace: SolutionTrace, cf: CompactSystem,
     nq_sq = _line_integral(forms.q0, dx, K)
     nw_sq = _line_integral(forms.w0, dx, K)
     # sigma: the nodes (j, K - j) of level K, weight dx times the cell volume
-    plane = np.stack([trace.slices[j].values[:, K - j]
-                      for j in range(K + 1)], axis=1)
     sig = 0.0
-    for g in _cell_sum(_quad_form(cf.C["u"] + cf.C["x"], plane),
-                       trace).tolist():
+    for g in _cell_sum(_quad_form(cf.C["u"] + cf.C["x"],
+                                  trace._level_nodes(K)), trace).tolist():
         sig += dx * g
     bound = report.bound_factor(K * dx) * (nq_sq + nw_sq)
     margin = bound - sig

@@ -620,7 +620,8 @@ class TestMarchMatchesOracle:
                                        damped_wave_pipeline):
         canon = wave_canon if system == "undamped" else \
             _coupled_system(system, wave_canon, damped_wave_pipeline)
-        self._assert_matches(canon, wave_report, nx=16)
+        self._assert_matches(canon, wave_report,
+                             wave_grid(nx=16, cy=8, cz=4, X=1.0))
 
     @pytest.mark.parametrize("system", ["damped", "damped_w_coupled"])
     def test_long_grid_matches_to_round_off(self, system, wave_canon,
@@ -628,7 +629,28 @@ class TestMarchMatchesOracle:
                                             damped_wave_pipeline):
         # nx = 128 takes the scan of the hypersurface pass up to G^64
         canon = _coupled_system(system, wave_canon, damped_wave_pipeline)
-        self._assert_matches(canon, wave_report, nx=128)
+        self._assert_matches(canon, wave_report,
+                             wave_grid(nx=128, cy=8, cz=4, X=1.0))
+
+    def test_two_null_fields_match_to_round_off(self):
+        # m = 2 with pointwise null coupling: the scan's matrix powers,
+        # up to G^64; A^x = diag(1, 1, -1) puts two of three fields on
+        # u = t - x, and a random D couples them
+        D = 0.5 * np.random.default_rng(3).standard_normal((3, 3))
+        a = cm.analyze(
+            cm.FirstOrderSystem(n_coords=2, n_unknowns=3,
+                                coord_names=("t", "x"),
+                                A={"t": np.eye(3),
+                                   "x": np.diag([1.0, 1.0, -1.0])}, D=D),
+            cm.Chart(J=[[1, -1], [0, 1]], offsets=[0, 0]))
+        assert (a.canon.nq, a.canon.m) == (1, 2)
+        assert a.report.verdict is Verdict.WELL_POSED
+        grid = cm.GridSpec(X_total=1.0, nx=128)
+        data = cm.DataSpec(
+            q0=((cm.ProfileTerm(kind="sine", amp=0.8, k=2.0, phase=0.3),),),
+            w0=((cm.ProfileTerm(kind="sine", amp=1.2, k=1.0, phase=0.1),),
+                (cm.ProfileTerm(kind="gauss", center=0.4, width=0.3),)))
+        self._assert_matches(a.canon, a.report, grid, data)
 
     @pytest.mark.parametrize("system", ["w_coupled", "damped_w_coupled"])
     def test_w0_column_is_the_data(self, system, wave_canon, wave_report,
@@ -644,10 +666,9 @@ class TestMarchMatchesOracle:
             assert np.array_equal(s.values[3, 0], charsolve.evaluate_profile(
                 self.DATA.w0[0], s.u_level, tmeshes))
 
-    def _assert_matches(self, canon, report, nx):
-        grid = wave_grid(nx=nx, cy=8, cz=4, X=1.0)
-        trace = cm.march(canon, grid, self.DATA, report=report, force=True)
-        expected = _oracle_march(canon, grid, self.DATA)
+    def _assert_matches(self, canon, report, grid, data=DATA):
+        trace = cm.march(canon, grid, data, report=report, force=True)
+        expected = _oracle_march(canon, grid, data)
         assert trace.n_slices == len(expected)
         scale = max(float(np.abs(v).max()) for v in expected)
         worst = max(float(np.abs(s.values - v).max())
@@ -741,6 +762,57 @@ class TestRowSparseOperators:
             op = _FieldOperator(np.zeros(shape), [], grid)
             out = op(np.ones((shape[1], 5)), np.empty(op.work))
             assert out.shape == (shape[0], 5) and not np.any(out)
+
+
+def _dense_upwind(P, q, src):
+    """q[:, :-1] - P (q[:, 1:] - q[:, :-1]) - src[:, :-1], with the whole
+    P in one product."""
+    head = q[:, :-1] - _dense_apply(P, q[:, 1:] - q[:, :-1])
+    head -= src[:, :-1]
+    return head
+
+
+@st.composite
+def _upwind_case(draw):
+    nq = draw(st.integers(0, 5))
+    cells = tuple(draw(st.lists(st.integers(1, 4), max_size=2)))
+    P = draw(arrays(float, (nq, nq), elements=_entries))
+    # whole zero rows and columns on top of the zero entries
+    P *= draw(arrays(bool, (nq, 1))) & draw(arrays(bool, (1, nq)))
+    width = draw(st.integers(2, 6))
+    return P, cells, width, draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestUpwindStep:
+    """The x step, on the span of P's nonzero rows where P uses one
+    column, gives the dense step's bits."""
+
+    @given(_upwind_case())
+    @example((np.diag([-0.5, 0.0, 0.0]), (8, 4), 6, 0))   # wave3d's P
+    @example((np.array([[0.0, 0.0], [0.0, 0.7]]), (), 3, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_step_bit_for_bit(self, case):
+        P, cells, width, seed = case
+        grid = cm.GridSpec(X_total=1.0, nx=5, transverse=tuple(
+            cm.TransverseAxis(cells=c) for c in cells))
+        step = charsolve._UpwindStep(P, grid)
+        rng = np.random.default_rng(seed)
+        nq = len(P)
+        vals = rng.standard_normal((nq + 1, width) + cells)
+        src = rng.standard_normal((nq, width) + cells)
+        # the work buffer and the new slice hold old values: nothing may
+        # read them, and the w row is left as it is
+        new = np.full((nq + 1, width - 1) + cells, np.nan)
+        step(vals[:nq], src, new[:nq], np.full(step.work, np.nan))
+        assert new[:nq].tobytes() == \
+            _dense_upwind(P, vals[:nq], src).tobytes()
+        assert np.isnan(new[nq:]).all()
+
+    def test_work_is_the_columns_p_uses(self, wave_canon):
+        # wave3d's P = diag(-1/2, 0, 0) takes the x difference of q1 alone
+        grid = wave_grid(nx=8, cy=8, cz=4)
+        stepper = _Stepper(wave_canon, grid)
+        assert stepper.upwind.work == 9 * 8 * 4
 
 
 class TestTraceStore:
@@ -859,3 +931,122 @@ class TestTraceStore:
         before = faults()
         store[:] = 1.0
         assert faults() - before < 8
+
+
+def _wave(nt):
+    """The wave equation in 1 + 1 + nt dimensions, as wave3d, which it is
+    at nt = 2: nt transverse axes and the chart u = t - x."""
+    n = 2 + nt
+    names = ("t", "x", "y", "z")[:n]
+    A = {"t": np.eye(n)}
+    for i, name in enumerate(names[1:], start=1):
+        A[name] = np.zeros((n, n))
+        A[name][0, i] = A[name][i, 0] = -1.0
+    J = np.eye(n)
+    J[0, 1] = -1.0
+    return cm.analyze(cm.FirstOrderSystem(n_coords=n, n_unknowns=n,
+                                          coord_names=names, A=A,
+                                          D=np.zeros((n, n))),
+                      cm.Chart(J=J, offsets=np.zeros(n)))
+
+
+_WAVES = {nt: _wave(nt) for nt in range(3)}
+
+
+def _sine(rng, nt):
+    return (cm.ProfileTerm(kind="sine", amp=rng.uniform(-1, 1), k=1.0,
+                           phase=rng.uniform(0, 3), trans=tuple(
+                               (float(rng.integers(0, 3)), 0.0)
+                               for _ in range(nt))),)
+
+
+@st.composite
+def _marched_trace(draw):
+    nt = draw(st.integers(0, 2))
+    a = _WAVES[nt]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    grid = cm.GridSpec(X_total=1.0, nx=draw(st.integers(2, 9)),
+                       transverse=tuple(
+                           cm.TransverseAxis(cells=draw(st.integers(4, 6)))
+                           for _ in range(nt)))
+    data = cm.DataSpec(q0=tuple(_sine(rng, nt) for _ in range(a.canon.nq)),
+                       w0=tuple(_sine(rng, nt) for _ in range(a.canon.m)))
+    return cm.march(a.canon, grid, data, report=a.report)
+
+
+@st.composite
+def _hand_built_trace(draw):
+    """Slices of any x extents, as separate arrays, as consecutive views of
+    one flat array, as march's are, or as views of one with a gap in front
+    of each."""
+    n = draw(st.integers(0, 3))
+    cells = tuple(draw(st.lists(st.integers(1, 4), max_size=2)))
+    nx = draw(st.integers(2, 7))
+    widths = draw(st.lists(st.integers(1, nx + 1), max_size=nx + 1))
+    layout = draw(st.sampled_from(["arrays", "packed", "gapped"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shapes = [(n, w) + cells for w in widths]
+    gap = layout == "gapped"
+    flat = rng.standard_normal(sum(map(math.prod, shapes)) + gap * len(shapes))
+    values, at = [], 0
+    for shape in shapes:
+        if layout == "arrays":
+            values.append(np.asfortranarray(rng.standard_normal(shape)))
+        else:
+            at += gap
+            values.append(flat[at:at + math.prod(shape)].reshape(shape))
+            at += math.prod(shape)
+    grid = cm.GridSpec(X_total=1.0, nx=nx, transverse=tuple(
+        cm.TransverseAxis(cells=c) for c in cells))
+    slices = [charsolve.SliceState(u_level=j * grid.dx, values=v)
+              for j, v in enumerate(values)]
+    return cm.SolutionTrace(grid=grid, slices=slices), values
+
+
+class TestTraceGathers:
+    """A level's nodes and the x = 0 column, each one gather from the
+    trace's store, are the per-slice views, bit for bit."""
+
+    @staticmethod
+    def _assert_gathers_are_the_views(trace, values):
+        # level K is covered when every slice j <= K holds x index K - j
+        levels = next(K for K in range(len(values) + 1)
+                      if K == len(values)
+                      or any(v.shape[1] <= K - j
+                             for j, v in enumerate(values[:K + 1])))
+        assert trace._levels == levels
+        for K in range(levels):
+            got = trace._level_nodes(K)
+            want = np.stack([values[j][:, K - j] for j in range(K + 1)],
+                            axis=1)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        got = trace._x0_column()
+        want = np.stack([v[:, 0] for v in values[:levels]], axis=1) \
+            if levels else got
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @given(_marched_trace())
+    @settings(max_examples=60, deadline=None)
+    def test_marched_trace(self, trace):
+        assert trace._levels == trace.n_slices == trace.grid.nx + 1
+        # the march's store is the trace's: nothing was copied
+        assert trace._store.base is trace.slices[0].values.base
+        assert not trace._store.flags.writeable
+        self._assert_gathers_are_the_views(
+            trace, [s.values for s in trace.slices])
+
+    @given(_hand_built_trace())
+    @settings(max_examples=150, deadline=None)
+    def test_hand_built_trace(self, case):
+        trace, values = case
+        # every layout is copied, packed views too, into a read-only store
+        for s, v in zip(trace.slices, values):
+            assert np.array_equal(s.values, v)
+            assert not np.shares_memory(s.values, v)
+            assert not s.values.flags.writeable
+        assert not trace._store.flags.writeable
+        self._assert_gathers_are_the_views(trace, [v.copy() for v in values])
+        # so no later write to the arrays passed in reaches the trace
+        for v in values:
+            v[...] = np.nan
+        assert not any(np.isnan(s.values).any() for s in trace.slices)

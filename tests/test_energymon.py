@@ -246,6 +246,45 @@ class TestSigmaNorm:
             cm.verify_estimate(tr, wave_compact, wave_report, 1.0)
 
 
+class TestHandBuiltTraces:
+    """Slices that do not fit the grid are refused by the trace, naming the
+    slice, and a level that some slice does not reach is out of range."""
+
+    @staticmethod
+    def _slices(shape_of):
+        grid = wave_grid(8)
+        return grid, [SliceState(u_level=j * grid.dx,
+                                 values=np.ones(shape_of(j)))
+                      for j in range(grid.nx + 1)]
+
+    def test_slices_of_other_unknown_counts(self):
+        # np.stack of the level's nodes used to refuse them, unnamed
+        grid, slices = self._slices(
+            lambda j: (3 if j == 3 else 4, 9 - j, 4, 4))
+        with pytest.raises(DataSpecError, match=(
+                "^slice 3 holds 3 unknowns, slice 0 holds 4$")):
+            SolutionTrace(grid=grid, slices=slices)
+
+    def test_slices_of_other_transverse_cells(self):
+        # (2, 4) cells on a (4, 4) grid used to give norms on the wrong
+        # cell volume
+        grid, slices = self._slices(lambda j: (4, 9 - j, 2, 4))
+        with pytest.raises(DataSpecError, match=re.escape(
+                "slice 0 of shape (4, 9, 2, 4) does not fit the grid's "
+                "transverse cells (4, 4)")):
+            SolutionTrace(grid=grid, slices=slices)
+
+    def test_level_past_a_short_slice(self, wave_compact, wave_report):
+        # nine slices of two x points cover the levels 0 and 1 only: level
+        # 2 needs x index 2 of slice 0, which used to be an IndexError
+        grid, slices = self._slices(lambda j: (4, 2, 4, 4))
+        tr = SolutionTrace(grid=grid, slices=slices)
+        with pytest.raises(RangeError, match="outside the trace coverage"):
+            cm.verify_estimate(tr, wave_compact, wave_report, 0.5)
+        assert cm.verify_estimate(tr, wave_compact, wave_report,
+                                  0.25).T == 0.25
+
+
 class TestBalanceResidual:
     def test_zero_data_zero_residual(self, wave_canon, wave_compact,
                                      wave_report):
