@@ -52,16 +52,21 @@ over, and a trace built by hand from slices is copied into a read-only
 store of its own once, when it is made.
 
 `march` is the one public way into the scheme, so its guards (grid and data
-against the system, the verdict, the CFL check) hold for every step taken.
-It alone owns the slices and the one np.errstate: it writes the data (no
-pass rewrites w_0), steps, checks and freezes each one, and the stepper
-only computes, in place.
+against the system, the trace's size, the verdict, the CFL check) hold for
+every step taken.  It evaluates the data once, q0 and w0 on the node line
+s = k dx, into one nodal array, and hands it to one private loop under its
+one np.errstate.  The loop owns the slices: it writes slice 0's q rows
+before the first step, then only steps, copies the w_0 column (no pass
+rewrites it), checks and freezes each slice, and the stepper only
+computes, in place.
 """
 from __future__ import annotations
 
+import errno
 import math
 import mmap
 import numbers
+import sys
 import weakref
 from dataclasses import dataclass, field, fields, replace
 
@@ -716,13 +721,26 @@ def _store(size: int) -> np.ndarray:
     return store
 
 
-def _packed_slices(n: int, nx: int, cells: tuple):
+def _trace_size(n: int, grid: GridSpec) -> int:
+    """The float64 entries of the trace of n unknowns on grid."""
+    return n * math.prod(grid.cells) * (grid.nx + 1) * (grid.nx + 2) // 2
+
+
+def _packed_slices(n: int, grid: GridSpec):
     """One store for the slices of one march, and their values, x extents
-    nx + 1 down to 1, as consecutive views of it."""
+    nx + 1 down to 1, as consecutive views of it.  A mapping the system
+    refuses for want of memory is a MemoryError that names the grid."""
+    cells, size = grid.cells, _trace_size(n, grid)
+    try:
+        store = _store(size)
+    except OSError as exc:
+        if exc.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(f"the trace of nx = {grid.nx}, cells {cells} needs "
+                          f"{8 * size} bytes: {exc.strerror}") from None
     per_x = n * math.prod(cells)
-    store = _store(per_x * (nx + 1) * (nx + 2) // 2)
     views, start = [], 0
-    for width in range(nx + 1, 0, -1):
+    for width in range(grid.nx + 1, 0, -1):
         stop = start + per_x * width
         views.append(store[start:stop].reshape((n, width) + cells))
         start = stop
@@ -751,6 +769,10 @@ def _validate(canon: CanonicalSystem, grid: GridSpec, data: DataSpec):
         if coupled and grid.transverse[j].cells < 4:
             raise DataSpecError(
                 f"transverse direction {name} needs at least 4 cells")
+    nbytes = 8 * _trace_size(canon.n_unknowns, grid)
+    if nbytes > sys.maxsize:
+        raise MemoryError(f"the trace of nx = {grid.nx}, cells {grid.cells} "
+                          f"needs {nbytes} bytes, more than sys.maxsize")
 
 
 def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
@@ -761,47 +783,61 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
     `report` is the well-posedness report of the reduction that gave
     `canon`; systems whose verdict is not WELL_POSED are refused unless
     force=True, and CFLError refuses one only for a speed that the upwind
-    step amplifies and the verdict's zero band hides.  For each of
-    the nx + 1 views of its store it writes q0 (slice 0) or takes the
-    evolution step, writes w0 into column x = 0, runs the hypersurface
-    pass, checks each new block (inf or NaN, which an overflow leaves under
-    the march's np.errstate, raises MarchAbortError naming it) and freezes
-    the slice.  The returned trace cannot change: its slices are a tuple
-    of frozen slices with read-only values.
+    step amplifies and the verdict's zero band hides.  A grid whose trace
+    would take more than sys.maxsize bytes is refused with MemoryError
+    before anything is allocated.  The data are evaluated once, on the
+    nodes s = k dx, k = 0..nx: q0 on u = 0 at x = s and w0 on x = 0 at
+    u = s; `_march_nodal` then marches those nodal values.  The returned
+    trace cannot change: its slices are a tuple of frozen slices with
+    read-only values.
     """
     _validate(canon, grid, data)
     if report.verdict is not Verdict.WELL_POSED and not force:
         raise NotWellPosedError(
             f"verdict is {report.verdict.value}; pass force=True to march anyway")
-    tmeshes = grid.transverse_meshes()
-    xs = (np.arange(grid.nx + 1) * grid.dx).reshape(
+    s = (np.arange(grid.nx + 1) * grid.dx).reshape(
         (grid.nx + 1,) + (1,) * len(grid.transverse))
-    nq, m, n = canon.nq, canon.m, canon.n_unknowns
-
-    # slice j lies at u = j dx; diagnostics[j] = max |v| on it, the larger
-    # of max |q| and max |w|.  Data whose terms sum past the float range
-    # is inf, and its own check names it before the pass reads it.
-    slices, diagnostics = [], []
+    tmeshes = grid.transverse_meshes()
+    # data whose terms sum past the float range is inf, and the march
+    # names it before a pass reads it
     with np.errstate(over="ignore", invalid="ignore"):
-        stepper = _Stepper(canon, grid, report.tols)
-        store, views = _packed_slices(n, grid.nx, grid.cells)
-        for j, vals in enumerate(views):
-            u = j * grid.dx
-            if j == 0:
-                for a in range(nq):
-                    vals[a] = evaluate_profile(data.q0[a], xs, tmeshes)
-            else:
-                stepper.evolve(slices[-1].values, vals)
-            for a in range(m):
-                vals[nq + a, 0] = evaluate_profile(data.w0[a], u, tmeshes)
-            q_top = _finite_max(vals[:nq], u,
-                                "evolution step" if j else "q0 data")
-            _finite_max(vals[nq:, 0], u, "w0 data")
-            stepper.fill_null(vals)
-            w_top = _finite_max(vals[nq:], u, "hypersurface integration")
-            vals.flags.writeable = False
-            slices.append(SliceState(u_level=u, values=vals))
-            diagnostics.append(max(q_top, w_top))
+        nodal = np.empty((canon.n_unknowns, grid.nx + 1) + grid.cells)
+        for row, terms in zip(nodal, data.q0 + data.w0):
+            row[...] = evaluate_profile(terms, s, tmeshes)
+        return _march_nodal(canon, grid, nodal, report.tols)
+
+
+def _march_nodal(canon: CanonicalSystem, grid: GridSpec, nodal: np.ndarray,
+                 tols: matkit.Tolerances) -> SolutionTrace:
+    """March nodal data, shaped (n_unknowns, nx + 1, *cells): the q rows
+    hold q0 at x = k dx on u = 0, the w rows w0 at u = k dx on x = 0.
+
+    Slice 0's q rows are written before the first step.  Then, for each of
+    the nx + 1 views of the store, the loop takes the evolution step (from
+    slice 1 on), copies the w0 column into x = 0, runs the hypersurface
+    pass, checks each new block (inf or NaN, which an overflow leaves under
+    `march`'s np.errstate, raises MarchAbortError naming it and the u of
+    its slice) and freezes the slice.  It evaluates no profile.
+    """
+    nq = canon.nq
+    stepper = _Stepper(canon, grid, tols)
+    store, views = _packed_slices(canon.n_unknowns, grid)
+    views[0][:nq] = nodal[:nq]
+    # slice j lies at u = j dx; diagnostics[j] = max |v| on it, the larger
+    # of max |q| and max |w|
+    slices, diagnostics = [], []
+    for j, vals in enumerate(views):
+        u = j * grid.dx
+        if j:
+            stepper.evolve(slices[-1].values, vals)
+        vals[nq:, 0] = nodal[nq:, j]
+        q_top = _finite_max(vals[:nq], u, "evolution step" if j else "q0 data")
+        _finite_max(vals[nq:, 0], u, "w0 data")
+        stepper.fill_null(vals)
+        w_top = _finite_max(vals[nq:], u, "hypersurface integration")
+        vals.flags.writeable = False
+        slices.append(SliceState(u_level=u, values=vals))
+        diagnostics.append(max(q_top, w_top))
     store.flags.writeable = False
     return SolutionTrace(grid=grid, slices=slices, diagnostics=diagnostics,
                          _store=store)

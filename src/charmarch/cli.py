@@ -311,8 +311,8 @@ def main(argv=None) -> int:
         # devnull so that the interpreter's final flush cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
-    except (ValueError, KeyError, OSError, RuntimeError,
-            OverflowError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError, OverflowError,
+            MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

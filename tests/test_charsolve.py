@@ -1,7 +1,9 @@
 import dataclasses
+import errno
 import gc
 import math
 import mmap
+import os
 import tracemalloc
 import warnings
 
@@ -281,6 +283,24 @@ class TestMarch:
         for a, b in zip(t1.slices, t2.slices):
             assert np.array_equal(a.values, b.values)
         assert t1.diagnostics == t2.diagnostics
+
+    def test_each_profile_is_evaluated_once(self, wave_canon, wave_report,
+                                            manufactured_data, monkeypatch):
+        # the data are evaluated on the node line before the loop, which
+        # then only steps: nq + m evaluations, whatever nx is
+        calls = []
+
+        def counted(terms, s, tmeshes):
+            calls.append(np.shape(s))
+            return evaluate(terms, s, tmeshes)
+
+        evaluate = charsolve.evaluate_profile
+        monkeypatch.setattr(charsolve, "evaluate_profile", counted)
+        for nx in (8, 32):
+            calls.clear()
+            cm.march(wave_canon, wave_grid(nx=nx, cy=4, cz=4),
+                     manufactured_data, report=wave_report)
+            assert calls == [(nx + 1, 1, 1)] * 4
 
     def test_diagnostics_are_max_abs_of_each_slice(self, wave_canon,
                                                    wave_report,
@@ -567,20 +587,24 @@ def _oracle_evolution(canon, vals, grid):
     return new
 
 
-def _oracle_march(canon, grid, data):
-    """Slice values of the zig-zag march, one Heun step per x point."""
+def _nodal(grid, data):
+    """The data at the nodes s = k dx, one scalar evaluation per node: q0
+    on u = 0 at x = s and w0 on x = 0 at u = s, (unknowns, nx + 1, *cells)."""
     tmeshes = grid.transverse_meshes()
-    cells = tuple(t.cells for t in grid.transverse)
-    x = np.arange(grid.nx + 1) * grid.dx
-    xs = x.reshape((grid.nx + 1,) + (1,) * len(cells))
-    vals = np.zeros((canon.n_unknowns, grid.nx + 1) + cells)
-    for a in range(canon.nq):
-        vals[a] = cm.charsolve.evaluate_profile(data.q0[a], xs, tmeshes)
+    return np.array([[charsolve.evaluate_profile(p, k * grid.dx, tmeshes)
+                      for k in range(grid.nx + 1)]
+                     for p in data.q0 + data.w0])
+
+
+def _oracle_march(canon, grid, nodal):
+    """Slice values of the zig-zag march of nodal data, as `_nodal` lays
+    them out, one Heun step per x point."""
+    nq = canon.nq
+    vals = np.zeros_like(nodal)
+    vals[:nq] = nodal[:nq]
     out = []
     for j in range(grid.nx + 1):
-        wb = np.array([cm.charsolve.evaluate_profile(p, j * grid.dx, tmeshes)
-                       for p in data.w0])
-        vals = _oracle_hypersurface(canon, vals, wb, grid)
+        vals = _oracle_hypersurface(canon, vals, nodal[nq:, j], grid)
         out.append(vals)
         if vals.shape[1] < 2:
             break
@@ -666,9 +690,29 @@ class TestMarchMatchesOracle:
             assert np.array_equal(s.values[3, 0], charsolve.evaluate_profile(
                 self.DATA.w0[0], s.u_level, tmeshes))
 
-    def _assert_matches(self, canon, report, grid, data=DATA):
-        trace = cm.march(canon, grid, data, report=report, force=True)
-        expected = _oracle_march(canon, grid, data)
+    @pytest.mark.parametrize("system", ["undamped", "damped", "w_coupled"])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_rough_nodal_data_match_to_round_off(self, system, seed,
+                                                 wave_canon, wave_report,
+                                                 damped_wave_pipeline):
+        # independent normal values at every data node and cell: data no
+        # profile describes, marched by the loop that march hands its
+        # evaluated profiles to
+        canon = wave_canon if system == "undamped" else \
+            _coupled_system(system, wave_canon, damped_wave_pipeline)
+        grid = wave_grid(nx=16, cy=8, cz=4, X=1.0)
+        nodal = np.random.default_rng(seed).standard_normal(
+            (canon.n_unknowns, grid.nx + 1) + grid.cells)
+        self._assert_matches(canon, wave_report, grid, nodal=nodal)
+
+    def _assert_matches(self, canon, report, grid, data=DATA, nodal=None):
+        if nodal is None:
+            trace = cm.march(canon, grid, data, report=report, force=True)
+            nodal = _nodal(grid, data)
+        else:
+            trace = charsolve._march_nodal(canon, grid, nodal, report.tols)
+        expected = _oracle_march(canon, grid, nodal)
         assert trace.n_slices == len(expected)
         scale = max(float(np.abs(v).max()) for v in expected)
         worst = max(float(np.abs(s.values - v).max())
@@ -914,6 +958,24 @@ class TestTraceStore:
         one_slice = 4 * 129 * 8 * 4 * 8   # bytes of the widest slice
         assert large <= small + 1024
         assert large < one_slice / 20
+
+    @pytest.mark.parametrize("code, error", [
+        (errno.ENOMEM, MemoryError), (errno.EACCES, PermissionError)])
+    def test_refused_mapping(self, code, error, wave_canon, wave_report,
+                             manufactured_data, monkeypatch):
+        # a mapping refused for want of memory names the grid and the
+        # bytes its trace needs; any other refusal passes through as is
+        def refuse(*args, **kwargs):
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(charsolve, "_POOL", [])
+        monkeypatch.setattr(charsolve.mmap, "mmap", refuse)
+        with pytest.raises(error) as info:
+            self._march(wave_canon, wave_report, manufactured_data)
+        if code == errno.ENOMEM:
+            assert str(info.value) == (
+                f"the trace of nx = 16, cells (8, 4) needs "
+                f"{8 * 4 * 32 * 17 * 18 // 2} bytes: {os.strerror(code)}")
 
     @pytest.mark.skipif(not hasattr(mmap, "MAP_POPULATE"),
                         reason="the platform has no MAP_POPULATE")

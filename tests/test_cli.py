@@ -410,6 +410,23 @@ class TestSolve:
             assert (u, extent) == (0.5 * k, 5 - k)
             assert abs(vmax - amp * abs(math.sin(u))) < 1e-15
 
+    def test_grid_past_the_address_space_is_an_error(self, monkeypatch,
+                                                     capsys):
+        # the trace of nx = 1e8 on the default 16 x 16 cells needs more
+        # than sys.maxsize bytes: refused by name, before the march
+        # evaluates the data, makes the stepper's buffer (1.68 TiB) or
+        # maps the store
+        def allocates(*args, **kwargs):
+            raise AssertionError("allocated for a grid that is refused")
+
+        for name in ("evaluate_profile", "_Stepper", "_store"):
+            monkeypatch.setattr(charsolve, name, allocates)
+        code = cli.main(["solve", "--example", "wave3d", "--nx", "100000000"])
+        nbytes = 8 * 4 * 256 * (10 ** 8 + 1) * (10 ** 8 + 2) // 2
+        assert (code, *capsys.readouterr()) == (
+            cli.EXIT_ERROR, "", f"error: the trace of nx = 100000000, cells "
+            f"(16, 16) needs {nbytes} bytes, more than sys.maxsize\n")
+
     @pytest.mark.parametrize("argv, code", [
         (["solve", "--example", "wave3d", "--cells", "8,4,9"],
          cli.EXIT_ERROR),

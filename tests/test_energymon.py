@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import charmarch as cm
-from charmarch import energymon
+from charmarch import charsolve, energymon
 from charmarch.charsolve import DataSpecError, SliceState, SolutionTrace
 from charmarch.energymon import EstimateHorizonError, RangeError
 from charmarch.wellposed import Verdict
@@ -490,6 +490,44 @@ class TestXOnlyData:
         reports = self._reports(gauss, nx, wave_analysis)
         assert len(reports) == 8
         assert [er.T for er in reports if not er.holds] == []
+
+class TestEndNodeBias:
+    """A unit w0 at the single node u = K dx, and zero elsewhere, marched
+    exactly from its nodal values on the 1+1-D wave A^t = I,
+    A^x = [[0, -1], [-1, 0]], u = t - x (nq = m = 1, Nu = 2, Nx = -1),
+    X = 2 and K = nx / 2.  q stays 0 and w is the datum of its slice along
+    x, so on level K only node (K, 0) holds w = 1: sigma gives it the
+    weight dx, and the trapezoid of ||w0||^2 gives it dx / 2.  So
+    sigma = 2 data, and the margin is -dx / 2 = -(nx / 20) tol_h.
+
+    This pins today's forms, not the estimate: ROADMAP item 2's weights
+    give the end nodes of a level the data's end-node weight and will
+    change these numbers on purpose."""
+
+    TEXT = ("ncoords 2\nnunknowns 2\ncoordnames t x\n"
+            "matrix A t\n1 0\n0 1\nmatrix A x\n0 -1\n-1 0\n"
+            "chart\n1 -1\n0 1\n0 0\n")
+
+    @pytest.mark.parametrize("nx, holds", [
+        (16, True), (32, False), (64, False), (256, False)])
+    def test_unit_end_node_is_twice_the_data(self, nx, holds):
+        a = cm.analyze(*cm.load_system(self.TEXT))
+        assert (a.canon.nq, a.canon.m) == (1, 1)
+        np.testing.assert_allclose([a.canon.Nu, a.canon.Nx],
+                                   [[[2.0]], [[-1.0]]], rtol=1e-15)
+        grid = cm.GridSpec(X_total=2.0, nx=nx)
+        dx, K = grid.dx, nx // 2
+        nodal = np.zeros((2, nx + 1))
+        nodal[1, K] = 1.0
+        trace = charsolve._march_nodal(a.canon, grid, nodal, a.report.tols)
+        er = cm.verify_estimate(trace, a.compact, a.report, K * dx)
+        assert (er.norm_q0_sq, er.norm_w0_sq) == (0.0, dx / 2)
+        assert er.sigma_norm_sq == dx
+        assert er.margin == -dx / 2
+        tol_h = a.report.tols.ctol * dx * er.norm_w0_sq
+        assert er.margin / tol_h == pytest.approx(-nx / 20, rel=1e-14)
+        assert er.holds is holds
+
 
 # --- oracle: the per-T energy code, every form recomputed on every call ----
 
