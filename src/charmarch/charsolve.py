@@ -33,7 +33,10 @@ Slice j holds nx + 1 - j x points, and its u is j dx,
 taken from that index, not summed.  The field operators are row-sparse:
 one stacked product over M0 and the nonzero rows of each transverse M_j,
 and each periodic difference, taken from slices of the plane, written
-straight into its output row.
+straight into its output row.  Their strides, block lengths and buffer
+rows are plain ints fixed when they are built, so a call on a narrow
+slice costs its numpy calls and little else; at m = 1 the pointwise scan
+multiplies by G^d as a Python float.
 
 Memory: the march owns it.  The slices of one march are consecutive views
 of one packed store (x extents nx + 1 down to 1) on an anonymous mapping,
@@ -53,12 +56,16 @@ store of its own once, when it is made.
 
 `march` is the one public way into the scheme, so its guards (grid and data
 against the system, the trace's size, the verdict, the CFL check) hold for
-every step taken.  It evaluates the data once, q0 and w0 on the node line
-s = k dx, into one nodal array, and hands it to one private loop under its
-one np.errstate.  The loop owns the slices: it writes slice 0's q rows
-before the first step, then only steps, copies the w_0 column (no pass
-rewrites it), checks and freezes each slice, and the stepper only
-computes, in place.
+every step taken.  It maps the trace store first, the one allocation that
+grows with the whole trace, so that a store the system refuses is the
+MemoryError that names the grid; it then evaluates the data once, q0 and
+w0 on the node line s = k dx, into one nodal array, and hands both to one
+private loop under its one np.errstate.  The loop owns the slices: it
+writes slice 0's q rows before the first step, then only steps, copies the
+w_0 column (no pass rewrites it), checks and freezes each slice, and the
+stepper only computes, in place.  The check is one max and one min over
+the finished slice, which give its max |v|; only a slice that is not
+finite has its blocks checked one by one, to name the first that is not.
 """
 from __future__ import annotations
 
@@ -317,23 +324,18 @@ class SolutionTrace:
                             + np.arange(self._levels))
 
 
-def _centred_difference(plane: np.ndarray, axis: int,
-                        out: np.ndarray) -> None:
-    """out = f[j+1] - f[j-1] along one periodic axis of at least 3 cells,
-    built from slices of the plane.  Each component row of `plane` and of
-    `out` must be contiguous; the rows need not be adjacent."""
-    axis %= plane.ndim
-    rows, n = plane.shape[0], plane.shape[axis]
-    size = math.prod(plane.shape[1:])
-    # neighbours along the axis lie `stride` apart in a flat row: one
-    # contiguous pass per row is right for 0 < j < n-1 ...
-    stride = math.prod(plane.shape[axis + 1:])
-    flat, res = plane.reshape(rows, size), out.reshape(rows, size)
+def _centred_difference(flat: np.ndarray, res: np.ndarray, stride: int,
+                        block: int) -> None:
+    """res = f[j+1] - f[j-1] along one periodic axis of n >= 3 cells, on
+    (rows, points) views of a plane whose rows are contiguous but need not
+    be adjacent: neighbours along the axis lie `stride` entries apart in a
+    row, which is made of blocks of block = n * stride entries."""
+    # one contiguous pass per row is right for 0 < j < n-1 ...
     np.subtract(flat[:, 2 * stride:], flat[:, :-2 * stride],
                 out=res[:, stride:-stride])
     # ... and the wrap-around at j = 0 and j = n-1 is written over it, in
-    # each block of n * stride entries of a row
-    shape = (rows, size // (n * stride), n * stride)
+    # each block of a row
+    shape = (len(flat), -1, block)
     flat, res = flat.reshape(shape), res.reshape(shape)
     np.subtract(flat[:, :, stride:2 * stride], flat[:, :, -stride:],
                 out=res[:, :, :stride])
@@ -365,7 +367,10 @@ class _FieldOperator:
     result; without M0 each difference is written straight into its output
     row, through a difference buffer only where the row already holds
     another term, and rows that no term touches are set to zero.  The
-    result is a view of the buffers, valid until the next call.
+    result is a view of the buffers, valid until the next call.  The
+    strides of the differences and the rows of each buffer are fixed
+    here; a call works on (rows, points) views whose length, the plane's
+    x points times its cells, is all it computes.
 
     Each entry is the sum that M0 v + sum_j d_j (M_j v) makes, in the same
     order, and so the same bits, as long as every product keeps its BLAS
@@ -383,22 +388,26 @@ class _FieldOperator:
         self.terms = [(M / (2.0 * t.h), j - nt)
                       for j, (M, t) in enumerate(zip(Mt, grid.transverse))
                       if np.any(M)]
-        # (axis, rows of the product, output rows, added) per difference;
+        # (rows of the product, output rows, rows of the difference buffer
+        # when added to the output, else 0, stride, block) per difference;
         # along fewer than 3 cells the difference vanishes
         blocks = [] if self.M0 is None else [self.M0]
         touched = np.full(self.rows, self.M0 is not None)
+        self._cell_size = math.prod(self.cells)
         self._steps = []
         for M, axis in self.terms:
             if self.cells[axis] < 3:
                 continue
+            stride = math.prod(self.cells[nt + axis + 1:])
             nonzero = np.flatnonzero(M.any(axis=1))
             for added in (False, True):
                 for rows in _progressions(
                         nonzero[touched[nonzero] == added]):
                     k = sum(map(len, blocks))
                     blocks.append(M[rows])
-                    self._steps.append(
-                        (axis, slice(k, k + len(blocks[-1])), rows, added))
+                    n = len(blocks[-1])
+                    self._steps.append((slice(k, k + n), rows, added * n,
+                                        stride, self.cells[axis] * stride))
             touched[nonzero] = True
         self._zero = _progressions(np.flatnonzero(~touched))
         S = np.vstack(blocks) if blocks else np.zeros((0, self.cols))
@@ -409,15 +418,14 @@ class _FieldOperator:
             if len(S) == 1:
                 S = np.vstack([S, np.zeros_like(S)])
             self._products = [(S, slice(0, len(S)))] if len(S) else []
-        # work: the product, the result when it is not M0's rows, and the
-        # difference buffer, each (rows, *plane.shape[1:])
+        # work: the product (rows 0 .. k), the result when it is not M0's
+        # rows (k .. diff) and the difference buffer (diff ..), each
+        # (rows, points)
         self._k = len(S)
-        out_rows = 0 if self.M0 is not None else self.rows
-        diff_rows = max((p.stop - p.start for _, p, _, added in self._steps
-                         if added), default=0)
-        ends = np.cumsum([0, self._k, out_rows, diff_rows])
-        self._regions = tuple(zip(ends[:-1], ends[1:]))
-        self.work = int(ends[-1]) * (grid.nx + 1) * math.prod(self.cells)
+        self._diff = self._k + (0 if self.M0 is not None else self.rows)
+        diff_rows = max((step[2] for step in self._steps), default=0)
+        self.work = (self._diff + diff_rows) * (grid.nx + 1) \
+            * self._cell_size
 
     @property
     def is_zero(self) -> bool:
@@ -449,26 +457,26 @@ class _FieldOperator:
         """The operator on `plane`, computed in `work` (at least `self.work`
         entries for the widest plane); the result is a view of `work`."""
         shape = plane.shape[1:]
-        size = math.prod(shape)
-        stack, out, diff = (work[a * size:b * size].reshape((b - a,) + shape)
-                            for a, b in self._regions)
+        size = shape[0] * self._cell_size
+        stack = work[:self._k * size].reshape(self._k, size)
         if self._products:
             flat = plane.reshape(self.cols, size)
-            product = stack.reshape(self._k, size)
             for S, rows in self._products:
-                np.matmul(S, flat, out=product[rows])
-        if self.M0 is not None:
-            out = stack[:self.rows]
-        for axis, product_rows, rows, added in self._steps:
+                np.matmul(S, flat, out=stack[rows])
+        out = stack[:self.rows] if self.M0 is not None else \
+            work[self._k * size:self._diff * size].reshape(self.rows, size)
+        diff = work[self._diff * size:]
+        for product_rows, rows, added, stride, block in self._steps:
             if added:
-                d = diff[:product_rows.stop - product_rows.start]
-                _centred_difference(stack[product_rows], axis, d)
+                d = diff[:added * size].reshape(added, size)
+                _centred_difference(stack[product_rows], d, stride, block)
                 out[rows] += d
             else:
-                _centred_difference(stack[product_rows], axis, out[rows])
+                _centred_difference(stack[product_rows], out[rows], stride,
+                                    block)
         for rows in self._zero:
             out[rows] = 0.0
-        return out
+        return out.reshape((self.rows,) + shape)
 
 
 class _UpwindStep:
@@ -497,22 +505,28 @@ class _UpwindStep:
                              if r.start < r.stop]
             self._times = np.multiply
         self.P = np.ascontiguousarray(P[self._rows, self._cols])
-        self.work = self.P.shape[1] * (grid.nx + 1) * math.prod(grid.cells)
+        self._cell_size = math.prod(grid.cells)
+        self.work = self.P.shape[1] * (grid.nx + 1) * self._cell_size
 
     def __call__(self, q: np.ndarray, src: np.ndarray, head: np.ndarray,
                  work: np.ndarray) -> None:
         """Write the step of q, with the source src, into head, one x
-        point narrower; `work` holds at least `self.work` entries."""
+        point narrower; `work` holds at least `self.work` entries.  Each
+        of them must be contiguous: the step works on their (rows, points)
+        views, where the next x point lies one cell plane further on."""
+        cells = self._cell_size
+        size = head.shape[1] * cells
+        q = q.reshape(len(q), size + cells)
+        src = src.reshape(len(src), size + cells)
+        head = head.reshape(len(head), size)
         span = head[self._rows]
-        rows, k = span.shape[0], self.P.shape[1]
-        size = math.prod(head.shape[1:])
-        d = work[:k * size].reshape((k,) + head.shape[1:])
-        np.subtract(q[self._cols, 1:], q[self._cols, :-1], out=d)
-        self._times(self.P, d.reshape(k, size), out=span.reshape(rows, size))
-        np.subtract(q[self._rows, :-1], span, out=span)
-        span -= src[self._rows, :-1]
+        d = work[:self.P.shape[1] * size].reshape(self.P.shape[1], size)
+        np.subtract(q[self._cols, cells:], q[self._cols, :-cells], out=d)
+        self._times(self.P, d, out=span)
+        np.subtract(q[self._rows, :-cells], span, out=span)
+        span -= src[self._rows, :-cells]
         for r in self._outside:
-            np.subtract(q[r, :-1], src[r, :-1], out=head[r])
+            np.subtract(q[r, :-cells], src[r, :-cells], out=head[r])
 
 
 def _finite_max(block: np.ndarray, u_level: float, what: str) -> float:
@@ -522,6 +536,23 @@ def _finite_max(block: np.ndarray, u_level: float, what: str) -> float:
     if not math.isfinite(top):
         raise MarchAbortError(
             f"non-finite value in {what} at u = {u_level:.6g}")
+    return top
+
+
+def _slice_max(vals: np.ndarray, nq: int, u_level: float,
+               first: bool) -> float:
+    """max |v| on the values of a finished slice, from one max and one min
+    over the whole slice: the larger of max |q| and max |w|.  A slice that
+    is not finite has its blocks checked in the order the march made them,
+    and the first that holds inf or NaN aborts, named: the q rows ("q0
+    data" on the first slice, else "evolution step"), the w0 column ("w0
+    data"), then the w rows ("hypersurface integration")."""
+    top = abs(float(max(vals.max(), -vals.min())))
+    if not math.isfinite(top):
+        _finite_max(vals[:nq], u_level, "q0 data" if first else
+                    "evolution step")
+        _finite_max(vals[nq:, 0], u_level, "w0 data")
+        _finite_max(vals[nq:], u_level, "hypersurface integration")
     return top
 
 
@@ -592,6 +623,9 @@ class _Stepper:
             [grid.dx * Nui @ canon.Ni[k] for k in names], grid)
         self.powers = [] if self.coupling.is_zero else \
             self._propagator_powers()
+        # at m = 1 a pointwise G^d is one number
+        self._gains = [float(P[0, 0]) for P in self.powers] \
+            if canon.m == 1 and not self.coupling.terms else None
         # the step temporaries: those of the hypersurface pass (the
         # forcing, then the coupling of it, or the pointwise scan's
         # G^d w[:-d]) and those of the evolution step (the source, then the
@@ -645,9 +679,21 @@ class _Stepper:
         right side taken from the values before the update.  Pointwise A
         scans the physical slice; A with transverse terms scans each
         transverse Fourier mode with that mode's G^d.  Without null
-        coupling (G = I) the scan is a cumulative sum."""
+        coupling (G = I) the scan is a cumulative sum.  At m = 1, G^d is a
+        number, and the scan takes one multiply and one add per step on
+        the one field of w."""
         if not self.powers:
             np.cumsum(w, axis=1, out=w)
+            return
+        if self._gains is not None:
+            w = w[0]
+            product = self._work[:w.size].reshape(w.shape)
+            d = 1
+            for gain in self._gains:
+                if d >= len(w):
+                    break
+                w[d:] += np.multiply(w[:-d], gain, out=product[d:])
+                d *= 2
             return
         axes = tuple(range(2, w.ndim))
         spectral = bool(self.coupling.terms)
@@ -659,13 +705,7 @@ class _Stepper:
             head = z[:, :-d]
             product = None if spectral else \
                 self._work[:head.size].reshape(head.shape)
-            if product is not None and len(w) == 1:
-                # at m = 1, G^d is one number: one multiply per entry,
-                # einsum's one product and faster to call
-                z[:, d:] += np.multiply(P[0, 0], head, out=product)
-            else:
-                z[:, d:] += np.einsum("...ab,bx...->ax...", P, head,
-                                      out=product)
+            z[:, d:] += np.einsum("...ab,bx...->ax...", P, head, out=product)
         if spectral:   # column x = 0, w_0, stays the data it was
             w[:, 1:] = np.fft.irfftn(z[:, 1:], s=w.shape[2:], axes=axes)
 
@@ -726,25 +766,29 @@ def _trace_size(n: int, grid: GridSpec) -> int:
     return n * math.prod(grid.cells) * (grid.nx + 1) * (grid.nx + 2) // 2
 
 
-def _packed_slices(n: int, grid: GridSpec):
-    """One store for the slices of one march, and their values, x extents
-    nx + 1 down to 1, as consecutive views of it.  A mapping the system
-    refuses for want of memory is a MemoryError that names the grid."""
-    cells, size = grid.cells, _trace_size(n, grid)
+def _trace_store(n: int, grid: GridSpec) -> np.ndarray:
+    """One store for the slices of one march of n unknowns on grid.  A
+    mapping the system refuses for want of memory is a MemoryError that
+    names the grid."""
+    size = _trace_size(n, grid)
     try:
-        store = _store(size)
+        return _store(size)
     except OSError as exc:
         if exc.errno != errno.ENOMEM:
             raise
-        raise MemoryError(f"the trace of nx = {grid.nx}, cells {cells} needs "
-                          f"{8 * size} bytes: {exc.strerror}") from None
-    per_x = n * math.prod(cells)
-    views, start = [], 0
+        raise MemoryError(f"the trace of nx = {grid.nx}, cells {grid.cells} "
+                          f"needs {8 * size} bytes: {exc.strerror}") from None
+
+
+def _slice_views(store: np.ndarray, n: int, grid: GridSpec) -> list:
+    """The slices of a march of n unknowns on grid, x extents nx + 1 down
+    to 1, as consecutive views of its store."""
+    per_x, start, views = n * math.prod(grid.cells), 0, []
     for width in range(grid.nx + 1, 0, -1):
-        stop = start + per_x * width
-        views.append(store[start:stop].reshape((n, width) + cells))
-        start = stop
-    return store, views
+        views.append(store[start:start + per_x * width]
+                     .reshape((n, width) + grid.cells))
+        start += per_x * width
+    return views
 
 
 def _validate(canon: CanonicalSystem, grid: GridSpec, data: DataSpec):
@@ -785,9 +829,12 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
     force=True, and CFLError refuses one only for a speed that the upwind
     step amplifies and the verdict's zero band hides.  A grid whose trace
     would take more than sys.maxsize bytes is refused with MemoryError
-    before anything is allocated.  The data are evaluated once, on the
-    nodes s = k dx, k = 0..nx: q0 on u = 0 at x = s and w0 on x = 0 at
-    u = s; `_march_nodal` then marches those nodal values.  The returned
+    before anything is allocated, and the trace store, the largest
+    allocation by far, is mapped before anything else that grows with the
+    grid, so that a store the system cannot map is the MemoryError that
+    names the grid.  The data are then evaluated once, on the nodes
+    s = k dx, k = 0..nx: q0 on u = 0 at x = s and w0 on x = 0 at u = s;
+    `_march_nodal` marches those nodal values in the store.  The returned
     trace cannot change: its slices are a tuple of frozen slices with
     read-only values.
     """
@@ -795,49 +842,52 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
     if report.verdict is not Verdict.WELL_POSED and not force:
         raise NotWellPosedError(
             f"verdict is {report.verdict.value}; pass force=True to march anyway")
+    store = _trace_store(canon.n_unknowns, grid)
     s = (np.arange(grid.nx + 1) * grid.dx).reshape(
         (grid.nx + 1,) + (1,) * len(grid.transverse))
     tmeshes = grid.transverse_meshes()
     # data whose terms sum past the float range is inf, and the march
-    # names it before a pass reads it
+    # names it; an overflow in a pass leaves inf or NaN, which the march
+    # names too
     with np.errstate(over="ignore", invalid="ignore"):
         nodal = np.empty((canon.n_unknowns, grid.nx + 1) + grid.cells)
         for row, terms in zip(nodal, data.q0 + data.w0):
             row[...] = evaluate_profile(terms, s, tmeshes)
-        return _march_nodal(canon, grid, nodal, report.tols)
+        return _march_nodal(canon, grid, nodal, report.tols, store)
 
 
 def _march_nodal(canon: CanonicalSystem, grid: GridSpec, nodal: np.ndarray,
-                 tols: matkit.Tolerances) -> SolutionTrace:
-    """March nodal data, shaped (n_unknowns, nx + 1, *cells): the q rows
-    hold q0 at x = k dx on u = 0, the w rows w0 at u = k dx on x = 0.
+                 tols: matkit.Tolerances, store: np.ndarray) -> SolutionTrace:
+    """March nodal data, shaped (n_unknowns, nx + 1, *cells), into `store`
+    (`_trace_store`): the q rows hold q0 at x = k dx on u = 0, the w rows
+    w0 at u = k dx on x = 0.
 
-    Slice 0's q rows are written before the first step.  Then, for each of
-    the nx + 1 views of the store, the loop takes the evolution step (from
-    slice 1 on), copies the w0 column into x = 0, runs the hypersurface
-    pass, checks each new block (inf or NaN, which an overflow leaves under
-    `march`'s np.errstate, raises MarchAbortError naming it and the u of
-    its slice) and freezes the slice.  It evaluates no profile.
+    The slices are consecutive views of the store, x extents nx + 1 down
+    to 1.  Slice 0's q rows are written before the first step.  Then, for
+    each slice, the loop takes the evolution step (from slice 1 on),
+    copies the w0 column into x = 0, runs the hypersurface pass, checks
+    the slice and freezes it.  The check (`_slice_max`) is one max and one
+    min over the whole slice, which give max |v|; only a slice that is not
+    finite (inf or NaN, which an overflow leaves under `march`'s
+    np.errstate) has its blocks checked, and MarchAbortError names the
+    first of them, in the order they were made, and the u of its slice.
+    The loop evaluates no profile.
     """
     nq = canon.nq
     stepper = _Stepper(canon, grid, tols)
-    store, views = _packed_slices(canon.n_unknowns, grid)
+    views = _slice_views(store, canon.n_unknowns, grid)
     views[0][:nq] = nodal[:nq]
-    # slice j lies at u = j dx; diagnostics[j] = max |v| on it, the larger
-    # of max |q| and max |w|
+    # slice j lies at u = j dx; diagnostics[j] = max |v| on it
     slices, diagnostics = [], []
     for j, vals in enumerate(views):
         u = j * grid.dx
         if j:
             stepper.evolve(slices[-1].values, vals)
         vals[nq:, 0] = nodal[nq:, j]
-        q_top = _finite_max(vals[:nq], u, "evolution step" if j else "q0 data")
-        _finite_max(vals[nq:, 0], u, "w0 data")
         stepper.fill_null(vals)
-        w_top = _finite_max(vals[nq:], u, "hypersurface integration")
+        diagnostics.append(_slice_max(vals, nq, u, not j))
         vals.flags.writeable = False
         slices.append(SliceState(u_level=u, values=vals))
-        diagnostics.append(max(q_top, w_top))
     store.flags.writeable = False
     return SolutionTrace(grid=grid, slices=slices, diagnostics=diagnostics,
                          _store=store)

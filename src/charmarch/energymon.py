@@ -16,22 +16,26 @@ of a compact system are built in one pass on its first call and kept on
 the trace as one record, keyed by the content of C^u, C^x and Dc
 (R = 2 Dc) and by nq: the Nu form cell-summed over x on slice 0, the |w|^2
 and C^x forms on the x = 0 column, one gather from the trace's packed
-store, and the volume term as a prefix sum.  C^u = blockdiag(Nu, 0), so
-the C^u flux through u = 0 in the energy identity is ||q0||^2_Nu itself,
-and the balance reads it from the q0 norm.  The volume cell (j, i), between slices j - 1 and j at x from
+store, the volume term as a prefix sum, and the matrix C^u + C^x of
+sigma.  C^u = blockdiag(Nu, 0), so the C^u flux through u = 0 in the
+energy identity is ||q0||^2_Nu itself, and the balance reads it from the
+q0 norm.  The volume cell (j, i), between slices j - 1 and j at x from
 i dx to (i + 1) dx, carries the corner average of the R form and lies
-below level K when j + i < K; the corner averages are summed along each
-anti-diagonal j + i and then accumulated, so the volume integral of
-level K is one read, prefix[K] dx^2.  Each call evaluates only the form
-C^u + C^x on the diagonal points of its level: the nodes (j, K - j) of
-the slices j <= K are one gather from the trace's store, into one plane,
-and it takes one form on that plane.  A level that some slice j <= K does
-not reach (no x index K - j) is outside the trace's coverage.
+below level K when j + i < K.  The corner averages of all cells are one
+expression on the slices' R rows, laid end to end; `np.add.at` adds them
+into their anti-diagonal j + i in slice order, the additions a loop over
+the slices makes, and the anti-diagonals are then accumulated, so the
+volume integral of level K is one read, prefix[K] dx^2.  Each call
+evaluates only the form C^u + C^x on the diagonal points of its level:
+the nodes (j, K - j) of the slices j <= K are one gather from the trace's
+store, into one plane, and it takes one form on that plane, and its line
+integrals add Python floats.  A level that some slice j <= K does not
+reach (no x index K - j) is outside the trace's coverage.
 
-Both kernels work on flattened views: a quadratic form v^T W v is one
-matrix product on the (components, points) view of a plane, summed as
-v * (W v) over the components, and the sum over the transverse cells is
-one reduction over their flattened axes.
+One kernel, `_cell_form`, takes every form on flattened views: a
+quadratic form v^T W v is one matrix product on the (components, points)
+view of a plane, summed as v * (W v) over the components, and the sum
+over the transverse cells is one reduction over their flattened axes.
 """
 from __future__ import annotations
 
@@ -75,28 +79,26 @@ class EnergyReport:
 EnergyReport.CSV_HEADER = ",".join(f.name for f in fields(EnergyReport))
 
 
-def _quad_form(W: np.ndarray, plane: np.ndarray) -> np.ndarray:
-    """v^T W v on each grid point of a field plane (component axis first):
-    one matrix product on the (components, points) view, which may have no
-    components."""
-    flat = plane.reshape(plane.shape[0], math.prod(plane.shape[1:]))
-    return (flat * (W @ flat)).sum(axis=0).reshape(plane.shape[1:])
+def _cell_form(W, plane: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """v^T W v at each point of a field plane (component axis first, the
+    transverse axes last), summed over the transverse cells times the cell
+    volume: the output drops the component and transverse axes.  W None
+    is the identity, |v|^2.
 
-
-def _cell_sum(pointwise: np.ndarray, trace: SolutionTrace) -> np.ndarray:
-    """Sum over transverse cells times the transverse cell volume.
-
-    Input has shape (...) + cells; output drops the transverse axes.  The
-    cells, one when there are none, are summed in one reduction.
-    """
-    lead = pointwise.shape[:pointwise.ndim - len(trace.grid.transverse)]
-    return pointwise.reshape(lead + (-1,)).sum(axis=-1) \
-        * trace.grid.transverse_cell_volume()
+    The form is one matrix product on the (components, points) view,
+    which may have no components, summed as v * (W v) over the components;
+    the cells, one when there are none, are summed in one reduction."""
+    flat = plane.reshape(len(plane), math.prod(plane.shape[1:]))
+    pointwise = (flat * (flat if W is None else W @ flat)).sum(axis=0)
+    points = plane.shape[1:plane.ndim - len(grid.transverse)]
+    return pointwise.reshape(points + (-1,)).sum(axis=-1) \
+        * grid.transverse_cell_volume()
 
 
 def _line_integral(g: np.ndarray, h: float, K: int) -> float:
-    """Cell-averaged quadrature of nodal values g over [0, K*h], K >= 1."""
-    return float(h * (0.5 * g[0] + g[1:K].sum() + 0.5 * g[K]))
+    """Cell-averaged quadrature of nodal values g over [0, K*h], K >= 1,
+    on Python floats."""
+    return h * (0.5 * g.item(0) + g[1:K].sum().item() + 0.5 * g.item(K))
 
 
 def _level(trace: SolutionTrace, T: float) -> int:
@@ -124,12 +126,6 @@ def _content(W: np.ndarray) -> tuple:
     return (W.dtype.str, W.shape, W.tobytes())
 
 
-def _row(trace: SolutionTrace, W: np.ndarray, j: int) -> np.ndarray:
-    """Cell-summed form of W, on the leading len(W) components, at each x
-    point of slice j."""
-    return _cell_sum(_quad_form(W, trace.slices[j].values[:len(W)]), trace)
-
-
 @dataclass(frozen=True)
 class _Forms:
     """The per-slice forms of one compact system on one trace."""
@@ -138,6 +134,36 @@ class _Forms:
     column: np.ndarray  # C^x form at x = 0 of each slice
     volume: np.ndarray  # corner-averaged R form summed over the cells
                         # (j, i) with j + i < K, at index K; zero at R = 0
+    sigma: np.ndarray   # C^u + C^x, the matrix of the form on a level
+
+
+def _volume(trace: SolutionTrace, R: np.ndarray) -> np.ndarray:
+    """The corner-averaged R form summed over the cells (j, i) with
+    j + i < K, at index K = 0 .. n_slices.
+
+    The cell (j, i) lies between slices j - 1 and j, at x from i dx to
+    (i + 1) dx, where both slices have the x points i and i + 1, and below
+    level K when j + i < K; cells on anti-diagonals past the last slice
+    lie below no level.  The corner averages of all cells are one
+    expression on the slices' R rows, laid end to end; they are added
+    into their anti-diagonal in slice order, then summed along the
+    levels."""
+    grid, S = trace.grid, trace.n_slices
+    diagonal = np.zeros(S)
+    if np.any(R):
+        rows = [_cell_form(R, s.values, grid) for s in trace.slices]
+        widths = np.array([len(g) for g in rows])
+        j = np.arange(1, S)
+        cells = np.maximum(np.minimum(
+            np.minimum(widths[:-1], widths[1:]) - 1, S - j), 0)
+        j = np.repeat(j, cells)
+        i = np.arange(len(j)) - np.repeat(np.cumsum(cells) - cells, cells)
+        lo = (np.cumsum(widths) - widths)[j - 1] + i
+        hi = lo + widths[j - 1]
+        g = np.concatenate(rows)
+        np.add.at(diagonal, j + i,
+                  0.25 * (g[lo] + g[lo + 1] + g[hi] + g[hi + 1]))
+    return np.concatenate(([0.0], np.cumsum(diagonal)))
 
 
 def _forms(trace: SolutionTrace, cf: CompactSystem) -> _Forms:
@@ -152,24 +178,13 @@ def _forms(trace: SolutionTrace, cf: CompactSystem) -> _Forms:
                 f"compact system of {cf.n} unknowns and "
                 f"{len(cf.transverse_names)} transverse axes does not fit a "
                 f"trace of {n} unknowns and {nt} transverse axes")
-        col = trace._x0_column()
-        # the cell (j, i) between slices j - 1 and j lies below level K
-        # when j + i < K: sum the cells along each anti-diagonal j + i,
-        # then along the levels
-        diagonal = np.zeros(trace.n_slices)
-        R = cf.R
-        if np.any(R):
-            rows = [_row(trace, R, j) for j in range(trace.n_slices)]
-            for j, (gl, gh) in enumerate(zip(rows, rows[1:]), start=1):
-                n = min(len(gl), len(gh)) - 1
-                diagonal[j:j + n] += \
-                    0.25 * (gl[:n] + gl[1:n + 1] + gh[:n] + gh[1:n + 1])
-        volume = np.concatenate(([0.0], np.cumsum(diagonal)))
+        grid, col = trace.grid, trace._x0_column()
         trace._forms[key] = _Forms(
-            q0=_row(trace, cf.Nu, 0),
-            w0=_cell_sum((col[cf.nq:] ** 2).sum(axis=0), trace),
-            column=_cell_sum(_quad_form(cf.C["x"], col), trace),
-            volume=volume)
+            q0=_cell_form(cf.Nu, trace.slices[0].values[:cf.nq], grid),
+            w0=_cell_form(None, col[cf.nq:], grid),
+            column=_cell_form(cf.C["x"], col, grid),
+            volume=_volume(trace, cf.R),
+            sigma=cf.C["u"] + cf.C["x"])
     return trace._forms[key]
 
 
@@ -210,15 +225,15 @@ def verify_estimate(trace: SolutionTrace, cf: CompactSystem,
     nw_sq = _line_integral(forms.w0, dx, K)
     # sigma: the nodes (j, K - j) of level K, weight dx times the cell volume
     sig = 0.0
-    for g in _cell_sum(_quad_form(cf.C["u"] + cf.C["x"],
-                                  trace._level_nodes(K)), trace).tolist():
+    for g in _cell_form(forms.sigma, trace._level_nodes(K),
+                        trace.grid).tolist():
         sig += dx * g
     bound = report.bound_factor(K * dx) * (nq_sq + nw_sq)
     margin = bound - sig
     tol_h = report.tols.ctol * dx * (nq_sq + nw_sq)
     # balance: | int_Sigma v(Cu+Cx)v - int_N vCuv - int_T vCxv + int_V vRv |,
     # where int_N vCuv = ||q0||^2_Nu since C^u = blockdiag(Nu, 0)
-    intV = float(forms.volume[K]) * dx * dx
+    intV = forms.volume.item(K) * dx * dx
     residual = abs(sig - nq_sq - _line_integral(forms.column, dx, K) + intV)
     return EnergyReport(
         T=T, norm_q0_sq=nq_sq, norm_w0_sq=nw_sq, sigma_norm_sq=sig,

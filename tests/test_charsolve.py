@@ -528,6 +528,72 @@ class TestMarch:
                 cm.march(wave_canon, wave_grid(nx=8, cy=4, cz=4, X=1.0),
                          data, report=wave_report)
 
+    @staticmethod
+    def _march_nodal(canon, grid, nodal, report):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return charsolve._march_nodal(
+                canon, grid, nodal, report.tols,
+                charsolve._trace_store(canon.n_unknowns, grid))
+
+    @pytest.mark.parametrize("j, where", [(0, "q0 data"),
+                                          (1, "evolution step")])
+    def test_q_block_is_named_before_the_w0_column(self, j, where,
+                                                   wave_canon, wave_report):
+        # slice j holds inf or NaN in its q rows and its w0 column: the
+        # slice check names the q block, which the march made first.  On
+        # slice 1 the q rows overflow in the source of the evolution step
+        # (a 1e300 coefficient on q2 = 1e10)
+        grid = wave_grid(nx=8, cy=4, cz=4, X=1.0)
+        nodal = np.zeros((4, grid.nx + 1) + grid.cells)
+        canon = wave_canon
+        if j:
+            N0 = wave_canon.N0.copy()
+            N0[0, 1] = 1e300
+            canon = dataclasses.replace(wave_canon, N0=N0)
+            nodal[1] = 1e10
+        else:
+            nodal[0, 3] = np.nan
+        nodal[3, j] = np.nan
+        with pytest.raises(MarchAbortError, match=(
+                f"^non-finite value in {where} at u = {j * grid.dx:.6g}$")):
+            self._march_nodal(canon, grid, nodal, wave_report)
+
+    def test_w0_column_is_named_at_its_u(self, wave_canon, wave_report):
+        # a NaN in w0 at u = 5 dx, under finite q rows
+        grid = wave_grid(nx=8, cy=4, cz=4, X=1.0)
+        nodal = np.random.default_rng(0).standard_normal(
+            (4, grid.nx + 1) + grid.cells)
+        nodal[3, 5, 2, 1] = np.nan
+        with pytest.raises(MarchAbortError, match=(
+                "^non-finite value in w0 data at u = 0.625$")):
+            self._march_nodal(wave_canon, grid, nodal, wave_report)
+
+    @pytest.mark.parametrize("system", ["undamped", "damped", "w_coupled"])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([1e-300, 1.0, 1e150]),
+           zero=st.sampled_from([None, "q", "w0"]))
+    def test_diagnostics_are_the_larger_block_max(self, system, seed, scale,
+                                                  zero, wave_canon,
+                                                  wave_report,
+                                                  damped_wave_pipeline):
+        # one max and one min over the whole slice give what the q and w
+        # blocks give apart, exactly; either block may hold the max
+        canon = wave_canon if system == "undamped" else \
+            _coupled_system(system, wave_canon, damped_wave_pipeline)
+        grid = wave_grid(nx=8, cy=8, cz=4, X=1.0)
+        nq = canon.nq
+        nodal = scale * np.random.default_rng(seed).standard_normal(
+            (canon.n_unknowns, grid.nx + 1) + grid.cells)
+        if zero == "q":
+            nodal[:nq] = 0.0
+        elif zero == "w0":
+            nodal[nq:] = 0.0
+        trace = self._march_nodal(canon, grid, nodal, wave_report)
+        assert trace.diagnostics == tuple(
+            max(float(np.abs(s.values[:nq]).max()),
+                float(np.abs(s.values[nq:]).max())) for s in trace.slices)
+
 
 # --- oracle: the per-x-point Heun loop and the upwind evolution step ---------
 
@@ -711,7 +777,9 @@ class TestMarchMatchesOracle:
             trace = cm.march(canon, grid, data, report=report, force=True)
             nodal = _nodal(grid, data)
         else:
-            trace = charsolve._march_nodal(canon, grid, nodal, report.tols)
+            trace = charsolve._march_nodal(
+                canon, grid, nodal, report.tols,
+                charsolve._trace_store(canon.n_unknowns, grid))
         expected = _oracle_march(canon, grid, nodal)
         assert trace.n_slices == len(expected)
         scale = max(float(np.abs(v).max()) for v in expected)

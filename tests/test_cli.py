@@ -427,6 +427,27 @@ class TestSolve:
             cli.EXIT_ERROR, "", f"error: the trace of nx = 100000000, cells "
             f"(16, 16) needs {nbytes} bytes, more than sys.maxsize\n")
 
+    def test_unmappable_trace_is_mapped_first(self, monkeypatch, capsys):
+        # the trace of nx = 1e6 fits sys.maxsize, but no system maps its
+        # 4.1e15 bytes: the store is mapped before the nodal data (7.6 GiB)
+        # and the stepper's buffer, so its refusal names the grid and the
+        # trace, not a smaller allocation
+        def allocates(*args, **kwargs):
+            raise AssertionError("allocated before the trace store")
+
+        def refuse(*args, **kwargs):
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+        for name in ("evaluate_profile", "_Stepper"):
+            monkeypatch.setattr(charsolve, name, allocates)
+        monkeypatch.setattr(charsolve, "_POOL", [])
+        monkeypatch.setattr(charsolve.mmap, "mmap", refuse)
+        code = cli.main(["solve", "--example", "wave3d", "--nx", "1000000"])
+        nbytes = 8 * 4 * 256 * (10 ** 6 + 1) * (10 ** 6 + 2) // 2
+        assert (code, *capsys.readouterr()) == (
+            cli.EXIT_ERROR, "", f"error: the trace of nx = 1000000, cells "
+            f"(16, 16) needs {nbytes} bytes: {os.strerror(errno.ENOMEM)}\n")
+
     @pytest.mark.parametrize("argv, code", [
         (["solve", "--example", "wave3d", "--cells", "8,4,9"],
          cli.EXIT_ERROR),

@@ -65,23 +65,23 @@ def _forms_on_planes(draw):
 class TestKernels:
     # relative to the same sums taken on absolute values, the scale of
     # their round-off
-    @given(_forms_on_planes())
+    @given(_forms_on_planes(), st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_match_their_definitions(self, case):
+    def test_match_their_definitions(self, case, identity):
         W, plane, cells = case
-        got = energymon._quad_form(W, plane)
-        want = _einsum_quad_form(W, plane)
-        assert got.shape == np.shape(want) == plane.shape[1:]
-        scale = _einsum_quad_form(np.abs(W), np.abs(plane))
-        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        if identity:   # W None is the identity, |v|^2
+            W, ref_W = None, np.eye(len(plane))
+        else:
+            ref_W = W
         grid = cm.GridSpec(X_total=1.0, nx=2, transverse=tuple(
             cm.TransverseAxis(cells=c) for c in cells))
-        got = energymon._cell_sum(want, SolutionTrace(grid=grid))
-        ref = _axis_cell_sum(want, grid)
-        assert np.shape(got) == np.shape(ref) == \
+        got = energymon._cell_form(W, plane, grid)
+        want = _axis_cell_sum(_einsum_quad_form(ref_W, plane), grid)
+        assert np.shape(got) == np.shape(want) == \
             plane.shape[1:plane.ndim - len(cells)]
-        scale = _axis_cell_sum(np.abs(want), grid)
-        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+        scale = _axis_cell_sum(
+            _einsum_quad_form(np.abs(ref_W), np.abs(plane)), grid)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
 class TestDataNorms:
@@ -341,19 +341,54 @@ class TestBalanceResidual:
             # a second call reads the forms kept on the trace
             assert cm.verify_estimate(tr, cf, rep, T) == er
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_volume_is_the_per_slice_loop_bit_for_bit(self, seed,
+                                                      damped_wave_pipeline):
+        # a hand-built damped trace of ragged slices, some narrower than a
+        # march's and some wider, whose cells reach past the last
+        # anti-diagonal: the one-pass volume term makes the loop's
+        # additions in the loop's order
+        _, cf, _ = damped_wave_pipeline
+        grid = wave_grid(12, X=0.45)
+        rng = np.random.default_rng(seed)
+        slices = [SliceState(u_level=j * grid.dx,
+                             values=rng.standard_normal((4, w, 4, 4)))
+                  for j, w in enumerate(rng.integers(1, grid.nx + 4,
+                                                     size=grid.nx + 1))]
+        trace = SolutionTrace(grid=grid, slices=slices)
+        assert energymon._forms(trace, cf).volume.tobytes() == \
+            _loop_volume(trace, cf.R).tobytes()
+
+
+def _loop_volume(trace, R):
+    """The volume term as a loop over the slices: the corner averages of
+    the cells (j, i) between slices j - 1 and j, with j + i below the
+    number of slices, added into diagonal[j + i] one slice at a time, then
+    summed along the levels."""
+    S = trace.n_slices
+    diagonal = np.zeros(S)
+    rows = [energymon._cell_form(R, s.values, trace.grid)
+            for s in trace.slices]
+    for j, (gl, gh) in enumerate(zip(rows, rows[1:]), start=1):
+        n = max(0, min(len(gl) - 1, len(gh) - 1, S - j))
+        diagonal[j:j + n] += \
+            0.25 * (gl[:n] + gl[1:n + 1] + gh[:n] + gh[1:n + 1])
+    return np.concatenate(([0.0], np.cumsum(diagonal)))
+
 
 def _loop_balance_residual(trace, cf, T):
     """balance_residual with a Python loop over the volume cells: the
     reference for the vectorized volume term."""
     dx, du = trace.grid.dx, trace.grid.dx
-    quad, cell_sum = energymon._quad_form, energymon._cell_sum
+    form = energymon._cell_form
     sigma = _oracle_sigma_norm(trace, cf, T)
     first = trace.slices[0]
     Kx = _steps_for(T, dx, first.x_extent - 1, "N-side")
     intN = energymon._line_integral(
-        cell_sum(quad(cf.C["u"], first.values), trace), dx, Kx)
+        form(cf.C["u"], first.values, trace.grid), dx, Kx)
     Ku = _steps_for(T, du, trace.n_slices - 1, "T-side")
-    gT = np.array([cell_sum(quad(cf.C["x"], s.values[:, 0]), trace)
+    gT = np.array([form(cf.C["x"], s.values[:, 0], trace.grid)
                    for s in trace.slices[:Ku + 1]])
     intT = energymon._line_integral(gT, du, Ku)
     intV = 0.0
@@ -361,8 +396,8 @@ def _loop_balance_residual(trace, cf, T):
         lo, hi = trace.slices[j], trace.slices[j + 1]
         if hi.u_level > T + 1e-9 * du:
             break
-        gl = cell_sum(quad(cf.R, lo.values), trace)
-        gh = cell_sum(quad(cf.R, hi.values), trace)
+        gl = form(cf.R, lo.values, trace.grid)
+        gh = form(cf.R, hi.values, trace.grid)
         ncell = min(lo.x_extent - 1, hi.x_extent - 1,
                     int(round((T - hi.u_level) / dx)))
         for i in range(ncell):
@@ -519,7 +554,9 @@ class TestEndNodeBias:
         dx, K = grid.dx, nx // 2
         nodal = np.zeros((2, nx + 1))
         nodal[1, K] = 1.0
-        trace = charsolve._march_nodal(a.canon, grid, nodal, a.report.tols)
+        trace = charsolve._march_nodal(
+            a.canon, grid, nodal, a.report.tols,
+            charsolve._trace_store(a.canon.n_unknowns, grid))
         er = cm.verify_estimate(trace, a.compact, a.report, K * dx)
         assert (er.norm_q0_sq, er.norm_w0_sq) == (0.0, dx / 2)
         assert er.sigma_norm_sq == dx
@@ -566,12 +603,12 @@ def _diagonal_points(trace, T):
 
 def _oracle_data_norms(trace, Nu, nq, T):
     dx, du = trace.grid.dx, trace.grid.dx
-    quad, cell_sum = energymon._quad_form, energymon._cell_sum
+    form = energymon._cell_form
     first = trace.slices[0]
     Kx = _steps_for(T, dx, first.x_extent - 1, "norm_q0")
     Ku = _steps_for(T, du, trace.n_slices - 1, "norm_w0")
-    gq = cell_sum(quad(Nu, first.values[:nq]), trace)
-    gw = np.array([cell_sum((s.values[nq:, 0] ** 2).sum(axis=0), trace)
+    gq = form(Nu, first.values[:nq], trace.grid)
+    gw = np.array([form(None, s.values[nq:, 0], trace.grid)
                    for s in trace.slices[:Ku + 1]])
     return (energymon._line_integral(gq, dx, Kx),
             energymon._line_integral(gw, du, Ku))
@@ -581,30 +618,29 @@ def _oracle_sigma_norm(trace, cf, T):
     W = cf.C["u"] + cf.C["x"]
     total = 0.0
     for j, i in _diagonal_points(trace, T):
-        g = energymon._cell_sum(
-            energymon._quad_form(W, trace.slices[j].values[:, i]), trace)
+        g = energymon._cell_form(W, trace.slices[j].values[:, i], trace.grid)
         total += trace.grid.dx * float(g)
     return total
 
 
 def _oracle_balance_residual(trace, cf, T, sigma):
     dx, du = trace.grid.dx, trace.grid.dx
-    quad, cell_sum = energymon._quad_form, energymon._cell_sum
+    form = energymon._cell_form
     first = trace.slices[0]
     Kx = _steps_for(T, dx, first.x_extent - 1, "balance N-side")
     intN = energymon._line_integral(
-        cell_sum(quad(cf.C["u"], first.values), trace), dx, Kx)
+        form(cf.C["u"], first.values, trace.grid), dx, Kx)
     Ku = _steps_for(T, du, trace.n_slices - 1, "balance T-side")
-    gT = np.array([cell_sum(quad(cf.C["x"], s.values[:, 0]), trace)
+    gT = np.array([form(cf.C["x"], s.values[:, 0], trace.grid)
                    for s in trace.slices[:Ku + 1]])
     intT = energymon._line_integral(gT, du, Ku)
     intV = 0.0
     if np.any(cf.R):
-        gh = cell_sum(quad(cf.R, first.values), trace)
+        gh = form(cf.R, first.values, trace.grid)
         for hi in trace.slices[1:]:
             if hi.u_level > T + 1e-9 * du:
                 break
-            gl, gh = gh, cell_sum(quad(cf.R, hi.values), trace)
+            gl, gh = gh, form(cf.R, hi.values, trace.grid)
             ncell = max(0, min(len(gl) - 1, len(gh) - 1,
                                int(round((T - hi.u_level) / dx))))
             corner = 0.25 * (gl[:ncell] + gl[1:ncell + 1]
@@ -755,13 +791,14 @@ class TestFormTables:
         grid = wave_grid(24, X=0.45)
         tr = cm.march(canon, grid, DAMPED_DATA, report=rep)
         calls = collections.Counter()
-        quad = energymon._quad_form
+        form = energymon._cell_form
 
-        def counted(W, plane):
-            calls[W.shape, W.tobytes(), plane.ctypes.data] += 1
-            return quad(W, plane)
+        def counted(W, plane, grid):
+            key = (None, None) if W is None else (W.shape, W.tobytes())
+            calls[key + (plane.ctypes.data,)] += 1
+            return form(W, plane, grid)
 
-        monkeypatch.setattr(energymon, "_quad_form", counted)
+        monkeypatch.setattr(energymon, "_cell_form", counted)
         ladder = [k * grid.dx for k in range(1, grid.nx + 1)
                   if k * grid.dx < rep.T_max]
         for _ in range(2):   # a second pass computes no form again
@@ -775,10 +812,12 @@ class TestFormTables:
         # the R form of each slice the volume term reaches, once
         r_calls = per_plane(cf.R)
         assert 1 < len(r_calls) <= tr.n_slices and set(r_calls) == {1}
-        # the q0 norm, which is also the N-side, and the T-side column,
-        # once per trace; C^u alone is never formed
+        # the q0 norm, which is also the N-side, the w0 norm and the
+        # T-side column, once per trace; C^u alone is never formed
         for W in (cf.Nu, cf.C["x"]):
             assert per_plane(W) == [1]
+        assert [c for (shape, _, _), c in calls.items() if shape is None] \
+            == [1]
         assert per_plane(cf.C["u"]) == []
         sigma_calls = per_plane(cf.C["u"] + cf.C["x"])
         assert sum(sigma_calls) == 2 * len(ladder)
