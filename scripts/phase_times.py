@@ -91,7 +91,8 @@ def one_round(a, grid, data, ladder):
     stepper = charsolve._Stepper(a.canon, grid, a.report.tols)
     times["stepper_build"] = clock() - t
     views = charsolve._slice_views(
-        charsolve._trace_store(n, grid), n, grid)
+        charsolve._trace_store(n, grid),
+        [(n, width) + grid.cells for width in range(grid.nx + 1, 0, -1)])
     views[0][:nq] = nodal[:nq]
     for j, vals in enumerate(views):
         if j:

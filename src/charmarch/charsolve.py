@@ -25,47 +25,20 @@ runs on the physical slice; A with transverse terms is block-diagonal in
 the transverse Fourier modes of a real FFT, with the symbol
 M0 + i sum_j M_j sin(theta_j) / h_j of the centred differences, and the
 scan runs mode by mode.  The operators (Nu^-1 Nx, Nu^-1 N^i, Nu^-1 N0,
-the hypersurface blocks and the powers G^(2^s)) are built once per march,
-and the CFL check reads the eigenvalues of the Nu^-1 Nx that the step
-multiplies by; where Nu^-1 Nx uses one column, the x step takes one
-multiply per entry on the rows that span its nonzero ones (`_UpwindStep`).
-Slice j holds nx + 1 - j x points, and its u is j dx,
-taken from that index, not summed.  The field operators are row-sparse:
-one stacked product over M0 and the nonzero rows of each transverse M_j,
-and each periodic difference, taken from slices of the plane, written
-straight into its output row.  Their strides, block lengths and buffer
-rows are plain ints fixed when they are built, so a call on a narrow
-slice costs its numpy calls and little else; at m = 1 the pointwise scan
-multiplies by G^d as a Python float.
+the hypersurface blocks and the powers G^(2^s)) are built once per march
+(`_Stepper`), and the CFL check reads the eigenvalues of the Nu^-1 Nx that
+the step multiplies by.  Slice j holds nx + 1 - j x points, and its u is
+j dx, taken from that index, not summed.
 
-Memory: the march owns it.  The slices of one march are consecutive views
-of one packed store (x extents nx + 1 down to 1) on an anonymous mapping,
-populated by the mmap call where the platform can.  That one kernel pass
-is the steadiest way to map a new store in: for the 271 MB store of a
-256-cell march (2-vCPU KVM guest) it took 70-100 ms, where faulting the
-pages in one by one took 105-200 ms, and huge pages 35-250 ms, by how
-much memory the kernel had to compact for them.  When the last view dies,
-the mapping returns to a pool that keeps the largest one released, so
-the next march of that size reuses mapped pages whatever the allocator's
-thresholds.  The step temporaries are views of one work buffer
-of the stepper, sized once by the widest slice.  The trace keeps the
-store, and a row table, built once, from which the nodes (j, K - j) of a
-level and the x = 0 column are each one gather: `march` hands its store
-over, and a trace built by hand from slices is copied into a read-only
-store of its own once, when it is made.
-
-`march` is the one public way into the scheme, so its guards (grid and data
-against the system, the trace's size, the verdict, the CFL check) hold for
-every step taken.  It maps the trace store first, the one allocation that
-grows with the whole trace, so that a store the system refuses is the
-MemoryError that names the grid; it then evaluates the data once, q0 and
-w0 on the node line s = k dx, into one nodal array, and hands both to one
-private loop under its one np.errstate.  The loop owns the slices: it
-writes slice 0's q rows before the first step, then only steps, copies the
-w_0 column (no pass rewrites it), checks and freezes each slice, and the
-stepper only computes, in place.  The check is one max and one min over
-the finished slice, which give its max |v|; only a slice that is not
-finite has its blocks checked one by one, to name the first that is not.
+Memory: the slices of one march are consecutive views of one packed store
+on an anonymous mapping (`_trace_store`), populated by the mmap call where
+the platform can.  That one kernel pass is the steadiest way to map a new
+store in: for the 271 MB store of a 256-cell march (2-vCPU KVM guest) it
+took 70-100 ms, where faulting the pages in one by one took 105-200 ms,
+and huge pages 35-250 ms, by how much memory the kernel had to compact for
+them.  When the last view dies, the mapping returns to a pool that keeps
+the largest one released, so the next march of that size reuses mapped
+pages whatever the allocator's thresholds.
 """
 from __future__ import annotations
 
@@ -133,6 +106,11 @@ class GridSpec:
             raise ValueError(f"X_total must be positive and finite, "
                              f"got {self.X_total!r}")
         _check_count(self.nx, "nx", 2)
+        # dx must not underflow to 0; an nx past the float range has no
+        # float quotient at all
+        if self.nx > sys.float_info.max or not self.X_total / self.nx > 0:
+            raise ValueError(f"X_total / nx must be a float > 0, got "
+                             f"X_total = {self.X_total!r}, nx = {self.nx!r}")
 
     @property
     def dx(self) -> float:
@@ -296,10 +274,9 @@ class SolutionTrace:
             store = np.concatenate([s.values.reshape(-1) for s in slices]
                                    or [np.zeros(0)])
             store.flags.writeable = False
-            ends = np.cumsum(n * widths * math.prod(cells))
-            slices = tuple(replace(s, values=store[end - s.values.size:end]
-                                   .reshape(s.values.shape))
-                           for s, end in zip(slices, ends))
+            views = _slice_views(store, [s.values.shape for s in slices])
+            slices = tuple(replace(s, values=v)
+                           for s, v in zip(slices, views))
         object.__setattr__(self, "slices", slices)
         object.__setattr__(self, "_store",
                            store.reshape(-1, math.prod(cells)))
@@ -529,30 +506,24 @@ class _UpwindStep:
             np.subtract(q[r, :-cells], src[r, :-cells], out=head[r])
 
 
-def _finite_max(block: np.ndarray, u_level: float, what: str) -> float:
-    """max |block| from one max and one min, without a temporary; 0.0 for
-    an empty block.  inf or NaN aborts the march, naming `what`."""
-    top = abs(float(max(block.max(), -block.min()))) if block.size else 0.0
-    if not math.isfinite(top):
-        raise MarchAbortError(
-            f"non-finite value in {what} at u = {u_level:.6g}")
-    return top
-
-
 def _slice_max(vals: np.ndarray, nq: int, u_level: float,
                first: bool) -> float:
     """max |v| on the values of a finished slice, from one max and one min
-    over the whole slice: the larger of max |q| and max |w|.  A slice that
-    is not finite has its blocks checked in the order the march made them,
-    and the first that holds inf or NaN aborts, named: the q rows ("q0
-    data" on the first slice, else "evolution step"), the w0 column ("w0
-    data"), then the w rows ("hypersurface integration")."""
+    over the whole slice, without a temporary: the larger of max |q| and
+    max |w|.  A slice that is not finite has its blocks checked in the
+    order the march made them, and the first that holds inf or NaN aborts,
+    named: the q rows ("q0 data" on the first slice, else "evolution
+    step"), the w0 column ("w0 data"), then the w rows ("hypersurface
+    integration")."""
     top = abs(float(max(vals.max(), -vals.min())))
     if not math.isfinite(top):
-        _finite_max(vals[:nq], u_level, "q0 data" if first else
-                    "evolution step")
-        _finite_max(vals[nq:, 0], u_level, "w0 data")
-        _finite_max(vals[nq:], u_level, "hypersurface integration")
+        for block, what in ((vals[:nq], "q0 data" if first else
+                             "evolution step"),
+                            (vals[nq:, 0], "w0 data"),
+                            (vals[nq:], "hypersurface integration")):
+            if not np.isfinite(block).all():
+                raise MarchAbortError(
+                    f"non-finite value in {what} at u = {u_level:.6g}")
     return top
 
 
@@ -739,14 +710,26 @@ def _release(mapping: mmap.mmap) -> None:
         _POOL[:] = [mapping]
 
 
-def _store(size: int) -> np.ndarray:
-    """`size` float64 entries, not zeroed, on an anonymous mapping: the
-    pooled one when it is large enough, else a new, populated one.
+def _trace_bytes(n: int, grid: GridSpec) -> tuple:
+    """The bytes of the trace of a march of n unknowns on grid, and the
+    start of the MemoryError text that refuses it for them."""
+    # 8 bytes per entry, n x cells entries per x point, and the slices
+    # hold (nx + 1) + nx + ... + 1 = (nx + 1)(nx + 2) / 2 x points
+    nbytes = 4 * n * math.prod(grid.cells) * (grid.nx + 1) * (grid.nx + 2)
+    return nbytes, (f"the trace of nx = {grid.nx}, cells {grid.cells} "
+                    f"needs {nbytes} bytes")
+
+
+def _trace_store(n: int, grid: GridSpec) -> np.ndarray:
+    """One float64 store, not zeroed, for the slices of one march of n
+    unknowns on grid, on an anonymous mapping: the pooled one when it is
+    large enough, else a new, populated one.  A mapping the system refuses
+    for want of memory is a MemoryError that names the grid.
 
     Every view of the returned array has it as `.base`, so it dies with
     the last slice of its trace, and its finalizer returns the mapping to
     the pool."""
-    nbytes = 8 * size
+    nbytes, needs = _trace_bytes(n, grid)
     try:
         mapping = _POOL.pop()
     except IndexError:
@@ -755,39 +738,25 @@ def _store(size: int) -> np.ndarray:
         _release(mapping)
         mapping = None
     if mapping is None:
-        mapping = mmap.mmap(-1, nbytes, **_PRIVATE)
-    store = np.frombuffer(mapping, dtype=float, count=size)
+        try:
+            mapping = mmap.mmap(-1, nbytes, **_PRIVATE)
+        except OSError as exc:
+            if exc.errno != errno.ENOMEM:
+                raise
+            raise MemoryError(f"{needs}: {exc.strerror}") from None
+    store = np.frombuffer(mapping, dtype=float, count=nbytes // 8)
     weakref.finalize(store, _release, mapping).atexit = False
     return store
 
 
-def _trace_size(n: int, grid: GridSpec) -> int:
-    """The float64 entries of the trace of n unknowns on grid."""
-    return n * math.prod(grid.cells) * (grid.nx + 1) * (grid.nx + 2) // 2
-
-
-def _trace_store(n: int, grid: GridSpec) -> np.ndarray:
-    """One store for the slices of one march of n unknowns on grid.  A
-    mapping the system refuses for want of memory is a MemoryError that
-    names the grid."""
-    size = _trace_size(n, grid)
-    try:
-        return _store(size)
-    except OSError as exc:
-        if exc.errno != errno.ENOMEM:
-            raise
-        raise MemoryError(f"the trace of nx = {grid.nx}, cells {grid.cells} "
-                          f"needs {8 * size} bytes: {exc.strerror}") from None
-
-
-def _slice_views(store: np.ndarray, n: int, grid: GridSpec) -> list:
-    """The slices of a march of n unknowns on grid, x extents nx + 1 down
-    to 1, as consecutive views of its store."""
-    per_x, start, views = n * math.prod(grid.cells), 0, []
-    for width in range(grid.nx + 1, 0, -1):
-        views.append(store[start:start + per_x * width]
-                     .reshape((n, width) + grid.cells))
-        start += per_x * width
+def _slice_views(store: np.ndarray, shapes) -> list:
+    """Consecutive views of the flat `store` from its start, one of each
+    shape in turn: how a trace packs its slices."""
+    start, views = 0, []
+    for shape in shapes:
+        end = start + math.prod(shape)
+        views.append(store[start:end].reshape(shape))
+        start = end
     return views
 
 
@@ -813,10 +782,9 @@ def _validate(canon: CanonicalSystem, grid: GridSpec, data: DataSpec):
         if coupled and grid.transverse[j].cells < 4:
             raise DataSpecError(
                 f"transverse direction {name} needs at least 4 cells")
-    nbytes = 8 * _trace_size(canon.n_unknowns, grid)
+    nbytes, needs = _trace_bytes(canon.n_unknowns, grid)
     if nbytes > sys.maxsize:
-        raise MemoryError(f"the trace of nx = {grid.nx}, cells {grid.cells} "
-                          f"needs {nbytes} bytes, more than sys.maxsize")
+        raise MemoryError(f"{needs}, more than sys.maxsize")
 
 
 def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
@@ -875,7 +843,8 @@ def _march_nodal(canon: CanonicalSystem, grid: GridSpec, nodal: np.ndarray,
     """
     nq = canon.nq
     stepper = _Stepper(canon, grid, tols)
-    views = _slice_views(store, canon.n_unknowns, grid)
+    views = _slice_views(store, [(canon.n_unknowns, width) + grid.cells
+                                 for width in range(grid.nx + 1, 0, -1)])
     views[0][:nq] = nodal[:nq]
     # slice j lies at u = j dx; diagnostics[j] = max |v| on it
     slices, diagnostics = [], []

@@ -335,7 +335,9 @@ def classify_definiteness(M, tols: Tolerances = Tolerances()
     if not is_symmetric(M, tols):
         raise NotSymmetricError("matrix is asymmetric beyond tolerance")
     w = _eigvalsh(0.5 * (M + M.T))
-    thr = tols.eig * max(-w[0], w[-1]) if len(w) else 0.0
+    # on Python floats, so that a huge tols.eig makes thr inf without
+    # numpy's overflow warning
+    thr = tols.eig * float(max(-w[0], w[-1])) if len(w) else 0.0
     n_pos = int(np.sum(w > thr))
     n_neg = int(np.sum(w < -thr))
     n = len(w)

@@ -376,7 +376,8 @@ class TestMarch:
         with pytest.raises(DataSpecError):
             cm.march(wave_canon, grid, data, report=wave_report)
 
-    @pytest.mark.parametrize("X", [math.nan, math.inf, 0.0, -1.0])
+    # 5e-324 / 8 underflows: dx would be 0
+    @pytest.mark.parametrize("X", [math.nan, math.inf, 0.0, -1.0, 5e-324])
     def test_bad_X_total_rejected(self, X):
         with pytest.raises(ValueError, match="X_total"):
             cm.GridSpec(X_total=X, nx=8)
@@ -1053,7 +1054,11 @@ class TestTraceStore:
         # one (or as huge pages, by compaction) during the first march
         resource = pytest.importorskip("resource")
         monkeypatch.setattr(charsolve, "_POOL", [])
-        store = charsolve._store(4 << 20)  # 32 MB: 8192 pages, 16 huge ones
+        # the trace of 2 unknowns on 16 x 16 cells at nx = 127, 32.25 MiB:
+        # 8256 pages, 16 huge ones and a part
+        store = charsolve._trace_store(2, cm.GridSpec(
+            X_total=1.0, nx=127, transverse=(cm.TransverseAxis(cells=16),
+                                             cm.TransverseAxis(cells=16))))
 
         def faults():
             return resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -300,6 +300,14 @@ class TestUsageErrors:
          "profile trans[0] must be a finite (wavenumber, phase) pair"),
         (["solve", "--example", "wave3d", "--w0", "sine:ky=0.5"],
          "profile trans[0] wavenumber must be an integer, got 0.5"),
+        (["verify-estimate", "--example", "wave3d", "--nx", "4", "--cells",
+          "4,4", "--Xtotal", "5e-324"],
+         "error: X_total / nx must be a float > 0, got X_total = 5e-324, "
+         "nx = 4\n"),
+        # an nx past the float range has no float dx at all
+        (["solve", "--example", "wave3d", "--nx", "1" + "0" * 400],
+         "error: X_total / nx must be a float > 0, got X_total = 2.0, "
+         "nx = 1000"),
     ])
     def test_exit_one(self, argv, cause, capsys):
         assert cli.main(argv) == cli.EXIT_ERROR
@@ -419,7 +427,7 @@ class TestSolve:
         def allocates(*args, **kwargs):
             raise AssertionError("allocated for a grid that is refused")
 
-        for name in ("evaluate_profile", "_Stepper", "_store"):
+        for name in ("evaluate_profile", "_Stepper", "_trace_store"):
             monkeypatch.setattr(charsolve, name, allocates)
         code = cli.main(["solve", "--example", "wave3d", "--nx", "100000000"])
         nbytes = 8 * 4 * 256 * (10 ** 8 + 1) * (10 ** 8 + 2) // 2

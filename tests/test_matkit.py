@@ -295,6 +295,13 @@ class TestClassifyDefiniteness:
         with pytest.raises(NotSymmetricError):
             classify_definiteness(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_huge_eig_tolerance_counts_every_eigenvalue_as_zero(self):
+        # tols.eig * rho overflows to an inf threshold, without numpy's
+        # overflow warning (an error under the test policy)
+        cls = classify_definiteness(np.diag([2.0, -3.0]),
+                                    Tolerances(eig=1e308))
+        assert cls.tag is Definiteness.ZERO
+
     @given(st.integers(0, 10**6), st.permutations(list(range(4))))
     @settings(max_examples=60, deadline=None)
     def test_invariant_under_symmetric_permutation(self, seed, perm):
