@@ -170,7 +170,11 @@ class ProfileTerm:
             raise DataSpecError(
                 f"profile width must be finite and > 0, got {self.width!r}")
         for i, pair in enumerate(self.trans):
-            if len(pair) != 2 or not all(map(math.isfinite, pair)):
+            try:  # a bare number, as in ((k, p)) for ((k, p),), has no len
+                ok = len(pair) == 2 and all(map(math.isfinite, pair))
+            except TypeError:
+                ok = False
+            if not ok:
                 raise DataSpecError(
                     f"profile trans[{i}] must be a finite (wavenumber, "
                     f"phase) pair, got {pair!r}")

@@ -105,9 +105,10 @@ def _level(trace: SolutionTrace, T: float) -> int:
     """The grid level K >= 1 of the surface u + x = T: it passes through
     the nodes (j, K - j).  T that snaps to level 0, a surface of one node
     with no data, or to a level that the trace does not cover (a slice
-    j <= K without x index K - j) is refused, and off-grid T is then
-    snapped with a warning.  T / dx is clipped to [0, n_slices] before it
-    is rounded, so that a finite T whose T / dx overflows is refused too."""
+    j <= K without x index K - j) is refused, and T more than 1e-9 dx off
+    its level, on any scale of dx, is then snapped with a warning.  T / dx
+    is clipped to [0, n_slices] before it is rounded, so that a finite T
+    whose T / dx overflows is refused too."""
     dx = trace.grid.dx
     K = int(round(min(max(T / dx, 0.0), trace.n_slices)))
     if K < 1:
@@ -115,7 +116,7 @@ def _level(trace: SolutionTrace, T: float) -> int:
                          f"dx = {dx!r}")
     if K >= trace._levels:
         raise RangeError(f"T={T!r} outside the trace coverage")
-    if abs(K * dx - T) > 1e-9 * max(dx, 1.0):
+    if abs(K * dx - T) > 1e-9 * dx:
         warnings.warn(f"T={T!r} snapped to the nearest grid level {K * dx!r}",
                       stacklevel=3)
     return K

@@ -425,6 +425,10 @@ class TestMarch:
         # the transverse axes are periodic on [0, 2 pi)
         ({"kind": "sine", "trans": ((0.5, 0.0),)},
          r"trans\[0\] wavenumber must be an integer, got 0.5"),
+        # ((1.0, 0.0),) with its trailing comma left out
+        ({"kind": "sine", "trans": (1.0, 0.0)},
+         r"trans\[0\] must be a finite \(wavenumber, phase\) pair, "
+         r"got 1.0$"),
     ])
     def test_bad_profile_numbers_rejected(self, kwargs, cause):
         # refused by name where the term is built, not by a non-finite

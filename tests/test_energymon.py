@@ -122,13 +122,15 @@ class TestDataNorms:
         assert abs(n2 - exact) <= 1e-3 * exact
         assert abs(n1 - 2.0 * n2) <= 1e-12 * n1
 
-    def test_off_grid_T_warns(self, wave_canon, wave_compact, wave_report,
+    # on a grid with dx < 1 too, a T 0.3 dx off its level is off the grid
+    @pytest.mark.parametrize("X", [2.0, 1e-8])
+    def test_off_grid_T_warns(self, X, wave_canon, wave_compact, wave_report,
                               plane_wave_data):
-        grid = wave_grid(16)
+        grid = wave_grid(16, X=X)
         tr = cm.march(wave_canon, grid, plane_wave_data, report=wave_report)
         with pytest.warns(UserWarning, match="snapped"):
             cm.verify_estimate(tr, wave_compact, wave_report,
-                               1.0 + 0.3 * grid.dx)
+                               X / 2 + 0.3 * grid.dx)
 
     def test_out_of_range_T(self, wave_canon, wave_compact, wave_report,
                             plane_wave_data):
@@ -570,7 +572,7 @@ class TestEndNodeBias:
 
 def _steps_for(T, h, limit, what):
     K = int(round(T / h))
-    if abs(K * h - T) > 1e-9 * max(h, 1.0):
+    if abs(K * h - T) > 1e-9 * h:
         warnings.warn(f"{what}: T={T!r} snapped to the nearest grid level "
                       f"{K * h!r}", stacklevel=3)
     if K < 0 or K > limit:
@@ -589,7 +591,7 @@ def _diagonal_points(trace, T):
         if xt < -1e-9 * dx:
             break
         i = int(round(xt / dx))
-        if not warned and abs(i * dx - xt) > 1e-9 * max(dx, 1.0):
+        if not warned and abs(i * dx - xt) > 1e-9 * dx:
             warnings.warn(
                 f"sigma_norm: diagonal point at u={s.u_level!r} snapped to "
                 "the nearest x node", stacklevel=3)
