@@ -27,8 +27,12 @@ M0 + i sum_j M_j sin(theta_j) / h_j of the centred differences, and the
 scan runs mode by mode.  The operators (Nu^-1 Nx, Nu^-1 N^i, Nu^-1 N0,
 the hypersurface blocks and the powers G^(2^s)) are built once per march
 (`_Stepper`), and the CFL check reads the eigenvalues of the Nu^-1 Nx that
-the step multiplies by.  Slice j holds nx + 1 - j x points, and its u is
-j dx, taken from that index, not summed.
+the step multiplies by.  Their zero entries are decided there once, on
+the system's scale: |a| <= n eps s is zero, n the number of unknowns and s
+the largest |entry| of a's family ({L0, L^i}, {N0, N^i} or Nu^-1 Nx), so
+reduction round-off neither picks the spectral scan nor adds a term.  At
+m = 1 a pointwise A is a number, and A f one multiply.  Slice j holds
+nx + 1 - j x points, and its u is j dx, taken from that index, not summed.
 
 Memory: the slices of one march are consecutive views of one packed store
 on an anonymous mapping (`_trace_store`), populated by the mmap call where
@@ -169,7 +173,13 @@ class ProfileTerm:
         if not (math.isfinite(self.width) and self.width > 0):
             raise DataSpecError(
                 f"profile width must be finite and > 0, got {self.width!r}")
-        for i, pair in enumerate(self.trans):
+        try:
+            pairs = tuple(self.trans)
+        except TypeError:   # a bare number, as in 1.0 for ((1.0, 0.0),)
+            raise DataSpecError(
+                f"profile trans must be a tuple of (wavenumber, phase) "
+                f"pairs, got {self.trans!r}") from None
+        for i, pair in enumerate(pairs):
             try:  # a bare number, as in ((k, p)) for ((k, p),), has no len
                 ok = len(pair) == 2 and all(map(math.isfinite, pair))
             except TypeError:
@@ -550,6 +560,16 @@ def _sign_rule_slack(P, Nu, Nx, tols: matkit.Tolerances) -> float:
         * float(np.linalg.norm(P, 2))
 
 
+def _structural(n: int, *blocks) -> list:
+    """One family of blocks with its round-off taken out: an entry counts
+    as a structural zero when |a| <= n eps s, with n the number of
+    unknowns and s the largest |entry| of all the blocks given.  Every
+    other entry, and the sign of an exact zero, is kept bit for bit."""
+    cut = n * np.finfo(float).eps * max(
+        float(np.abs(B).max(initial=0.0)) for B in blocks)
+    return [B * (np.abs(B) > cut) for B in blocks]
+
+
 class _Stepper:
     """The operators of the march for one system and grid, built once.
 
@@ -558,10 +578,12 @@ class _Stepper:
     A w = -(L0_w w + L^i_w d_i w), and the powers G^(2^s) of its Heun
     propagator G = I + dx A + dx^2 A^2 / 2 that the scan of the widest
     slice uses: real m x m matrices when A is pointwise, one per transverse
-    Fourier mode when it is not, none when A = 0.  Evolution by one step
-    du = dx: Nu^-1 Nx, checked here for the CFL condition (its eigenvalues,
-    up to the verdict's slack at `tols`) before anything else is built
-    from it, and the source operator dx Nu^-1 (N0 v + N^i d_i v).
+    Fourier mode when it is not, none when A = 0; at m = 1 a pointwise A
+    and its powers are numbers.  Evolution by one step du = dx: Nu^-1 Nx,
+    checked here for the CFL condition (its eigenvalues, up to the
+    verdict's slack at `tols`) before anything else is built from it, and
+    the source operator dx Nu^-1 (N0 v + N^i d_i v), all built from
+    blocks that `_structural` has cleaned.
 
     The stepper only computes, in place on the slice values it is given:
     it knows no u, sets no floating-point policy, never writes w_0 and
@@ -573,15 +595,17 @@ class _Stepper:
 
     def __init__(self, canon: CanonicalSystem, grid: GridSpec,
                  tols: matkit.Tolerances = matkit.Tolerances()):
-        nq = canon.nq
+        nq, n = canon.nq, canon.n_unknowns
         names = canon.transverse_names
         self.nq, self.dx, self.width = nq, grid.dx, grid.nx + 1
+        L0, *Li = _structural(n, canon.L0, *(canon.Li[k] for k in names))
+        N0, *Ni = _structural(n, canon.N0, *(canon.Ni[k] for k in names))
         self.forcing = _FieldOperator(
-            -canon.L0[:, :nq], [-canon.Li[k][:, :nq] for k in names], grid)
+            -L0[:, :nq], [-L[:, :nq] for L in Li], grid)
         self.coupling = _FieldOperator(
-            -canon.L0[:, nq:], [-canon.Li[k][:, nq:] for k in names], grid)
+            -L0[:, nq:], [-L[:, nq:] for L in Li], grid)
         Nui = np.linalg.inv(canon.Nu) if nq else np.zeros((0, 0))
-        self.NuiNx = Nui @ canon.Nx
+        self.NuiNx, = _structural(n, Nui @ canon.Nx)
         # the upwind x step with du = dx is stable only when every
         # eigenvalue of the P = Nu^-1 Nx it multiplies by is real and in
         # [-1, 0].  Where one is not, the verdict's signs bound how far it
@@ -594,13 +618,14 @@ class _Stepper:
                                f"[-1, 0]: the upwind step du = dx is unstable")
         self.upwind = _UpwindStep(self.NuiNx, grid)
         self.source = _FieldOperator(
-            grid.dx * Nui @ canon.N0,
-            [grid.dx * Nui @ canon.Ni[k] for k in names], grid)
+            grid.dx * Nui @ N0, [grid.dx * Nui @ N for N in Ni], grid)
         self.powers = [] if self.coupling.is_zero else \
             self._propagator_powers()
-        # at m = 1 a pointwise G^d is one number
-        self._gains = [float(P[0, 0]) for P in self.powers] \
-            if canon.m == 1 and not self.coupling.terms else None
+        # at m = 1 a pointwise A is one number, and so is each G^d
+        self._gains = self._A = None
+        if canon.m == 1 and self.powers and not self.coupling.terms:
+            self._A = float(self.coupling.M0[0, 0])
+            self._gains = [float(P[0, 0]) for P in self.powers]
         # the step temporaries: those of the hypersurface pass (the
         # forcing, then the coupling of it, or the pointwise scan's
         # G^d w[:-d]) and those of the evolution step (the source, then the
@@ -642,7 +667,13 @@ class _Stepper:
         f = self.forcing(vals[:nq], self._work)
         np.add(f[:, :-1], f[:, 1:], out=w[:, 1:])
         if not self.coupling.is_zero:
-            Af = self.coupling(f, self._work[self.forcing.work:])[:, :-1]
+            work = self._work[self.forcing.work:]
+            if self._A is None:
+                Af = self.coupling(f, work)[:, :-1]
+            else:   # the one product a 1 x 1 matmul rounds
+                head = f[:, :-1]
+                Af = np.multiply(head, self._A,
+                                 out=work[:head.size].reshape(head.shape))
             Af *= dx
             w[:, 1:] += Af
         w[:, 1:] *= 0.5 * dx

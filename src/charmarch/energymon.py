@@ -28,9 +28,11 @@ the slices makes, and the anti-diagonals are then accumulated, so the
 volume integral of level K is one read, prefix[K] dx^2.  Each call
 evaluates only the form C^u + C^x on the diagonal points of its level:
 the nodes (j, K - j) of the slices j <= K are one gather from the trace's
-store, into one plane, and it takes one form on that plane, and its line
-integrals add Python floats.  A level that some slice j <= K does not
-reach (no x index K - j) is outside the trace's coverage.
+store, into one plane, and it takes one form on that plane; its line
+integrals add Python floats, and sigma is one cumulative sum, which adds
+the nodes left to right, as a loop over them would.  A level that some
+slice j <= K does not reach (no x index K - j) is outside the trace's
+coverage.
 
 One kernel, `_cell_form`, takes every form on flattened views: a
 quadratic form v^T W v is one matrix product on the (components, points)
@@ -224,11 +226,11 @@ def verify_estimate(trace: SolutionTrace, cf: CompactSystem,
     forms = _forms(trace, cf)
     nq_sq = _line_integral(forms.q0, dx, K)
     nw_sq = _line_integral(forms.w0, dx, K)
-    # sigma: the nodes (j, K - j) of level K, weight dx times the cell volume
-    sig = 0.0
-    for g in _cell_form(forms.sigma, trace._level_nodes(K),
-                        trace.grid).tolist():
-        sig += dx * g
+    # sigma: the nodes (j, K - j) of level K, weight dx times the cell
+    # volume, added left to right as a loop over the nodes adds them
+    g = _cell_form(forms.sigma, trace._level_nodes(K), trace.grid)
+    g *= dx
+    sig = np.cumsum(g, out=g).item(-1)
     bound = report.bound_factor(K * dx) * (nq_sq + nw_sq)
     margin = bound - sig
     tol_h = report.tols.ctol * dx * (nq_sq + nw_sq)

@@ -4,6 +4,7 @@ import gc
 import math
 import mmap
 import os
+import pathlib
 import tracemalloc
 import warnings
 
@@ -22,6 +23,8 @@ from charmarch.wellposed import Verdict
 import conftest
 
 R2 = 1.0 / math.sqrt(2.0)
+# Maxwell's equations for (E, B) in wave3d's chart u = t - x
+MAXWELL = pathlib.Path(__file__).resolve().parent / "data" / "maxwell3d.txt"
 
 
 def wave_grid(nx=16, cy=8, cz=8, X=2.0):
@@ -89,6 +92,30 @@ class TestHypersurfaceIntegrate:
         s[3:, 0] = wb
         _Stepper(canon, grid).fill_null(s)
         assert np.abs(s - expected).max() <= 1e-13
+
+    def test_round_off_is_no_forcing_term(self, damped_wave_pipeline):
+        # damped wave3d's canonical L0[0, 0] = 2.2e-16 and N0[0, 3] =
+        # -8.5e-17 are reduction round-off where the exact entries are 0:
+        # the canonical form keeps them, the stepper drops them
+        canon = damped_wave_pipeline[0]
+        assert canon.L0[0, 0] != 0.0 and canon.N0[0, 3] != 0.0
+        stepper = _Stepper(canon, wave_grid(nx=128, cy=8, cz=4, X=0.5))
+        assert stepper.forcing.M0 is None
+        assert stepper.source.M0[:, 3].tolist() == [0.0, 0.0, 0.0]
+
+    def test_one_null_field_couples_by_a_number(self, damped_wave_pipeline):
+        # at m = 1 pointwise A f is one multiply by A's entry, which is
+        # the one product the 1 x 1 matmul of the coupling operator rounds
+        canon = damped_wave_pipeline[0]
+        grid = wave_grid(nx=16, cy=8, cz=4, X=1.0)
+        stepper = _Stepper(canon, grid)
+        assert stepper._A == -canon.L0[0, 3]
+        s = np.random.default_rng(5).standard_normal((4, 17, 8, 4))
+        by_operator = s.copy()
+        stepper.fill_null(s)
+        stepper._A = None
+        stepper.fill_null(by_operator)
+        assert s.tobytes() == by_operator.tobytes()
 
 
 class TestEvolutionStep:
@@ -429,6 +456,9 @@ class TestMarch:
         ({"kind": "sine", "trans": (1.0, 0.0)},
          r"trans\[0\] must be a finite \(wavenumber, phase\) pair, "
          r"got 1.0$"),
+        # a bare number for the whole tuple of pairs
+        ({"kind": "sine", "trans": 1.0},
+         r"trans must be a tuple of \(wavenumber, phase\) pairs, got 1.0$"),
     ])
     def test_bad_profile_numbers_rejected(self, kwargs, cause):
         # refused by name where the term is built, not by a non-finite
@@ -776,6 +806,41 @@ class TestMarchMatchesOracle:
         nodal = np.random.default_rng(seed).standard_normal(
             (canon.n_unknowns, grid.nx + 1) + grid.cells)
         self._assert_matches(canon, wave_report, grid, nodal=nodal)
+
+    def test_maxwell_has_no_null_coupling(self):
+        # m = 2 and four q; the w blocks of L^y and L^z hold reduction
+        # round-off (about 1.6e-16) where the exact entries are 0, which
+        # the stepper takes as zeros: its pass is a cumulative sum
+        a = cm.analyze(*cm.load_system(MAXWELL.read_text()))
+        assert (a.canon.nq, a.canon.m) == (4, 2)
+        assert a.report.verdict is Verdict.WELL_POSED
+        assert np.any(a.canon.Li["y"][:, 4:])
+        grid = wave_grid(nx=16, cy=8, cz=4, X=1.0)
+        stepper = _Stepper(a.canon, grid)
+        assert stepper.coupling.is_zero and not stepper.powers
+        sine = self.DATA.q0[0]
+        gauss = self.DATA.q0[1]
+        data = cm.DataSpec(q0=(sine, gauss, (), gauss),
+                           w0=(self.DATA.w0[0], sine))
+        self._assert_matches(a.canon, a.report, grid, data)
+
+    @pytest.mark.parametrize("factor, spectral", [(0.5, False), (2.0, True)])
+    def test_zero_rule_decides_the_scan(self, factor, spectral, monkeypatch,
+                                        wave_canon, wave_report):
+        # an entry of L^y's w block counts as zero up to n eps s, with s
+        # the largest |entry| of L0 and the L^i: below it the pass scans
+        # the physical slice, above it every transverse Fourier mode
+        Li = wave_canon.Li
+        s = max(float(np.abs(L).max()) for L in [wave_canon.L0, *Li.values()])
+        Ly = Li["y"].copy()
+        Ly[0, 3] = factor * wave_canon.n_unknowns * np.finfo(float).eps * s
+        canon = dataclasses.replace(wave_canon, Li={**Li, "y": Ly})
+        rfftn, calls = np.fft.rfftn, []
+        monkeypatch.setattr(np.fft, "rfftn",
+                            lambda *a, **k: calls.append(1) or rfftn(*a, **k))
+        self._assert_matches(canon, wave_report,
+                             wave_grid(nx=16, cy=8, cz=4, X=1.0))
+        assert bool(calls) is spectral
 
     def _assert_matches(self, canon, report, grid, data=DATA, nodal=None):
         if nodal is None:

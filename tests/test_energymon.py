@@ -240,6 +240,28 @@ class TestSigmaNorm:
         exact = TWO_PI_SQ * two_sin_sq_integral(T)
         assert abs(sig - exact) <= 5.0 * grid.dx * exact
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), K=st.integers(1, 24))
+    def test_sum_is_the_per_node_loop_bit_for_bit(self, seed, K,
+                                                  wave_compact, wave_report):
+        # node forms across 16 decades, so that a sum in any other order
+        # than the loop's, left to right over the nodes of the level,
+        # rounds otherwise
+        grid = wave_grid(24)
+        rng = np.random.default_rng(seed)
+        slices = [SliceState(u_level=j * grid.dx, values=rng.standard_normal(
+            (4, grid.nx + 1 - j, 4, 4)) * 10.0 ** rng.uniform(
+                -4, 4, size=(1, grid.nx + 1 - j, 1, 1)))
+            for j in range(grid.nx + 1)]
+        trace = SolutionTrace(grid=grid, slices=slices)
+        loop = 0.0
+        for g in energymon._cell_form(
+                wave_compact.C["u"] + wave_compact.C["x"],
+                trace._level_nodes(K), grid).tolist():
+            loop += grid.dx * g
+        assert cm.verify_estimate(trace, wave_compact, wave_report,
+                                  K * grid.dx).sigma_norm_sq == loop
+
     def test_no_diagonal_points(self, wave_compact, wave_report):
         grid = wave_grid(8)
         slices = [SliceState(u_level=5.0, values=np.zeros((4, 2, 4, 4)))]
@@ -518,7 +540,7 @@ class TestXOnlyData:
         assert [er.T for er in reports if not er.holds] == []
 
     @pytest.mark.xfail(strict=True, reason=(
-        "sigma's end-node bias (ROADMAP item 4): the first two surfaces "
+        "sigma's end-node bias (ROADMAP item 2): the first two surfaces "
         "fail with margins of -1.3 to -1.8 tol_h at every nx, and the "
         "margin is 0 on every surface with sigma taken on the trapezoid"))
     @pytest.mark.parametrize("nx", [64, 128])
