@@ -201,10 +201,13 @@ def split_and_reduce(cs: CharacteristicStructure, B: SideMatrices,
     # hat substitution w_hat = w + Lx q: v' = Tinv v_hat' with v_hat'=(w_hat,q)
     Tinv = np.eye(n)
     Tinv[:m, m:] = -Lx
-    # column permutation from (w, q) to the final (q, w) ordering
+    # column permutation from (w, q) to the final (q, w) ordering: its
+    # ones P[m + k, k], k < nq, and P[k, nq + k], k < m, lie on two
+    # diagonals of stride n + 1 in the flat array
     P = np.zeros((n, n))
-    P[:, :nq] = np.vstack([np.zeros((m, nq)), np.eye(nq)])
-    P[:, nq:] = np.vstack([np.eye(m), np.zeros((nq, m))])
+    flat = P.reshape(-1)
+    flat[m * n::n + 1] = 1.0
+    flat[nq:m * n:n + 1] = 1.0
     col = Tinv @ P          # final coeff = rotated coeff @ col
 
     Ni = {name: Ei[name] @ col for name in B.transverse_names}

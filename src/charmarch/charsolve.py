@@ -29,7 +29,8 @@ the hypersurface blocks and the powers G^(2^s)) are built once per march
 (`_Stepper`), and the CFL check reads the eigenvalues of the Nu^-1 Nx that
 the step multiplies by.  Their zero entries are decided there once, on
 the system's scale: |a| <= n eps s is zero, n the number of unknowns and s
-the largest |entry| of a's family ({L0, L^i}, {N0, N^i} or Nu^-1 Nx), so
+the largest |entry| of a's family ({L0, L^i}, {N0, N^i}, Nu^-1 Nx, or
+the source {dx Nu^-1 N0, dx Nu^-1 N^i} once more after its product), so
 reduction round-off neither picks the spectral scan nor adds a term.  At
 m = 1 a pointwise A is a number, and A f one multiply.  Slice j holds
 nx + 1 - j x points, and its u is j dx, taken from that index, not summed.
@@ -583,7 +584,8 @@ class _Stepper:
     checked here for the CFL condition (its eigenvalues, up to the
     verdict's slack at `tols`) before anything else is built from it, and
     the source operator dx Nu^-1 (N0 v + N^i d_i v), all built from
-    blocks that `_structural` has cleaned.
+    blocks that `_structural` has cleaned; the source is cleaned again
+    after the product, of Nu^-1's round-off.
 
     The stepper only computes, in place on the slice values it is given:
     it knows no u, sets no floating-point policy, never writes w_0 and
@@ -617,8 +619,10 @@ class _Stepper:
                 raise CFLError(f"eigenvalue {lam:.6g} of Nu^-1 Nx is outside "
                                f"[-1, 0]: the upwind step du = dx is unstable")
         self.upwind = _UpwindStep(self.NuiNx, grid)
-        self.source = _FieldOperator(
-            grid.dx * Nui @ N0, [grid.dx * Nui @ N for N in Ni], grid)
+        # cleaned again after the product, of Nu^-1's round-off
+        S0, *Si = _structural(n, grid.dx * Nui @ N0,
+                              *(grid.dx * Nui @ N for N in Ni))
+        self.source = _FieldOperator(S0, Si, grid)
         self.powers = [] if self.coupling.is_zero else \
             self._propagator_powers()
         # at m = 1 a pointwise A is one number, and so is each G^d

@@ -7,6 +7,18 @@ narrow band, and symmetric definiteness classification with a threshold
 read from the spectrum.  All functions are pure; matrices and vectors are
 plain numpy arrays.
 
+Public functions validate their input (shape, finiteness and, for
+classify_definiteness, symmetry) and name what they refuse.  The
+classification itself is one private kernel, `_definiteness`, for an S that
+is square and exactly symmetric: it checks only finiteness, then reads
+dsyevd's eigenvalues against the threshold.  classify_definiteness is
+validation plus that kernel; the check path (wellposed.check_criteria)
+calls the kernel directly on symmetric parts that are exactly symmetric by
+construction.  A check is left out only there, where it holds by
+construction; every check that depends on the floating-point values stays.
+The symmetric part is 0.5 M + 0.5 M^T (`_symmetric_part`), which cannot
+overflow for a finite M, as 0.5 (M + M^T) can.
+
 LAPACK is called bare where that is bit-identical to the wrapper it
 replaces: dgeqp3 (scipy.linalg.qr with pivoting, Q by dorgqr), dtrtrs
 with the transposed lower solve (scipy.linalg.solve_triangular on a
@@ -26,6 +38,7 @@ package init.  That init cost every process that imports charmarch about
 """
 from __future__ import annotations
 
+import bisect
 import enum
 import importlib.machinery
 import importlib.util
@@ -66,11 +79,16 @@ lapack = _load_compiled("_flapack")
 blas = _load_compiled("_fblas")
 
 
+def _failed(name: str, info: int) -> np.linalg.LinAlgError:
+    """The error of a LAPACK call whose status info is not 0."""
+    return np.linalg.LinAlgError(f"{name} failed with info={info}")
+
+
 def _lapack(name: str, *args, **kw) -> list:
     """lapack.<name>(*args, **kw) less its status, which must be 0."""
     *out, info = getattr(lapack, name)(*args, **kw)
     if info:
-        raise np.linalg.LinAlgError(f"{name} failed with info={info}")
+        raise _failed(name, info)
     return out
 
 
@@ -138,8 +156,8 @@ class DefinitenessClass:
         )
 
 
-def _require_finite(M, what: str):
-    if not np.all(np.isfinite(M)):
+def _require_finite(M: np.ndarray, what: str):
+    if not np.isfinite(M).all():
         raise ValueError(f"{what} has non-finite entries")
 
 
@@ -184,8 +202,10 @@ def _pivoted_qr(M: np.ndarray, tol: float, ref: np.ndarray | None = None):
     # np.linalg.norm(Rs, axis=0).max(): sqrt is monotone and correctly
     # rounded, so it is taken once, on the largest sum of squares
     scale = math.sqrt(float((Rs * Rs).sum(axis=0).max()))
-    qr, jpvt, tau, _ = _lapack("dgeqp3", M)
-    rank = int(np.sum(np.abs(np.diag(qr)) * s > tol * scale))
+    qr, jpvt, tau, _, info = lapack.dgeqp3(M)
+    if info:
+        raise _failed("dgeqp3", info)
+    rank = int(np.count_nonzero(np.abs(qr.diagonal()) * s > tol * scale))
     return qr, jpvt - 1, rank, tau
 
 
@@ -247,7 +267,8 @@ def _fill(Q: np.ndarray, k0: int, threshold: float) -> list:
         cand[j] = 1.0
         cand -= Q[:k, j] @ Q[:k]
         cand -= (Q[:k] @ cand) @ Q[:k]   # the reorthogonalisation
-        nrm = np.linalg.norm(cand)
+        # np.linalg.norm's own arithmetic: one ddot, then a sqrt
+        nrm = math.sqrt(cand @ cand)
         if nrm > threshold:
             Q[k] = cand / nrm
             accepted.append(j)
@@ -297,7 +318,7 @@ def is_symmetric(M: np.ndarray, tols: Tolerances = Tolerances()) -> bool:
     K = M - M^T, the bounds ||A||_F / sqrt(n) <= ||A||_2 <= ||A||_F on K
     and on M decide, with a relative slack of 1e-12 for round-off; the two
     SVDs run only when the threshold falls inside those bounds."""
-    if np.array_equal(M, M.T):
+    if (M == M.T).all():
         return True
     K = M - M.T
     k, m = _fro(K), _fro(M)
@@ -321,26 +342,33 @@ def _eigvalsh(S: np.ndarray) -> np.ndarray:
     return _lapack("dsyevd", S, compute_v=0, lower=1)[0]
 
 
-def classify_definiteness(M, tols: Tolerances = Tolerances()
-                          ) -> DefinitenessClass:
-    """Classify a symmetric matrix by the signs of its eigenvalues.
+def _symmetric_part(M: np.ndarray) -> np.ndarray:
+    """0.5 M + 0.5 M^T, the symmetric part of a square M, exactly
+    symmetric as addition commutes.  It cannot overflow where M is finite.
+    Halving is exact for |a| >= 2^-1021, so where no nonzero entry is
+    smaller it is 0.5 (M + M^T) bit for bit, for every M whose sum stays
+    finite; below that an entry may lose its last subnormal bit."""
+    H = 0.5 * M
+    return H + H.T
 
-    Eigenvalues within tols.eig * rho of zero count as zero, where rho is
-    the spectral radius of the symmetric part 0.5 * (M + M^T), read from
-    the eigenvalues themselves (it is ||M||_2 for a symmetric M); a matrix
-    whose eigenvalues are all negligible is tagged ZERO (distinct from the
-    semi-definite tags).  Asymmetry beyond tols.sym*||M|| is refused.
-    """
-    M = as_square(M)
-    if not is_symmetric(M, tols):
-        raise NotSymmetricError("matrix is asymmetric beyond tolerance")
-    w = _eigvalsh(0.5 * (M + M.T))
+
+def _definiteness(S: np.ndarray, tols: Tolerances,
+                  what: str = "matrix") -> DefinitenessClass:
+    """The sign class of S, which must be square and exactly symmetric
+    (S == S^T, as `_symmetric_part` makes it): the kernel of
+    classify_definiteness, which the check path calls on its symmetric
+    parts without re-validating them.  Only finiteness, which no
+    construction guarantees, is checked; a non-finite S is a ValueError
+    naming `what`."""
+    _require_finite(S, what)
+    w = _eigvalsh(S).tolist()
     # on Python floats, so that a huge tols.eig makes thr inf without
     # numpy's overflow warning
-    thr = tols.eig * float(max(-w[0], w[-1])) if len(w) else 0.0
-    n_pos = int(np.sum(w > thr))
-    n_neg = int(np.sum(w < -thr))
+    thr = tols.eig * max(-w[0], w[-1]) if w else 0.0
+    # dsyevd returns w ascending, so each count is one bisection
     n = len(w)
+    n_pos = n - bisect.bisect_right(w, thr)
+    n_neg = bisect.bisect_left(w, -thr)
     if n_pos == 0 and n_neg == 0:
         tag = Definiteness.ZERO
     elif n_neg == 0:
@@ -349,4 +377,22 @@ def classify_definiteness(M, tols: Tolerances = Tolerances()
         tag = Definiteness.NEGATIVE_DEFINITE if n_neg == n else Definiteness.NEGATIVE_SEMI
     else:
         tag = Definiteness.INDEFINITE
-    return DefinitenessClass(tag=tag, eigenvalues=tuple(float(x) for x in w))
+    return DefinitenessClass(tag=tag, eigenvalues=tuple(w))
+
+
+def classify_definiteness(M, tols: Tolerances = Tolerances()
+                          ) -> DefinitenessClass:
+    """Classify a symmetric matrix by the signs of its eigenvalues.
+
+    Eigenvalues within tols.eig * rho of zero count as zero, where rho is
+    the spectral radius of the symmetric part 0.5 M + 0.5 M^T
+    (`_symmetric_part`), read from the eigenvalues themselves (it is
+    ||M||_2 for a symmetric M); a matrix whose eigenvalues are all
+    negligible is tagged ZERO (distinct from the semi-definite tags).
+    A matrix that is not square or not finite is refused, and so is
+    asymmetry beyond tols.sym*||M||.
+    """
+    M = as_square(M)
+    if not is_symmetric(M, tols):
+        raise NotSymmetricError("matrix is asymmetric beyond tolerance")
+    return _definiteness(_symmetric_part(M), tols)

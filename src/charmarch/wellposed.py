@@ -74,20 +74,30 @@ class WellPosednessReport:
             return math.inf
 
 
-def _classify(M: np.ndarray, tols: Tolerances) -> DefinitenessClass:
-    return matkit.classify_definiteness(0.5 * (M + M.T), tols)
+def _classify(M: np.ndarray, tols: Tolerances,
+              what: str) -> DefinitenessClass:
+    """The sign class of M's symmetric part, which is exactly symmetric
+    by construction, so the kernel takes it unvalidated."""
+    return matkit._definiteness(matkit._symmetric_part(M), tols, what)
 
 
 def check_criteria(cf: CompactSystem,
                    tols: Tolerances = Tolerances()) -> WellPosednessReport:
-    """Evaluate the symmetry/definiteness criteria on a compact system."""
+    """Evaluate the symmetry/definiteness criteria on a compact system.
+
+    A block that is not finite, or Nu + Nx or R = 2 Dc where they leave
+    the float range, is a ValueError naming that matrix."""
     symmetric = {name: matkit.is_symmetric(C, tols)
                  for name, C in cf.C.items()}
 
-    cls_Nu = _classify(cf.Nu, tols)
-    cls_Nx = _classify(cf.Nx, tols)
-    cls_sum = _classify(cf.Nu + cf.Nx, tols)
-    cls_R = _classify(cf.R, tols)
+    Nu, Nx = cf.Nu, cf.Nx
+    cls_Nu = _classify(Nu, tols, "Nu")
+    cls_Nx = _classify(Nx, tols, "Nx")
+    # of finite blocks; an overflow leaves inf, which the kernel refuses
+    with np.errstate(over="ignore"):
+        NuPlusNx, R = Nu + Nx, cf.R
+    cls_sum = _classify(NuPlusNx, tols, "Nu + Nx")
+    cls_R = _classify(R, tols, "R")
 
     nx_ok = cls_Nx.is_nonpositive()
     all_sym = all(symmetric.values())
@@ -105,7 +115,7 @@ def check_criteria(cf: CompactSystem,
     return WellPosednessReport(
         symmetric_Ca=symmetric, class_Nu=cls_Nu, class_Nx=cls_Nx,
         class_NuPlusNx=cls_sum, class_R=cls_R, verdict=verdict,
-        r=float(np.abs(cf.R).max()) if cf.R.size else 0.0,
+        r=float(np.abs(R).max()) if R.size else 0.0,
         c=min(cls_sum.eigenvalues + ((1.0,) if cf.m else ())),
         # with no q unknowns C^u + C^x = I_m, though the empty Nu + Nx
         # is classified ZERO

@@ -6,6 +6,7 @@ import pytest
 
 import charmarch as cm
 from charmarch import builtin
+from charmarch.matkit import Definiteness
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -148,3 +149,30 @@ def scaled(system, s):
     return dataclasses.replace(
         system, A={name: s * M for name, M in system.A.items()},
         D=s * system.D)
+
+
+def oracle_class(M, tols):
+    """(tag, eigenvalues) by the documented rule, from numpy alone: the
+    eigenvalues of 0.5 (M + M^T), zero within tols.eig times their
+    largest magnitude, and the tag from the counts of the others."""
+    w = np.linalg.eigvalsh(0.5 * (M + M.T)) if len(M) else np.zeros(0)
+    thr = tols.eig * float(np.abs(w).max()) if len(w) else 0.0
+    pos, neg = int(np.sum(w > thr)), int(np.sum(w < -thr))
+    n = len(w)
+    if pos == neg == 0:
+        tag = Definiteness.ZERO
+    elif neg == 0:
+        tag = Definiteness.POSITIVE_DEFINITE if pos == n \
+            else Definiteness.POSITIVE_SEMI
+    elif pos == 0:
+        tag = Definiteness.NEGATIVE_DEFINITE if neg == n \
+            else Definiteness.NEGATIVE_SEMI
+    else:
+        tag = Definiteness.INDEFINITE
+    return tag, w
+
+
+def assert_matches_oracle(cls, M, tols):
+    tag, w = oracle_class(M, tols)
+    assert cls.tag is tag
+    assert np.array(cls.eigenvalues).tobytes() == w.tobytes()

@@ -824,6 +824,21 @@ class TestMarchMatchesOracle:
                            w0=(self.DATA.w0[0], sine))
         self._assert_matches(a.canon, a.report, grid, data)
 
+    def test_maxwell_source_has_no_round_off(self):
+        # Maxwell's Nu has off-diagonal round-off of about 1e-32, which
+        # the dx Nu^-1 product spreads into entries of 1e-34 to 1e-50
+        # where the exact ones are 0: the source is cleaned after it
+        a = cm.analyze(*cm.load_system(MAXWELL.read_text()))
+        stepper = _Stepper(a.canon, wave_grid(nx=16, cy=8, cz=4, X=1.0))
+        source = stepper.source
+        blocks = [M for M, _ in source.terms]
+        blocks += [] if source.M0 is None else [source.M0]
+        assert len(source.terms) == 2
+        s = max(float(np.abs(M).max()) for M in blocks)
+        cut = a.canon.n_unknowns * np.finfo(float).eps * s
+        for M in blocks:
+            assert not np.any((M != 0.0) & (np.abs(M) <= cut))
+
     @pytest.mark.parametrize("factor, spectral", [(0.5, False), (2.0, True)])
     def test_zero_rule_decides_the_scan(self, factor, spectral, monkeypatch,
                                         wave_canon, wave_report):

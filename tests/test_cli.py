@@ -675,3 +675,42 @@ class TestClosedStdout:
             os.close(write_end)
         assert proc.returncode == cli.EXIT_ERROR
         assert proc.stderr == b""
+
+
+def _check_digest():
+    """scripts/check_digest.py, imported as a module; the perfbench
+    directory it puts on sys.path is taken off again."""
+    import importlib.util
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" \
+        / "check_digest.py"
+    spec = importlib.util.spec_from_file_location("check_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    saved = list(sys.path)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+class TestCheckDigest:
+    def test_same_reports_same_digest(self):
+        script = _check_digest()
+        first, runs = script.digest([1], 2)
+        # check and analyze on two corpus systems and the example
+        assert runs == 2 * (2 + len(builtin.EXAMPLES))
+        assert len(first) == 64 and int(first, 16) >= 0
+        assert script.digest([1], 2) == (first, runs)
+        assert script.digest([7], 2)[0] != first
+
+    def test_a_moved_report_moves_the_digest(self, monkeypatch):
+        script = _check_digest()
+        before, _ = script.digest([], 0)
+
+        def check(args, out):
+            code = cli.cmd_check(args, out)
+            out.write(" ")
+            return code
+
+        monkeypatch.setitem(cli._COMMANDS, "check", check)
+        assert script.digest([], 0)[0] != before

@@ -20,6 +20,8 @@ from charmarch.matkit import (Definiteness, MatrixShapeError,
                               Tolerances, classify_definiteness,
                               orthonormal_complete, rank_and_nullspaces)
 
+import conftest
+
 WAVE_BU = np.array([[1.0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
@@ -292,7 +294,8 @@ class TestClassifyDefiniteness:
         assert list(cls.eigenvalues) == sorted(cls.eigenvalues)
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(NotSymmetricError):
+        with pytest.raises(NotSymmetricError,
+                           match="^matrix is asymmetric beyond tolerance$"):
             classify_definiteness(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_huge_eig_tolerance_counts_every_eigenvalue_as_zero(self):
@@ -313,6 +316,82 @@ class TestClassifyDefiniteness:
         b = classify_definiteness(P @ M @ P.T)
         assert a.tag is b.tag
         np.testing.assert_allclose(a.eigenvalues, b.eigenvalues, atol=1e-10)
+
+
+EIG_TOLS = st.sampled_from([1e-10, 1e-6, 0.5, 1e308]).map(
+    lambda eig: matkit.Tolerances(eig=eig))
+
+
+class TestDefinitenessKernel:
+    """The kernel that the check path calls on its exactly symmetric parts,
+    and classify_definiteness, which validates and then calls it, against
+    numpy's eigvalsh of 0.5 (M + M^T) and the documented threshold."""
+
+    @given(st.integers(0, 16), st.integers(0, 16), st.integers(0, 10**6),
+           st.integers(-290, 290), st.booleans(), EIG_TOLS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle(self, n, rank, seed, exponent, exact, tols):
+        # rank < n gives semi-definite and ZERO classes; B D B^T is
+        # symmetric to round-off only, unless `exact` symmetrises it.
+        # Every nonzero entry is in the normal range, where halving is
+        # exact (see _symmetric_part)
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(n, min(rank, n)))
+        d = rng.choice([-1.0, 1.0, 2.0], size=B.shape[1])
+        M = (B * d) @ B.T * 10.0 ** exponent
+        if exact:
+            M = M + M.T
+        conftest.assert_matches_oracle(classify_definiteness(M, tols), M, tols)
+        S = matkit._symmetric_part(M)
+        assert np.array_equal(S, S.T)
+        conftest.assert_matches_oracle(matkit._definiteness(S, tols), M, tols)
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 16])
+    def test_zero_matrix(self, n):
+        M = np.zeros((n, n))
+        for cls in (classify_definiteness(M),
+                    matkit._definiteness(M, Tolerances())):
+            assert cls.tag is Definiteness.ZERO
+            assert cls.eigenvalues == (0.0,) * n
+
+    def test_kernel_refuses_non_finite_by_name(self):
+        with pytest.raises(ValueError, match="^Nu has non-finite entries$"):
+            matkit._definiteness(np.diag([1.0, math.inf]), Tolerances(),
+                                 "Nu")
+
+    def test_validation_stays_public(self):
+        with pytest.raises(MatrixShapeError):
+            classify_definiteness(np.zeros((2, 3)))
+        with pytest.raises(MatrixShapeError):
+            classify_definiteness(np.zeros(3))
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^matrix has non-finite"):
+                classify_definiteness(np.diag([1.0, value]))
+
+    def test_bad_dgeqp3_status_is_an_error(self, monkeypatch):
+        # the bare call keeps the status check and the _lapack wording
+        class Failing:
+            def __getattr__(self, name):
+                return getattr(lapack, name)
+
+            def dgeqp3(self, M):
+                qr, jpvt, tau, work, _ = lapack.dgeqp3(M)
+                return qr, jpvt, tau, work, -4
+
+        monkeypatch.setattr(matkit, "lapack", Failing())
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"^dgeqp3 failed with info=-4$"):
+            rank_and_nullspaces(np.eye(3))
+
+    def test_symmetric_part_of_a_huge_matrix_is_finite(self):
+        # 0.5 (M + M^T) overflows here; the sum of the halves does not
+        cls = classify_definiteness([[1.2e308, 0.0], [0.0, 1.0]])
+        assert cls.tag is Definiteness.POSITIVE_SEMI
+        assert cls.eigenvalues == (1.0, 1.2e308)
+        M = np.array([[1.5e308, 1e300], [1e300 * (1 + 1e-12), -1.5e308]])
+        S = matkit._symmetric_part(M)
+        assert np.isfinite(S).all() and np.array_equal(S, S.T)
+        assert classify_definiteness(M).tag is Definiteness.INDEFINITE
 
 
 def old_is_symmetric(M, tols):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -7,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import charmarch as cm
+from charmarch import cli
 from charmarch.canonical import CompactSystem
 from charmarch.matkit import Definiteness
 from charmarch.wellposed import NormUndefinedError, Verdict
 
 import conftest
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def make_compact(Nu, Nx, m, trans=None, Dc=None):
@@ -86,6 +91,72 @@ class TestCheckCriteria:
             cf = dataclasses.replace(
                 wave_compact, C=C, Dc=P @ wave_compact.Dc @ P.T)
             assert cm.check_criteria(cf).verdict is Verdict.WELL_POSED
+
+
+def wave_1d(a):
+    """The 1+1-D wave with A^t = a I and A^x = -a [[0, 1], [1, 0]] in the
+    chart u = t - x, as a definition text."""
+    return (f"ncoords 2\nnunknowns 2\ncoordnames t x\n"
+            f"matrix A t\n{a!r} 0\n0 {a!r}\n"
+            f"matrix A x\n0 {-a!r}\n{-a!r} 0\n"
+            f"chart\n1 -1\n0 1\n0 0\n")
+
+
+class TestFloatRange:
+    """The symmetric parts are formed without overflow, and a matrix the
+    criteria build that leaves the float range is refused by name."""
+
+    @pytest.mark.parametrize("a", [1.0, 6e307])
+    def test_scaled_wave_is_well_posed(self, a, tmp_path, capsys):
+        rep = cm.analyze(*cm.load_system(wave_1d(a))).report
+        assert rep.verdict is Verdict.WELL_POSED
+        assert [c.tag for c in (rep.class_Nu, rep.class_Nx,
+                                rep.class_NuPlusNx, rep.class_R)] == [
+            Definiteness.POSITIVE_DEFINITE, Definiteness.NEGATIVE_DEFINITE,
+            Definiteness.POSITIVE_DEFINITE, Definiteness.ZERO]
+        path = tmp_path / "wave1d.txt"
+        path.write_text(wave_1d(a))
+        assert cli.main(["check", "--input", str(path)]) == cli.EXIT_OK
+        out, err = capsys.readouterr()
+        assert out.startswith("verdict: WELL_POSED\n") and err == ""
+
+    def test_overflowing_sum_is_named(self):
+        cf = make_compact([[1.5e308]], [[1.5e308]], m=1)
+        with pytest.raises(ValueError,
+                           match=r"^Nu \+ Nx has non-finite entries$"):
+            cm.check_criteria(cf)
+
+    def test_overflowing_r_is_named(self):
+        cf = make_compact(np.eye(1), [[0.0]], m=1, Dc=1e308 * np.eye(2))
+        with pytest.raises(ValueError, match="^R has non-finite entries$"):
+            cm.check_criteria(cf)
+
+
+def _corpus(seed, count):
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import gensys
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return gensys.generate(seed, count)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_check_path_matches_oracle_on_the_corpus(seed):
+    # the first 200 systems of the check-batch corpus: each sign class is
+    # the tag and eigenvalue bits of numpy's eigvalsh of 0.5 (M + M^T)
+    # under the documented threshold, and r and c follow from them
+    tols = cm.Tolerances()
+    for text in _corpus(seed, 200):
+        cf = cm.analyze(*cm.load_system(text)).compact
+        rep = cm.check_criteria(cf, tols)
+        Nu, Nx, R = cf.Nu, cf.Nx, cf.R
+        for cls, M in [(rep.class_Nu, Nu), (rep.class_Nx, Nx),
+                       (rep.class_NuPlusNx, Nu + Nx), (rep.class_R, R)]:
+            conftest.assert_matches_oracle(cls, M, tols)
+        assert rep.r == (float(np.abs(R).max()) if R.size else 0.0)
+        w = conftest.oracle_class(Nu + Nx, tols)[1].tolist()
+        assert rep.c == min(w + ([1.0] if cf.m else []))
 
 
 class TestAnalyze:
