@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""One sha256 over what `charmarch check` and `charmarch analyze` print.
+"""One sha256 over what `charmarch check` and `charmarch analyze` print,
+and over the marches of the README and of CI.
 
 For each seed, the check-batch corpus that perfbench/gensys.py draws (the
 1500 definition texts the benchmark writes), then every built-in example:
-`cli.main` runs in this process on each system, `check` then `analyze`, and
-the digest takes in each run's command, system, exit code, stdout and
-stderr.  Two source trees whose reports agree byte for byte print the same
-digest, so a change that must not move any output is checked by running
-this against both trees' `src/`:
+`cli.main` runs in this process on each system, `check` then `analyze`.
+Then the march commands: the `solve` and `verify-estimate` commands of the
+README's CLI section, and the Maxwell `solve` of the CI smoke step.  The
+digest takes in each run's command, system, exit code, stdout and stderr.
+Two source trees whose outputs agree byte for byte print the same digest,
+so a change that must not move any output is checked by running this
+against both trees' `src/`:
 
     PYTHONPATH=src python scripts/check_digest.py --seeds 1,7
 
@@ -22,16 +25,41 @@ import hashlib
 import io
 import os
 import pathlib
+import re
+import shlex
 import sys
 import tempfile
 
-sys.path.insert(0, str(pathlib.Path(__file__).parents[1] / "perfbench"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 from charmarch import builtin, cli  # noqa: E402
 import gensys  # noqa: E402
 from workloads import CHECK_BATCH_SIZE  # noqa: E402
 
 COMMANDS = ("check", "analyze")
+# the CI smoke step's march of Maxwell's equations, run from ROOT
+MAXWELL = "tests/data/maxwell3d.txt"
+MAXWELL_SOLVE = ["solve", "--input", MAXWELL, "--nx", "64", "--cells", "16,4",
+                 "--q0", "sine:amp=0.8,k=2,ky=1,zero,zero,zero",
+                 "--w0", "sine:amp=1.2,k=1,kz=1,zero"]
+
+
+def marches():
+    """(label, argv) of each march command: the README CLI section's
+    `solve` and `verify-estimate` commands (continuations joined, comments
+    dropped, `charmarch` stripped), then MAXWELL_SOLVE.  The label is the
+    command as written; argv finds MAXWELL in ROOT."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block, = re.findall(r"```sh\n(.*?)```", section, re.S)
+    lines = [shlex.split(line, comments=True)[1:]
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in lines
+                if argv and argv[0] in ("solve", "verify-estimate")]
+    commands.append(MAXWELL_SOLVE)
+    return [(" ".join(argv), [str(ROOT / a) if a == MAXWELL else a
+                              for a in argv]) for argv in commands]
 
 
 def _run(argv):
@@ -51,8 +79,8 @@ def _update(h, *parts):
 
 
 def digest(seeds, count):
-    """(sha256 hex digest, number of runs) over the corpora of `seeds`
-    and the built-in examples."""
+    """(sha256 hex digest, number of runs) over the corpora of `seeds`,
+    the built-in examples and the march commands."""
     h = hashlib.sha256()
     runs = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -70,6 +98,9 @@ def digest(seeds, count):
             for command in COMMANDS:
                 _update(h, command, label, *_run([command, *where]))
                 runs += 1
+    for label, argv in marches():
+        _update(h, label, *_run(argv))
+        runs += 1
     return h.hexdigest(), runs
 
 
@@ -82,8 +113,8 @@ def main(argv=None):
     hexdigest, runs = digest(seeds, CHECK_BATCH_SIZE)
     print(hexdigest)
     sys.stderr.write(f"{runs} runs: seeds {args.seeds}, {CHECK_BATCH_SIZE} "
-                     f"systems each, and {len(builtin.EXAMPLES)} "
-                     f"built-in example(s)\n")
+                     f"systems each, {len(builtin.EXAMPLES)} built-in "
+                     f"example(s) and {len(marches())} march command(s)\n")
     return 0
 
 

@@ -57,8 +57,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import matkit
 from .canonical import CanonicalSystem
+from .matkit import Definiteness
 from .wellposed import Verdict, WellPosednessReport
 
 
@@ -542,21 +542,18 @@ def _slice_max(vals: np.ndarray, nq: int, u_level: float,
     return top
 
 
-def _sign_rule_slack(P, Nu, Nx, tols: matkit.Tolerances) -> float:
+def _sign_rule_slack(P, report: WellPosednessReport) -> float:
     """How far an eigenvalue of P = Nu^-1 Nx may lie outside [-1, 0] where
-    the verdict's signs at tols, symmetric Nu > 0, Nx <= 0 and Nu + Nx >= 0,
+    the report's signs (symmetric C^u and C^x, Nu > 0, Nx <= 0, Nu + Nx >= 0)
     put the exact ones inside: the zero band tols.eig on P's scale (on Nx's
     it would pass 1 / lambda_min(Nu) times the band) plus the round-off of
     forming P, n eps cond(Nu) ||P||.  0.0 where the signs do not hold."""
-    try:
-        cls = [matkit.classify_definiteness(M, tols)
-               for M in (Nu, Nx, Nu + Nx)]
-    except matkit.NotSymmetricError:
+    if not (report.symmetric_Ca["u"] and report.symmetric_Ca["x"]
+            and report.class_Nu.tag is Definiteness.POSITIVE_DEFINITE
+            and report.class_Nx.is_nonpositive()
+            and report.class_NuPlusNx.is_nonnegative()):
         return 0.0
-    if not (cls[0].tag is matkit.Definiteness.POSITIVE_DEFINITE
-            and cls[1].is_nonpositive() and cls[2].is_nonnegative()):
-        return 0.0
-    lam = cls[0].eigenvalues
+    lam, tols = report.class_Nu.eigenvalues, report.tols
     return (tols.eig + len(lam) * np.finfo(float).eps * lam[-1] / lam[0]) \
         * float(np.linalg.norm(P, 2))
 
@@ -580,12 +577,12 @@ class _Stepper:
     propagator G = I + dx A + dx^2 A^2 / 2 that the scan of the widest
     slice uses: real m x m matrices when A is pointwise, one per transverse
     Fourier mode when it is not, none when A = 0; at m = 1 a pointwise A
-    and its powers are numbers.  Evolution by one step du = dx: Nu^-1 Nx,
-    checked here for the CFL condition (its eigenvalues, up to the
-    verdict's slack at `tols`) before anything else is built from it, and
-    the source operator dx Nu^-1 (N0 v + N^i d_i v), all built from
-    blocks that `_structural` has cleaned; the source is cleaned again
-    after the product, of Nu^-1's round-off.
+    and its powers are numbers.  Evolution by one step du = dx: the source
+    operator dx Nu^-1 (N0 v + N^i d_i v) and Nu^-1 Nx, from blocks that
+    `_structural` has cleaned (the source again after the product, of
+    Nu^-1's round-off).  Then two guards: an axis that these operators
+    difference needs 4 cells (DataSpecError), and Nu^-1 Nx's eigenvalues
+    the CFL condition, up to the slack of `report`'s signs (CFLError).
 
     The stepper only computes, in place on the slice values it is given:
     it knows no u, sets no floating-point policy, never writes w_0 and
@@ -596,7 +593,7 @@ class _Stepper:
     """
 
     def __init__(self, canon: CanonicalSystem, grid: GridSpec,
-                 tols: matkit.Tolerances = matkit.Tolerances()):
+                 report: WellPosednessReport):
         nq, n = canon.nq, canon.n_unknowns
         names = canon.transverse_names
         self.nq, self.dx, self.width = nq, grid.dx, grid.nx + 1
@@ -607,22 +604,25 @@ class _Stepper:
         self.coupling = _FieldOperator(
             -L0[:, nq:], [-L[:, nq:] for L in Li], grid)
         Nui = np.linalg.inv(canon.Nu) if nq else np.zeros((0, 0))
-        self.NuiNx, = _structural(n, Nui @ canon.Nx)
-        # the upwind x step with du = dx is stable only when every
-        # eigenvalue of the P = Nu^-1 Nx it multiplies by is real and in
-        # [-1, 0].  Where one is not, the verdict's signs bound how far it
-        # may be (`_sign_rule_slack`); CFLError names the first beyond that
-        for lam in np.linalg.eigvals(self.NuiNx):
-            excess = max(abs(lam.imag), lam.real, -1.0 - lam.real)
-            if excess > 1e-12 and excess > _sign_rule_slack(
-                    self.NuiNx, canon.Nu, canon.Nx, tols):
-                raise CFLError(f"eigenvalue {lam:.6g} of Nu^-1 Nx is outside "
-                               f"[-1, 0]: the upwind step du = dx is unstable")
-        self.upwind = _UpwindStep(self.NuiNx, grid)
-        # cleaned again after the product, of Nu^-1's round-off
         S0, *Si = _structural(n, grid.dx * Nui @ N0,
                               *(grid.dx * Nui @ N for N in Ni))
         self.source = _FieldOperator(S0, Si, grid)
+        for axis in sorted({a for op in (self.forcing, self.coupling,
+                                         self.source) for _, a in op.terms}):
+            if grid.cells[axis] < 4:
+                raise DataSpecError(f"transverse direction {names[axis]} "
+                                    f"needs at least 4 cells")
+        self.NuiNx, = _structural(n, Nui @ canon.Nx)
+        # the upwind x step with du = dx is stable only when every
+        # eigenvalue of the P = Nu^-1 Nx it multiplies by is real and in
+        # [-1, 0], up to the slack of the report's signs
+        for lam in np.linalg.eigvals(self.NuiNx):
+            excess = max(abs(lam.imag), lam.real, -1.0 - lam.real)
+            if excess > 1e-12 and excess > _sign_rule_slack(self.NuiNx,
+                                                            report):
+                raise CFLError(f"eigenvalue {lam:.6g} of Nu^-1 Nx is outside "
+                               f"[-1, 0]: the upwind step du = dx is unstable")
+        self.upwind = _UpwindStep(self.NuiNx, grid)
         self.powers = [] if self.coupling.is_zero else \
             self._propagator_powers()
         # at m = 1 a pointwise A is one number, and so is each G^d
@@ -816,11 +816,6 @@ def _validate(canon: CanonicalSystem, grid: GridSpec, data: DataSpec):
                         f"profile {side}[{a}] has a term with "
                         f"{len(term.trans)} transverse pairs, but the grid "
                         f"has {nt} transverse axes")
-    for j, name in enumerate(canon.transverse_names):
-        coupled = np.any(canon.Ni[name]) or np.any(canon.Li[name])
-        if coupled and grid.transverse[j].cells < 4:
-            raise DataSpecError(
-                f"transverse direction {name} needs at least 4 cells")
     nbytes, needs = _trace_bytes(canon.n_unknowns, grid)
     if nbytes > sys.maxsize:
         raise MemoryError(f"{needs}, more than sys.maxsize")
@@ -833,8 +828,8 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
 
     `report` is the well-posedness report of the reduction that gave
     `canon`; systems whose verdict is not WELL_POSED are refused unless
-    force=True, and CFLError refuses one only for a speed that the upwind
-    step amplifies and the verdict's zero band hides.  A grid whose trace
+    force=True, and the stepper's guards (`_Stepper`: the cells of an axis
+    it differences, the CFL condition) hold even then.  A grid whose trace
     would take more than sys.maxsize bytes is refused with MemoryError
     before anything is allocated, and the trace store, the largest
     allocation by far, is mapped before anything else that grows with the
@@ -860,11 +855,12 @@ def march(canon: CanonicalSystem, grid: GridSpec, data: DataSpec, *,
         nodal = np.empty((canon.n_unknowns, grid.nx + 1) + grid.cells)
         for row, terms in zip(nodal, data.q0 + data.w0):
             row[...] = evaluate_profile(terms, s, tmeshes)
-        return _march_nodal(canon, grid, nodal, report.tols, store)
+        return _march_nodal(canon, grid, nodal, report, store)
 
 
 def _march_nodal(canon: CanonicalSystem, grid: GridSpec, nodal: np.ndarray,
-                 tols: matkit.Tolerances, store: np.ndarray) -> SolutionTrace:
+                 report: WellPosednessReport,
+                 store: np.ndarray) -> SolutionTrace:
     """March nodal data, shaped (n_unknowns, nx + 1, *cells), into `store`
     (`_trace_store`): the q rows hold q0 at x = k dx on u = 0, the w rows
     w0 at u = k dx on x = 0.
@@ -873,15 +869,12 @@ def _march_nodal(canon: CanonicalSystem, grid: GridSpec, nodal: np.ndarray,
     to 1.  Slice 0's q rows are written before the first step.  Then, for
     each slice, the loop takes the evolution step (from slice 1 on),
     copies the w0 column into x = 0, runs the hypersurface pass, checks
-    the slice and freezes it.  The check (`_slice_max`) is one max and one
-    min over the whole slice, which give max |v|; only a slice that is not
-    finite (inf or NaN, which an overflow leaves under `march`'s
-    np.errstate) has its blocks checked, and MarchAbortError names the
-    first of them, in the order they were made, and the u of its slice.
-    The loop evaluates no profile.
+    the slice (`_slice_max`, which names the first block that an overflow
+    under `march`'s np.errstate left inf or NaN) and freezes it.  The loop
+    evaluates no profile.
     """
     nq = canon.nq
-    stepper = _Stepper(canon, grid, tols)
+    stepper = _Stepper(canon, grid, report)
     views = _slice_views(store, [(canon.n_unknowns, width) + grid.cells
                                  for width in range(grid.nx + 1, 0, -1)])
     views[0][:nq] = nodal[:nq]

@@ -189,9 +189,14 @@ def cmd_check(args, out):
 
 def cmd_solve(args, out):
     a = _analyze(args)
-    trace = charsolve.march(a.canon, _grid_from_args(args, a.canon),
-                            _data_from_args(args, a.canon),
-                            report=a.report, force=args.force)
+    try:
+        trace = charsolve.march(a.canon, _grid_from_args(args, a.canon),
+                                _data_from_args(args, a.canon),
+                                report=a.report, force=args.force)
+    except charsolve.NotWellPosedError:   # it names the library's force=True
+        sys.stderr.write(f"error: verdict is {a.report.verdict.value}; "
+                         f"pass --force to march anyway\n")
+        return EXIT_ERROR
     out.write("u,x_extent,max_abs_v\n")
     for s, diag in zip(trace.slices, trace.diagnostics):
         out.write(f"{_fmt(s.u_level)},{s.x_extent},{_fmt(diag)}\n")

@@ -98,7 +98,8 @@ class Tolerances:
     decisions (null spaces, transversality, row selection), symmetry of the
     C^a, eigenvalue signs, and ctol, which scales the discrete slack
     ctol * dx of the estimate.  rank, sym and eig scale a matrix norm
-    everywhere; only wellposed.MARGINAL_BAND is an absolute bound."""
+    everywhere; wellposed.MARGINAL_BAND and the march's CFL floor 1e-12 on
+    an eigenvalue of Nu^-1 Nx, a speed, which has no units, are absolute."""
     rank: float = 1e-10
     sym: float = 1e-10
     eig: float = 1e-10

@@ -49,38 +49,38 @@ def evolve(stepper, vals):
 # fill_null works in place on the slice values from the w_0 in column
 # x = 0, evolve writes the q rows of the next one.
 class TestHypersurfaceIntegrate:
-    def test_constant_boundary_zero_q(self, wave_canon):
+    def test_constant_boundary_zero_q(self, wave_canon, wave_report):
         grid = wave_grid()
         s = empty_slice(grid)
         s[3, 0] = 0.7
-        _Stepper(wave_canon, grid).fill_null(s)
+        _Stepper(wave_canon, grid, wave_report).fill_null(s)
         np.testing.assert_allclose(s[3], 0.7, atol=1e-15)
         np.testing.assert_allclose(s[:3], 0.0, atol=1e-15)
 
-    def test_sine_mode_antiderivative(self, wave_canon):
+    def test_sine_mode_antiderivative(self, wave_canon, wave_report):
         # with q3 = sin(y) the null equation is d_x w = (1/sqrt2) cos(y)
         grid = wave_grid(nx=32, cy=64, cz=4)
         s = empty_slice(grid)
         y = np.arange(64) * (2.0 * math.pi / 64)
         s[1] = np.sin(y)[None, :, None]
-        _Stepper(wave_canon, grid).fill_null(s)
+        _Stepper(wave_canon, grid, wave_report).fill_null(s)
         x = np.arange(grid.nx + 1) * grid.dx
         expected = (x[:, None, None] * R2) * np.cos(y)[None, :, None]
         err = np.abs(s[3] - expected).max()
         dy = 2.0 * math.pi / 64
         assert err <= 2.0 * (grid.dx ** 2 + dy ** 2)
 
-    def test_zero_everything(self, wave_canon):
+    def test_zero_everything(self, wave_canon, wave_report):
         grid = wave_grid()
         s = empty_slice(grid)
-        _Stepper(wave_canon, grid).fill_null(s)
+        _Stepper(wave_canon, grid, wave_report).fill_null(s)
         assert not np.any(s)
 
     @pytest.mark.parametrize("x_extent", [1, 2])
     @pytest.mark.parametrize("system", ["damped", "w_coupled",
                                         "damped_w_coupled"])
     def test_narrow_slice_matches_oracle(self, x_extent, system, wave_canon,
-                                         damped_wave_pipeline):
+                                         wave_report, damped_wave_pipeline):
         # the scan takes no step at x_extent 1 and the G^1 step alone at 2
         canon = _coupled_system(system, wave_canon, damped_wave_pipeline)
         grid = wave_grid(nx=16, cy=8, cz=4, X=1.0)
@@ -90,25 +90,26 @@ class TestHypersurfaceIntegrate:
         wb = rng.standard_normal((1, 8, 4))
         expected = _oracle_hypersurface(canon, s, wb, grid)
         s[3:, 0] = wb
-        _Stepper(canon, grid).fill_null(s)
+        _Stepper(canon, grid, wave_report).fill_null(s)
         assert np.abs(s - expected).max() <= 1e-13
 
     def test_round_off_is_no_forcing_term(self, damped_wave_pipeline):
         # damped wave3d's canonical L0[0, 0] = 2.2e-16 and N0[0, 3] =
         # -8.5e-17 are reduction round-off where the exact entries are 0:
         # the canonical form keeps them, the stepper drops them
-        canon = damped_wave_pipeline[0]
+        canon, _, report = damped_wave_pipeline
         assert canon.L0[0, 0] != 0.0 and canon.N0[0, 3] != 0.0
-        stepper = _Stepper(canon, wave_grid(nx=128, cy=8, cz=4, X=0.5))
+        stepper = _Stepper(canon, wave_grid(nx=128, cy=8, cz=4, X=0.5),
+                           report)
         assert stepper.forcing.M0 is None
         assert stepper.source.M0[:, 3].tolist() == [0.0, 0.0, 0.0]
 
     def test_one_null_field_couples_by_a_number(self, damped_wave_pipeline):
         # at m = 1 pointwise A f is one multiply by A's entry, which is
         # the one product the 1 x 1 matmul of the coupling operator rounds
-        canon = damped_wave_pipeline[0]
+        canon, _, report = damped_wave_pipeline
         grid = wave_grid(nx=16, cy=8, cz=4, X=1.0)
-        stepper = _Stepper(canon, grid)
+        stepper = _Stepper(canon, grid, report)
         assert stepper._A == -canon.L0[0, 3]
         s = np.random.default_rng(5).standard_normal((4, 17, 8, 4))
         by_operator = s.copy()
@@ -119,20 +120,21 @@ class TestHypersurfaceIntegrate:
 
 
 class TestEvolutionStep:
-    def test_zero_slice_stays_zero(self, wave_canon):
+    def test_zero_slice_stays_zero(self, wave_canon, wave_report):
         grid = wave_grid()
-        s = evolve(_Stepper(wave_canon, grid), empty_slice(grid))
+        s = evolve(_Stepper(wave_canon, grid, wave_report),
+                   empty_slice(grid))
         assert s.shape[1] == grid.nx
         assert not np.any(s)
 
-    def test_plane_wave_keeps_q_zero(self, wave_canon):
+    def test_plane_wave_keeps_q_zero(self, wave_canon, wave_report):
         grid = wave_grid()
         s0 = empty_slice(grid)
         s0[3] = 0.37  # w constant on the slice
-        s = evolve(_Stepper(wave_canon, grid), s0)
+        s = evolve(_Stepper(wave_canon, grid, wave_report), s0)
         np.testing.assert_allclose(s[:3], 0.0, atol=1e-15)
 
-    def test_single_mode_hand_computation(self, wave_canon):
+    def test_single_mode_hand_computation(self, wave_canon, wave_report):
         # q2-mode eps*sin(y): only the q3 equation picks up a source
         # (1/sqrt2) d_y q2; the expected update is one explicit step with a
         # centered transverse difference, computed independently here
@@ -141,7 +143,7 @@ class TestEvolutionStep:
         s0 = empty_slice(grid)
         y = np.arange(16) * (2.0 * math.pi / 16)
         s0[0] = eps * np.sin(y)[None, :, None]
-        s = evolve(_Stepper(wave_canon, grid), s0)
+        s = evolve(_Stepper(wave_canon, grid, wave_report), s0)
         dy = 2.0 * math.pi / 16
         centered = (np.roll(eps * np.sin(y), -1) - np.roll(eps * np.sin(y), 1)) / (2 * dy)
         expected_q2 = grid.dx * R2 * centered
@@ -210,6 +212,30 @@ class TestEvolutionStep:
         trace = cm.march(canon, wave_grid(nx=8, cy=4, cz=4), data,
                          report=report)
         assert trace.n_slices == 9
+
+    def test_the_slack_is_read_from_the_report(self, wave_canon,
+                                               monkeypatch):
+        # the system of the test above: its round-off speed passes on the
+        # slack that the report's sign classes give, with no matrix
+        # classified again on the way
+        Nx = wave_canon.Nx.copy()
+        Nx[2, 2] = 5e-12
+        canon = dataclasses.replace(wave_canon, Nx=Nx)
+        report = cm.check_criteria(cm.compact_form(canon))
+
+        def classify(*args, **kwargs):
+            raise AssertionError("the march classified a matrix")
+
+        slack, slacks = charsolve._sign_rule_slack, []
+        monkeypatch.setattr(cm.matkit, "classify_definiteness", classify)
+        monkeypatch.setattr(charsolve, "_sign_rule_slack", lambda P, rep: (
+            slacks.append(slack(P, rep)) or slacks[-1]))
+        data = cm.DataSpec(q0=((cm.ProfileTerm(kind="sine"),), (), ()),
+                           w0=((),))
+        trace = cm.march(canon, wave_grid(nx=8, cy=4, cz=4), data,
+                         report=report)
+        assert trace.n_slices == 9
+        assert slacks and min(slacks) > 0.0
 
     def test_speed_hidden_by_the_verdicts_band_is_refused(self, wave_canon):
         # Nx's eigenvalue 4e-11 is zero at the verdict's tolerance, but
@@ -403,6 +429,24 @@ class TestMarch:
         with pytest.raises(DataSpecError):
             cm.march(wave_canon, grid, data, report=wave_report)
 
+    def test_round_off_axis_needs_no_cells(self, wave_canon, wave_report,
+                                           manufactured_data):
+        # N^z and L^z at 1e-18 of their size are round-off on their
+        # family's scale, which the stepper drops: z is not differenced,
+        # so its 2 cells march, bit for bit as with those blocks at 0
+        def with_z(scale):
+            return dataclasses.replace(
+                wave_canon,
+                Ni={**wave_canon.Ni, "z": scale * wave_canon.Ni["z"]},
+                Li={**wave_canon.Li, "z": scale * wave_canon.Li["z"]})
+
+        assert np.any(wave_canon.Ni["z"]) and np.any(wave_canon.Li["z"])
+        grid = wave_grid(nx=8, cy=8, cz=2)
+        tiny, zero = (cm.march(with_z(scale), grid, manufactured_data,
+                               report=wave_report) for scale in (1e-18, 0.0))
+        assert tiny._store.tobytes() == zero._store.tobytes()
+        assert tiny.diagnostics == zero.diagnostics
+
     # 5e-324 / 8 underflows: dx would be 0
     @pytest.mark.parametrize("X", [math.nan, math.inf, 0.0, -1.0, 5e-324])
     def test_bad_X_total_rejected(self, X):
@@ -567,7 +611,7 @@ class TestMarch:
     def _march_nodal(canon, grid, nodal, report):
         with np.errstate(over="ignore", invalid="ignore"):
             return charsolve._march_nodal(
-                canon, grid, nodal, report.tols,
+                canon, grid, nodal, report,
                 charsolve._trace_store(canon.n_unknowns, grid))
 
     @pytest.mark.parametrize("j, where", [(0, "q0 data"),
@@ -816,7 +860,7 @@ class TestMarchMatchesOracle:
         assert a.report.verdict is Verdict.WELL_POSED
         assert np.any(a.canon.Li["y"][:, 4:])
         grid = wave_grid(nx=16, cy=8, cz=4, X=1.0)
-        stepper = _Stepper(a.canon, grid)
+        stepper = _Stepper(a.canon, grid, a.report)
         assert stepper.coupling.is_zero and not stepper.powers
         sine = self.DATA.q0[0]
         gauss = self.DATA.q0[1]
@@ -829,7 +873,8 @@ class TestMarchMatchesOracle:
         # the dx Nu^-1 product spreads into entries of 1e-34 to 1e-50
         # where the exact ones are 0: the source is cleaned after it
         a = cm.analyze(*cm.load_system(MAXWELL.read_text()))
-        stepper = _Stepper(a.canon, wave_grid(nx=16, cy=8, cz=4, X=1.0))
+        stepper = _Stepper(a.canon, wave_grid(nx=16, cy=8, cz=4, X=1.0),
+                           a.report)
         source = stepper.source
         blocks = [M for M, _ in source.terms]
         blocks += [] if source.M0 is None else [source.M0]
@@ -863,7 +908,7 @@ class TestMarchMatchesOracle:
             nodal = _nodal(grid, data)
         else:
             trace = charsolve._march_nodal(
-                canon, grid, nodal, report.tols,
+                canon, grid, nodal, report,
                 charsolve._trace_store(canon.n_unknowns, grid))
         expected = _oracle_march(canon, grid, nodal)
         assert trace.n_slices == len(expected)
@@ -1005,10 +1050,10 @@ class TestUpwindStep:
             _dense_upwind(P, vals[:nq], src).tobytes()
         assert np.isnan(new[nq:]).all()
 
-    def test_work_is_the_columns_p_uses(self, wave_canon):
+    def test_work_is_the_columns_p_uses(self, wave_canon, wave_report):
         # wave3d's P = diag(-1/2, 0, 0) takes the x difference of q1 alone
         grid = wave_grid(nx=8, cy=8, cz=4)
-        stepper = _Stepper(wave_canon, grid)
+        stepper = _Stepper(wave_canon, grid, wave_report)
         assert stepper.upwind.work == 9 * 8 * 4
 
 

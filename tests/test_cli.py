@@ -476,6 +476,17 @@ class TestSolve:
         assert cli.main(argv + ["--out", str(out)]) == code
         assert out.read_text(encoding="utf-8") == "old"
 
+    def test_refused_verdict_names_the_flag(self, tmp_path, capsys):
+        # the refusal names the command's --force, not the library's
+        # force=True
+        path = tmp_path / "asymmetric.txt"
+        path.write_text(conftest.asymmetric_y_text(), encoding="utf-8")
+        code = cli.main(["solve", "--input", str(path), "--nx", "8",
+                         "--cells", "4,4"])
+        assert (code, *capsys.readouterr()) == (
+            cli.EXIT_ERROR, "", "error: verdict is NOT_WELL_POSED; pass "
+            "--force to march anyway\n")
+
     @pytest.mark.parametrize("target", ["missing/x.csv", "."],
                              ids=["missing-dir", "directory"])
     def test_unwritable_out_refused_before_march(self, target, tmp_path,
@@ -697,8 +708,11 @@ class TestCheckDigest:
     def test_same_reports_same_digest(self):
         script = _check_digest()
         first, runs = script.digest([1], 2)
-        # check and analyze on two corpus systems and the example
-        assert runs == 2 * (2 + len(builtin.EXAMPLES))
+        # check and analyze on two corpus systems and the example, then
+        # the README's solve and verify-estimate and the CI's Maxwell solve
+        assert runs == 2 * (2 + len(builtin.EXAMPLES)) + 3
+        assert [argv[0] for _, argv in script.marches()] == [
+            "solve", "verify-estimate", "solve"]
         assert len(first) == 64 and int(first, 16) >= 0
         assert script.digest([1], 2) == (first, runs)
         assert script.digest([7], 2)[0] != first
@@ -713,4 +727,14 @@ class TestCheckDigest:
             return code
 
         monkeypatch.setitem(cli._COMMANDS, "check", check)
-        assert script.digest([], 0)[0] != before
+        moved = script.digest([], 0)[0]
+        assert moved != before
+
+        def solve(args, out):
+            code = cli.cmd_solve(args, out)
+            out.write(" ")
+            return code
+
+        # a moved march moves it too
+        monkeypatch.setitem(cli._COMMANDS, "solve", solve)
+        assert script.digest([], 0)[0] not in (before, moved)

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import pathlib
 import re
 import warnings
 
@@ -17,6 +18,8 @@ from charmarch.energymon import EstimateHorizonError, RangeError
 from charmarch.wellposed import Verdict
 
 TWO_PI_SQ = (2.0 * math.pi) ** 2   # transverse volume for two unit-period axes
+# Maxwell's equations for (E, B) in wave3d's chart u = t - x
+MAXWELL = pathlib.Path(__file__).resolve().parent / "data" / "maxwell3d.txt"
 
 
 def wave_grid(nx, cy=4, cz=4, X=2.0):
@@ -507,6 +510,21 @@ class TestVerifyEstimate:
         assert float(fields[4]) == rep.bound
         assert fields[-1] in ("true", "false")
 
+    def test_maxwell_holds_on_the_ladder(self):
+        # m = 2 and four q, so the march takes the dense upwind product:
+        # the data of the CI smoke run, sine data on q1 and w1
+        a = cm.analyze(*cm.load_system(MAXWELL.read_text()))
+        grid = wave_grid(64, cy=16, cz=4)
+        data = cm.DataSpec(
+            q0=((cm.ProfileTerm(kind="sine", amp=0.8, k=2.0,
+                                trans=((1.0, 0.0), (0.0, 0.0))),), (), (), ()),
+            w0=((cm.ProfileTerm(kind="sine", amp=1.2, k=1.0,
+                                trans=((0.0, 0.0), (1.0, 0.0))),), ()))
+        tr = cm.march(a.canon, grid, data, report=a.report)
+        reports = [cm.verify_estimate(tr, a.compact, a.report, T)
+                   for T in cm.estimate_ladder(grid)]
+        assert len(reports) == 8
+        assert [er.T for er in reports if not er.holds] == []
 
 
 # q2 = -0.68 - 0.1 cos kx + sin kx + 0.37 cos 2kx, k = 9 pi / 16: smooth
@@ -579,7 +597,7 @@ class TestEndNodeBias:
         nodal = np.zeros((2, nx + 1))
         nodal[1, K] = 1.0
         trace = charsolve._march_nodal(
-            a.canon, grid, nodal, a.report.tols,
+            a.canon, grid, nodal, a.report,
             charsolve._trace_store(a.canon.n_unknowns, grid))
         er = cm.verify_estimate(trace, a.compact, a.report, K * dx)
         assert (er.norm_q0_sq, er.norm_w0_sq) == (0.0, dx / 2)
